@@ -38,14 +38,12 @@ from .quotient import (
 )
 from .roots import (
     QuasipolynomialFit,
-    RootEvaluation,
     extract_cabd_constant,
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
     genus_quotient_via_roots,
     hilbert_at_root,
     quasipoly_admissible_classes,
-    root_evaluations,
     root_of_unity_identity_check,
     sylvester_invariants,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "QuasipolynomialFit",
     "QuotientReport",
     "ResourceLimitError",
-    "RootEvaluation",
     "TheoremViolationError",
     "apery_set",
     "ap3_even_d_invariants",
@@ -106,7 +103,6 @@ __all__ = [
     "quasipoly_admissible_classes",
     "quotient",
     "quotient_report",
-    "root_evaluations",
     "root_of_unity_identity_check",
     "semigroup_polynomial_coeffs",
     "sylvester_invariants",

@@ -358,11 +358,10 @@ def _full_ap_pattern(S: NumericalSemigroup) -> tuple[int, int] | None:
 
 
 def _quotient_formulas(
-    S: NumericalSemigroup, d: int, tolerance: float
+    S: NumericalSemigroup, d: int, Q: NumericalSemigroup, tolerance: float
 ) -> dict[str, dict]:
     """Every closed form whose hypotheses S and d satisfy, evaluated and
-    compared against the brute-force quotient."""
-    Q = quotient(S, d)
+    compared against the brute-force quotient Q = S/d."""
     formulas: dict[str, dict] = {}
 
     def add(name: str, formula, oracle) -> None:
@@ -427,7 +426,7 @@ def cmd_quotient(args) -> int:
     d = args.d
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     Q = quotient(S, d)
-    formulas = _quotient_formulas(S, d, tolerance)
+    formulas = _quotient_formulas(S, d, Q, tolerance)
     report = {
         "base_generators": list(S.minimal_generators),
         "d": d,
@@ -597,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TheoremViolationError, PrecisionLossError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, ResourceLimitError) as exc:
+    except (PreconditionError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,27 +1,27 @@
 """Exact arithmetic of numerical semigroups.
 
 A numerical semigroup is a cofinite subset of the nonnegative integers
-that contains 0 and is closed under addition.  Everything here is driven
-by the per-residue table of least elements modulo some member n (the
-Apery set Ap(S, n)): membership, the Frobenius number via
-max(Ap(S, n)) - n, and the genus via the mean-value identity
+that contains 0 and is closed under addition.  Its canonical form is the
+per-residue table of least elements modulo the multiplicity m (the Apery
+set Ap(S, m)): membership is one comparison against it, F(S) is
+max(Ap(S, m)) - m, and g(S) = (1/m) * sum(Ap(S, m)) - (m - 1)/2.  Gaps
+and the coefficients of P_S are derived from the table on demand.
 
-    g(S) = (1/n) * sum(Ap(S, n)) - (n - 1)/2.
-
-The table itself is computed by a round-robin shortest-path relaxation
-over the residue classes, one min-anchored pass around each addition
-cycle per generator, so no membership sieve is ever needed for the
-canonical construction.  Brute-force sieves appear only in the test
-suite, as independent oracles.
+The table comes from the round-robin relaxation of Boecker and Liptak.
+Taking generators in ascending order, the same pass tells which are
+minimal, and run over a candidate table's own entries it decides whether
+a finite set is the gap set of a semigroup.  Brute-force sieves appear
+only in the test suite, as independent oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 # Desk-scale guards: refuse instances whose residue table or gap list
 # would thrash memory, instead of dying slowly.
@@ -69,8 +69,9 @@ class GapClassCounts:
 class NumericalSemigroup:
     """Canonical form of a numerical semigroup.
 
-    Instances are immutable and fully determined by the minimal generating
-    set; use :func:`from_generators` or :func:`from_gaps` to construct one.
+    Instances are immutable and fully determined by ``apery``, where
+    ``apery[r]`` is the least member congruent to r mod ``multiplicity``;
+    use :func:`from_generators` or :func:`from_gaps` to construct one.
     ``frobenius`` is -1 when the semigroup is all of the nonnegative
     integers (empty complement).
     """
@@ -78,11 +79,13 @@ class NumericalSemigroup:
     minimal_generators: tuple[int, ...]
     multiplicity: int
     frobenius: int
-    gaps: tuple[int, ...]
+    apery: tuple[int, ...]
 
     @property
     def genus(self) -> int:
-        return len(self.gaps)
+        # Class r holds the gaps r, r + m, ..., apery[r] - m.
+        m = self.multiplicity
+        return (sum(self.apery) - m * (m - 1) // 2) // m
 
     @property
     def embedding_dimension(self) -> int:
@@ -92,23 +95,24 @@ class NumericalSemigroup:
     def conductor(self) -> int:
         return self.frobenius + 1
 
-    @cached_property
-    def _gap_set(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+    def _gap_mask(self) -> bytearray:
+        """mask[x] = 1 exactly when 0 <= x <= F(S) is a gap."""
+        m = self.multiplicity
+        mask = bytearray(self.frobenius + 1)
+        for r in range(1, m):
+            mask[r : self.apery[r] : m] = b"\x01" * ((self.apery[r] - r) // m)
+        return mask
 
     @cached_property
-    def _apery_at_multiplicity(self) -> tuple[int, ...]:
-        return _round_robin(self.minimal_generators, self.multiplicity)
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(itertools.compress(itertools.count(), self._gap_mask()))
 
     @cached_property
     def _polynomial_coeffs(self) -> tuple[int, ...]:
-        if self.frobenius < 0:
-            return (1,)
-        coeffs = [0] * (self.frobenius + 2)
-        for gap in self.gaps:
-            coeffs[gap] -= 1
-            coeffs[gap + 1] += 1
-        coeffs[0] += 1
+        # Coefficient k of 1 - (1 - x) * sum_gaps x^s is [k = 0] - gap(k) + gap(k - 1).
+        mask = self._gap_mask()
+        coeffs = list(map(operator.sub, b"\x00" + mask, mask + b"\x00"))
+        coeffs[0] = 1
         return tuple(coeffs)
 
     def contains(self, x: int) -> bool:
@@ -130,51 +134,51 @@ class NumericalSemigroup:
         )
 
 
-def _round_robin(generators: Sequence[int], n: int) -> tuple[int, ...]:
-    """Least element of <generators> in each residue class mod n.
+def _round_robin(
+    generators: Iterable[int], n: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """Least element of <generators, n> in each residue class mod n, and the
+    generators that changed the table (with n the least generator, n and
+    these are the minimal generators).
 
-    Generators are processed one at a time; for each, every addition cycle
-    r -> r + g (mod n) is relaxed once starting from its current minimum,
-    which is exact because earlier classes only improve by whole cycles.
+    In ascending order, g is already a member, and is skipped, exactly when
+    dist[g mod n] <= g.  Otherwise every addition cycle r -> r + g (mod n)
+    is relaxed once starting from its current minimum, which is exact
+    because earlier classes only improve by whole cycles.
     """
-    infinity = n * max(generators) + 1  # strictly above any reachable value
+    generators = sorted(generators)
+    infinity = n * generators[-1] + 1  # strictly above any reachable value
     dist = [infinity] * n
     dist[0] = 0
-    for g in sorted(generators):
+    kept = []
+    for g in generators:
         step = g % n
-        if step == 0:
+        if step == 0 or dist[step] <= g:
             continue
-        cycle_len = n // math.gcd(step, n)
-        for start in range(math.gcd(step, n)):
-            best = start
-            r = start
+        kept.append(g)
+        c = math.gcd(step, n)
+        cycle_len = n // c
+        for start in range(c):
+            # Finite entries are congruent to their residue mod n, so the
+            # cycle's least value (residues start mod c) names its residue.
+            v = min(dist[start::c])
+            if v >= infinity:
+                continue
+            r = v % n
             for _ in range(cycle_len - 1):
-                r = (r + step) % n
-                if dist[r] < dist[best]:
-                    best = r
-            r = best
-            for _ in range(cycle_len - 1):
-                nxt = (r + step) % n
-                if dist[r] + g < dist[nxt]:
-                    dist[nxt] = dist[r] + g
-                r = nxt
+                r += step
+                if r >= n:
+                    r -= n
+                v += g
+                if v < dist[r]:
+                    dist[r] = v
+                else:
+                    v = dist[r]
     if max(dist) >= infinity:
         raise NotNumericalSemigroupError(
             "residue class unreachable; generators do not have gcd 1 with the modulus"
         )
-    return tuple(dist)
-
-
-def _apery_decomposable(apery: Sequence[int], r: int) -> bool:
-    # apery[r] = x + y with x, y nonzero members forces both parts onto the
-    # Apery set, so a length-n scan over split residues decides it.
-    n = len(apery)
-    s = apery[r]
-    for r1 in range(1, n):
-        r2 = (r - r1) % n
-        if r2 and apery[r1] + apery[r2] <= s:
-            return True
-    return False
+    return tuple(dist), kept
 
 
 def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
@@ -194,37 +198,24 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
             f"gcd{tuple(values)} > 1: the complement is infinite, "
             "so this is not a numerical semigroup"
         )
-    if values[0] == 1:
-        return NumericalSemigroup((1,), 1, -1, ())
     mult = values[0]
     if mult > MAX_APERY_MODULUS:
         raise ResourceLimitError(f"multiplicity {mult} exceeds {MAX_APERY_MODULUS}")
-    apery = _round_robin(values, mult)
+    apery, kept = _round_robin(values, mult)
     frobenius = max(apery) - mult
     if frobenius > MAX_FROBENIUS:
         raise ResourceLimitError(f"Frobenius number {frobenius} exceeds {MAX_FROBENIUS}")
-    gaps = sorted(
-        x for r in range(1, mult) for x in range(r, apery[r], mult)
-    )
-    minimal = []
-    for g in values:
-        if g == mult:
-            minimal.append(g)
-            continue
-        r = g % mult
-        if r == 0 or apery[r] != g:
-            continue  # g - mult is a member, so g decomposes
-        if not _apery_decomposable(apery, r):
-            minimal.append(g)
-    return NumericalSemigroup(tuple(minimal), mult, frobenius, tuple(gaps))
+    return NumericalSemigroup((mult, *kept), mult, frobenius, apery)
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
     """Canonical semigroup whose complement is exactly the given finite set.
 
-    The minimal generators are extracted from the complement and the result
-    is rebuilt from them; if the rebuilt gap set disagrees, the complement
-    was not closed under addition and the input is rejected.
+    The candidate Apery table at the least non-gap m puts each class just
+    above its largest gap.  The complement is a semigroup exactly when the
+    table's genus equals the gap count (no gap above its class minimum)
+    and the round robin over the table's entries reproduces the table; the
+    entries it keeps are then the minimal generators.
     """
     gap_list = sorted(set(gaps))
     if any(not isinstance(x, int) or x < 1 for x in gap_list):
@@ -234,24 +225,15 @@ def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
     frobenius = gap_list[-1]
     if frobenius > MAX_FROBENIUS:
         raise ResourceLimitError(f"largest gap {frobenius} exceeds {MAX_FROBENIUS}")
-    gap_set = set(gap_list)
-    mult = next(x for x in itertools.count(1) if x not in gap_set)
-    apery: list[int | None] = [None] * mult
-    apery[0] = 0
-    filled = 1
-    for x in range(mult, frobenius + mult + 2):
-        r = x % mult
-        if x not in gap_set and apery[r] is None:
-            apery[r] = x
-            filled += 1
-            if filled == mult:
-                break
-    table = tuple(apery)  # type: ignore[arg-type]
-    minimal = [mult] + [
-        table[r] for r in range(1, mult) if not _apery_decomposable(table, r)
-    ]
-    result = from_generators(minimal)
-    if result.gaps != tuple(gap_list):
+    mult = next(
+        (i for i, x in enumerate(gap_list, 1) if x != i), len(gap_list) + 1
+    )
+    table = list(range(mult))
+    for x in gap_list:  # ascending, so the largest gap of each class wins
+        table[x % mult] = x + mult
+    apery, kept = _round_robin(table, mult)
+    result = NumericalSemigroup((mult, *kept), mult, frobenius, apery)
+    if result.genus != len(gap_list) or list(apery) != table:
         raise NotNumericalSemigroupError(
             "complement of the gap set is not closed under addition"
         )
@@ -262,7 +244,7 @@ def contains(S: NumericalSemigroup, x: int) -> bool:
     """Membership test: O(1) against the Apery set at the multiplicity."""
     if x < 0:
         return False
-    return x >= S._apery_at_multiplicity[x % S.multiplicity]
+    return x >= S.apery[x % S.multiplicity]
 
 
 def apery_set(S: NumericalSemigroup, n: int) -> AperySet:
@@ -274,8 +256,8 @@ def apery_set(S: NumericalSemigroup, n: int) -> AperySet:
     if n > MAX_APERY_MODULUS:
         raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_APERY_MODULUS}")
     if n == S.multiplicity:
-        return AperySet(n, S._apery_at_multiplicity)
-    return AperySet(n, _round_robin(S.minimal_generators, n))
+        return AperySet(n, S.apery)
+    return AperySet(n, _round_robin(S.minimal_generators, n)[0])
 
 
 def invariants_from_apery(ap: AperySet) -> tuple[int, int]:
@@ -303,7 +285,9 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"d must be a positive integer, got {d}")
     F = S.frobenius
-    return all(contains(S, F - n) for n in S.gaps if n % d == 0)
+    return all(
+        contains(S, F - n) for n in range(d, F + 1, d) if not contains(S, n)
+    )
 
 
 def semigroup_polynomial_coeffs(S: NumericalSemigroup) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 S/d = {x >= 0 : d*x in S} is again a numerical semigroup; its Frobenius
 number is at most floor(F(S)/d), so the whole quotient is determined by
-membership checks up to that bound.  The module also carries the
+membership checks up to that bound; that scan, shared with no closed
+form, is the oracle of every sweep.  The module also carries the
 Frobenius shortcut for d-symmetric semigroups and the per-residue gap
 census that underlies the root-of-unity genus formula.
 """
@@ -38,8 +39,7 @@ def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
     """The quotient S/d = {x : d*x in S} in canonical form.
 
     Every x > floor(F(S)/d) is a member, so the complement is read off the
-    bounded prefix and the canonical rebuild in :func:`from_gaps` doubles
-    as a consistency check.
+    bounded prefix, and :func:`from_gaps` checks that it is a gap set.
     """
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"divisor must be a positive integer, got {d}")
@@ -47,8 +47,8 @@ def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
         return S
     if S.frobenius < 0 or contains(S, d):
         return from_generators([1])  # 1 in S/d, so the quotient is all of N
-    gaps = [x for x in range(1, S.frobenius // d + 1) if not contains(S, d * x)]
-    return from_gaps(gaps)
+    ap, m = S.apery, S.multiplicity
+    return from_gaps(x for x in range(1, S.frobenius // d + 1) if d * x < ap[d * x % m])
 
 
 def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
@@ -69,8 +69,8 @@ def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
         raise PreconditionError(
             "the semigroup of all nonnegative integers has no proper quotient structure here"
         )
-    for n in S.gaps:
-        if n % d == 0 and not contains(S, F - n):
+    for n in range(d, F + 1, d):
+        if not contains(S, n) and not contains(S, F - n):
             raise PreconditionError(
                 f"{S} is not {d}-symmetric: gap {n} has F - {n} = {F - n} outside the semigroup"
             )

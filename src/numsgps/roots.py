@@ -26,21 +26,16 @@ from .core import (
     NumericalSemigroup,
     PrecisionLossError,
     PreconditionError,
+    ResourceLimitError,
     TheoremViolationError,
     semigroup_polynomial_coeffs,
 )
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class RootEvaluation:
-    """Value of H_S at the root of unity exp(2*pi*i*index/d)."""
-
-    d: int
-    index: int
-    value: complex
+# Desk-scale guard on root evaluation: d - 1 Horner passes over the
+# F(S) + 2 coefficients of P_S.
+MAX_ROOT_WORK = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,6 @@ def hilbert_at_root(S: NumericalSemigroup, d: int, i: int) -> complex:
     for c in reversed(semigroup_polynomial_coeffs(S)):
         p = p * zeta + c
     return p / (1 - zeta)
-
-
-def root_evaluations(S: NumericalSemigroup, d: int) -> list[RootEvaluation]:
-    """H_S at every nontrivial d-th root of unity, indices 1 .. d-1."""
-    return [RootEvaluation(d, i, hilbert_at_root(S, d, i)) for i in range(1, d)]
 
 
 def root_of_unity_identity_check(d: int) -> float:
@@ -129,6 +119,11 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise PreconditionError(f"d must be a positive integer, got {d}")
     if d == 1:
         return S.genus, 0.0
+    work = (S.frobenius + 2) * (d - 1)
+    if work > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"(F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
+        )
     total = sum(hilbert_at_root(S, d, i) for i in range(1, d))
     value = (S.genus + (d - 1) / 2 - total) / d
     rounded = round(value.real)

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import time
 
 from numsgps import cli
+from numsgps.quotient import quotient
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,40 @@ def test_quotient_golden_fixture(capsys):
     assert report["generators"] == [3, 11, 19]
     assert (report["frobenius"], report["genus"]) == (16, 9)
     assert report["formulas"]["ap3-odd-a-invariants"]["match"] is True
+
+
+def test_quotient_builds_the_quotient_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_quotient(S, d):
+        calls.append(d)
+        return quotient(S, d)
+
+    monkeypatch.setattr(cli, "quotient", counting_quotient)
+    code, _, _ = run_cli(capsys, "quotient", "--gens", "6,7,8", "--d", "3")
+    assert code == 0
+    assert calls == [3]
+
+
+def test_quotient_huge_divisor_exits_two_promptly(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "quotient", "--gens", "6,7,8", "--d", "100000000000"
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert time.perf_counter() - start < 5
+
+
+def test_out_to_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, _, err = run_cli(
+        capsys, "quotient", "--gens", "6,7,8", "--d", "10", "--out", str(target)
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not target.exists()
 
 
 def test_apery_subcommand(capsys):

@@ -130,6 +130,9 @@ def test_from_gaps_rejects_non_closed_complement():
         from_gaps([2])  # complement keeps 1 but drops 1 + 1
     with pytest.raises(NotNumericalSemigroupError):
         from_gaps([1, 2, 3, 8])  # complement keeps 4 but drops 4 + 4
+    with pytest.raises(NotNumericalSemigroupError):
+        # The gap count fits the table (0, 4, 11), but 4 + 4 = 8 is a gap.
+        from_gaps([1, 2, 5, 8])
     with pytest.raises(PreconditionError):
         from_gaps([0, 1])
     # Duplicates are harmless: the input is read as a set.

@@ -1,0 +1,40 @@
+"""Golden hashes: the JSON record stream of every ``numsgps verify`` id at
+its default grid is pinned byte for byte.
+
+Any change to a record's value, key order or formatting changes a digest.
+Update a digest only together with a deliberate change to the records.
+"""
+
+import hashlib
+
+import pytest
+
+from numsgps import cli
+from numsgps.verify import THEOREM_IDS
+
+GOLDEN_SHA256 = {
+    "theorem-main": "c67882a1efa9a5e32baea3374d292b14ca2c78a2cf339dcabbfdc005d3f2b0bf",
+    "ed2-closed-form": "6833673ccb76655c33c6f3c269a45a00e65bb907452f6683751948441b011aa4",
+    "sylvester": "8ae3551840ff8a5372572764785e928ed2f860b3d4810ef9d7318fca3bf360f8",
+    "d2-constant": "63a7e5cfbaca76de0b7fb83c84f49acba841f68ba3cbf969a63ea22ad6f5b065",
+    "quasipoly": "d7774d7dd530aa72a7c22b3e58b2001e7595bf01566aa4a088b4128323312802",
+    "strazzanti": "5832cdb88f873cf29eaaf74d6ae3aee1b9f1ca4937dea129c0cc397183df5e74",
+    "ap3-symmetric": "4cc3f9fa4d4d9a4848db95d51d08ac0b3e666830303a5e1d96292e3c1b6e30a4",
+    "ap3-even-d": "4c6a26b03657a9fc718fc8adb23f59c7fc3c9a7055cfe8bc615fd9d95011782c",
+    "ap3-odd-a": "d5d102252cb582999fcf6ca6a63197e9291fd447c2d681848f0c34e0dbfc3fc8",
+    "full-ap": "5a068decf61fe2b4ce21b00ea705f80d93b2ee74de146f467ef71bd88fba11c5",
+    "full-ap-dk": "c46a06713d591a27d1c3fc73ac942ea40cba3e97a1e35ad4d767a7f1891a51d8",
+    "root-identity": "64fd32f7950b4d5966099b00903ecd3dc250193b6a6c5fe207154349069c1e14",
+}
+
+
+def test_every_theorem_id_is_pinned():
+    assert set(GOLDEN_SHA256) == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_json_matches_golden_hash(theorem, capsys):
+    code = cli.main(["verify", theorem, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[theorem]

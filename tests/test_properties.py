@@ -1,0 +1,50 @@
+"""Property tests: canonical construction and quotients against the
+brute-force oracles on generated inputs."""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from numsgps import NotNumericalSemigroupError, from_gaps, from_generators, quotient
+from oracles import minimal_generators_by_enumeration, quotient_gaps
+
+# A fixed example sequence, so the suite runs the same cases every time.
+fixed = settings(derandomize=True, deadline=None, database=None)
+
+generator_sets = st.lists(
+    st.integers(min_value=2, max_value=60), min_size=1, max_size=6
+).filter(lambda gens: math.gcd(*gens) == 1)
+
+
+@fixed
+@given(generator_sets)
+def test_minimal_generators_match_enumeration(gens):
+    S = from_generators(gens)
+    assert list(S.minimal_generators) == minimal_generators_by_enumeration(gens)
+
+
+@fixed
+@given(generator_sets)
+def test_from_gaps_round_trip(gens):
+    S = from_generators(gens)
+    assert from_gaps(S.gaps) == S
+
+
+@fixed
+@given(generator_sets, st.integers(min_value=1, max_value=15))
+def test_quotient_gaps_match_definition(gens, d):
+    assert list(quotient(from_generators(gens), d).gaps) == quotient_gaps(gens, d)
+
+
+@fixed
+@given(st.sets(st.integers(min_value=1, max_value=24), min_size=1))
+def test_from_gaps_accepts_exactly_the_closed_complements(gaps):
+    members = [x for x in range(1, max(gaps) + 1) if x not in gaps]
+    closed = not any(a + b in gaps for a in members for b in members)
+    try:
+        S = from_gaps(gaps)
+    except NotNumericalSemigroupError:
+        assert not closed
+    else:
+        assert closed
+        assert set(S.gaps) == gaps

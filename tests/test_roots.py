@@ -9,6 +9,7 @@ import pytest
 
 from numsgps import (
     PreconditionError,
+    ResourceLimitError,
     extract_cabd_constant,
     fit_quasipolynomial,
     from_generators,
@@ -20,7 +21,12 @@ from numsgps import (
     root_of_unity_identity_check,
     sylvester_invariants,
 )
-from numsgps.roots import IDENTITY_TOLERANCE, _pair_quotient_genus
+from numsgps.roots import (
+    IDENTITY_TOLERANCE,
+    MAX_ROOT_WORK,
+    _genus_via_roots_residual,
+    _pair_quotient_genus,
+)
 from oracles import sieve_invariants
 
 
@@ -68,6 +74,17 @@ def test_genus_via_roots_matches_quotient():
         S = from_generators(gens)
         d = rng.randint(1, 12)
         assert genus_quotient_via_roots(S, d) == quotient(S, d).genus, (gens, d)
+
+
+def test_root_evaluation_work_is_bounded():
+    S = from_generators([6, 7, 8])  # F = 17, so one pass covers 19 coefficients
+    d_max = MAX_ROOT_WORK // 19 + 1
+    assert _genus_via_roots_residual(S, 2)[0] == quotient(S, 2).genus
+    for d in (d_max + 1, 10**11):
+        with pytest.raises(ResourceLimitError):
+            _genus_via_roots_residual(S, d)
+        with pytest.raises(ResourceLimitError):
+            genus_quotient_via_roots(S, d)
 
 
 def test_sylvester_frozen_and_oracle():
