@@ -253,16 +253,18 @@ class _Output:
     """Routes rendered text to stdout or --out, keeping headers visible.
 
     The seed header goes to stdout for tables but to stderr for json/csv
-    so that machine-readable streams stay pure.
+    so that machine-readable streams stay pure.  ``main`` opens it before
+    a command does any work, so a bad --out path fails at once.
     """
 
     def __init__(self, args):
         self.format = args.format
+        self.seed = args.seed
         self.path = args.out
         self.handle = open(self.path, "w") if self.path else sys.stdout
 
-    def header(self, seed: int) -> None:
-        line = f"# seed {seed}"
+    def header(self) -> None:
+        line = f"# seed {self.seed}"
         if self.format == "table" and self.path is None:
             print(line, file=self.handle)
         else:
@@ -275,46 +277,40 @@ class _Output:
         if self.path:
             self.handle.close()
 
+    def report(self, report: dict) -> None:
+        self.header()
+        if self.format == "json":
+            self.line(_dump(report))
+        elif self.format == "csv":
+            self.line("key,value")
+            for key in sorted(report):
+                self.line(f"{key},{_cell(report[key])}")
+        else:
+            for key in sorted(report):
+                self.line(f"{key}: {_flat(report[key])}")
 
-def _emit_report(report: dict, args) -> None:
-    out = _Output(args)
-    out.header(args.seed)
-    if args.format == "json":
-        out.line(_dump(report))
-    elif args.format == "csv":
-        out.line("key,value")
-        for key in sorted(report):
-            out.line(f"{key},{_cell(report[key])}")
-    else:
-        for key in sorted(report):
-            out.line(f"{key}: {_flat(report[key])}")
-    out.close()
-
-
-def _emit_records(records: list[dict], args, summary_line: str | None = None) -> None:
-    out = _Output(args)
-    out.header(args.seed)
-    if args.format == "json":
-        for record in records:
-            out.line(_dump(record))
-    elif args.format == "csv":
-        out.line(",".join(RECORD_COLUMNS))
-        for record in records:
-            out.line(",".join(_cell(record[column]) for column in RECORD_COLUMNS))
-    else:
-        for record in records:
-            out.line(
-                f"{record['theorem']}  {_flat(record['params'])}  "
-                f"formula={_flat(record['formula'])}  oracle={_flat(record['oracle'])}  "
-                f"{record['status']}"
-            )
-    out.close()
-    if summary_line is not None:
-        target = sys.stdout if args.format == "table" and args.out is None else sys.stderr
-        print(summary_line, file=target)
+    def records(self, records: list[dict], summary_line: str | None = None) -> None:
+        self.header()
+        if self.format == "json":
+            for record in records:
+                self.line(_dump(record))
+        elif self.format == "csv":
+            self.line(",".join(RECORD_COLUMNS))
+            for record in records:
+                self.line(",".join(_cell(record[column]) for column in RECORD_COLUMNS))
+        else:
+            for record in records:
+                self.line(
+                    f"{record['theorem']}  {_flat(record['params'])}  "
+                    f"formula={_flat(record['formula'])}  oracle={_flat(record['oracle'])}  "
+                    f"{record['status']}"
+                )
+        if summary_line is not None:
+            target = sys.stdout if self.format == "table" and self.path is None else sys.stderr
+            print(summary_line, file=target)
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args, out: _Output) -> int:
     S = from_generators(args.gens)
     ap = apery_set(S, S.multiplicity)
     report = {
@@ -329,7 +325,7 @@ def cmd_invariants(args) -> int:
         "symmetric": is_d_symmetric(S, 1),
         "d_symmetric": {str(d): is_d_symmetric(S, d) for d in range(2, 11)},
     }
-    _emit_report(report, args)
+    out.report(report)
     return 0
 
 
@@ -421,7 +417,7 @@ def _quotient_formulas(
     return formulas
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args, out: _Output) -> int:
     S = from_generators(args.gens)
     d = args.d
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
@@ -436,7 +432,7 @@ def cmd_quotient(args) -> int:
         "gaps": list(Q.gaps),
         "formulas": formulas,
     }
-    _emit_report(report, args)
+    out.report(report)
     mismatched = [name for name, entry in formulas.items() if not entry["match"]]
     if mismatched:
         print(f"formula mismatch: {', '.join(sorted(mismatched))}", file=sys.stderr)
@@ -444,7 +440,7 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def cmd_apery(args) -> int:
+def cmd_apery(args, out: _Output) -> int:
     S = from_generators(args.gens)
     n = args.n if args.n is not None else S.multiplicity
     ap = apery_set(S, n)
@@ -456,11 +452,11 @@ def cmd_apery(args) -> int:
         "frobenius": frobenius,
         "genus": genus,
     }
-    _emit_report(report, args)
+    out.report(report)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: _Output) -> int:
     config = SweepConfig(
         theorem=args.theorem,
         seed=args.seed,
@@ -483,11 +479,11 @@ def cmd_verify(args) -> int:
         f"{args.theorem}: {counts[MATCH]} match, {counts[MISMATCH]} mismatch, "
         f"{counts['skipped-precondition']} skipped"
     )
-    _emit_records(records, args, summary)
+    out.records(records, summary)
     return 1 if counts[MISMATCH] else 0
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, out: _Output) -> int:
     fit = fit_quasipolynomial(args.k, args.d, args.a)
     classes = {}
     for residue in sorted(fit.per_class):
@@ -510,7 +506,7 @@ def cmd_fit(args) -> int:
         "genus_minus_sylvester_constants": constants,
         "leading_coefficient": _frac_str(Fraction(1, 2 * args.d)),
     }
-    _emit_report(report, args)
+    out.report(report)
     return 0
 
 
@@ -548,7 +544,7 @@ def _pmd_solution(a: int, b: int, c: int) -> NumericalSemigroup:
     return from_gaps(gaps)
 
 
-def cmd_pmd(args) -> int:
+def cmd_pmd(args, out: _Output) -> int:
     S = _pmd_solution(args.a, args.b, args.c)
     report = {
         "a": args.a,
@@ -560,11 +556,11 @@ def cmd_pmd(args) -> int:
         "genus": S.genus,
         "gaps": list(S.gaps),
     }
-    _emit_report(report, args)
+    out.report(report)
     return 0
 
 
-def cmd_sweep_open_problem(args) -> int:
+def cmd_sweep_open_problem(args, out: _Output) -> int:
     lo, hi = args.d
     if lo < 1 or hi < lo:
         raise PreconditionError(f"empty divisor range {lo}..{hi}")
@@ -580,7 +576,7 @@ def cmd_sweep_open_problem(args) -> int:
         }
         for d, f, g, t in rows
     ]
-    _emit_records(records, args)
+    out.records(records)
     return 0
 
 
@@ -592,7 +588,11 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        out = _Output(args)
+        try:
+            return args.func(args, out)
+        finally:
+            out.close()
     except (TheoremViolationError, PrecisionLossError) as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1

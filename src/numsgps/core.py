@@ -290,6 +290,16 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     )
 
 
+def gap_residue_counts(S: NumericalSemigroup, d: int) -> list[int]:
+    """Number of gaps of S in each residue class j mod d, for the
+    min(d, F(S) + 1) classes that can hold one; each is one C-level count
+    over a stride of the gap mask."""
+    if not isinstance(d, int) or d < 1:
+        raise PreconditionError(f"d must be a positive integer, got {d}")
+    mask = S._gap_mask()
+    return [mask[j::d].count(1) for j in range(min(d, S.frobenius + 1))]
+
+
 def semigroup_polynomial_coeffs(S: NumericalSemigroup) -> tuple[int, ...]:
     """Coefficients of P_S(x) = 1 - (1 - x) * sum over gaps of x^s.
 

@@ -19,6 +19,7 @@ from .core import (
     contains,
     from_gaps,
     from_generators,
+    gap_residue_counts,
     is_d_symmetric,
 )
 
@@ -86,12 +87,8 @@ def gap_class_counts(S: NumericalSemigroup, d: int) -> GapClassCounts:
     The counts sum to g(S), and the class-0 count is exactly g(S/d): gaps
     of the quotient correspond one-to-one to gaps of S divisible by d.
     """
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError(f"d must be a positive integer, got {d}")
-    counts = [0] * d
-    for gap in S.gaps:
-        counts[gap % d] += 1
-    return GapClassCounts(d, tuple(counts))
+    counts = gap_residue_counts(S, d)
+    return GapClassCounts(d, tuple(counts) + (0,) * (d - len(counts)))
 
 
 def quotient_report(S: NumericalSemigroup, d: int) -> QuotientReport:

@@ -8,6 +8,10 @@ of unity zeta_d^i:
 
 The (d - 1)/2 term is the elementary identity
 sum_{n=1}^{d-1} 1/(1 - zeta_d^n) = (d - 1)/2, conjugate roots pairing to 1.
+Since zeta_d^d = 1, P_S is first folded modulo x^d - 1 in exact integers:
+with G_j the number of gaps in class j mod d, the folded coefficient of
+x^j is [j = 0] - G_j + G_{j-1 mod d}, and only the nonzero ones, at most
+min(d, F(S) + 2), are evaluated at each root.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
@@ -28,13 +32,13 @@ from .core import (
     PreconditionError,
     ResourceLimitError,
     TheoremViolationError,
-    semigroup_polynomial_coeffs,
+    gap_residue_counts,
 )
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-# Desk-scale guard on root evaluation: d - 1 Horner passes over the
-# F(S) + 2 coefficients of P_S.
+# Desk-scale guard on root evaluation: (d - 1)*nnz terms of the folded
+# P_S, nnz <= min(d, F(S) + 2).  The check is (F(S) + 2)(d - 1).
 MAX_ROOT_WORK = 50_000_000
 
 
@@ -59,23 +63,39 @@ def _require_positive(name: str, value: int) -> None:
         raise PreconditionError(f"{name} must be a positive integer, got {value}")
 
 
+def _fold_mod(S: NumericalSemigroup, d: int) -> list[tuple[int, int]]:
+    """P_S modulo x^d - 1 as its nonzero terms (j, Q_j), 0 <= j < d.
+
+    Coefficient k of P_S is [k = 0] - gap(k) + gap(k - 1), so summing over
+    each class j gives Q_j = [j = 0] - G_j + G_{j-1 mod d}; classes at or
+    above F(S) + 2 hold no gap and no gap's successor.
+    """
+    G = gap_residue_counts(S, d)
+    G += [0] * (min(d, S.frobenius + 2) - len(G))
+    folded = [(j, (j == 0) - g + G[j - 1]) for j, g in enumerate(G)]
+    return [(j, q) for j, q in folded if q]
+
+
+def _evaluate_folded(folded: list[tuple[int, int]], d: int, i: int) -> complex:
+    """H_S(zeta_d^i) from the folded P_S; exponents are reduced mod d
+    exactly before they reach floating point."""
+    p = sum(q * cmath.exp(2j * cmath.pi * (i * j % d) / d) for j, q in folded)
+    return p / (1 - cmath.exp(2j * cmath.pi * i / d))
+
+
 def hilbert_at_root(S: NumericalSemigroup, d: int, i: int) -> complex:
     """H_S(zeta_d^i) evaluated as P_S(zeta)/(1 - zeta).
 
     The member series itself diverges on the unit circle; the pole-free
     polynomial P_S carries the value.  i = 0 (mod d) is the pole at 1 and
-    is rejected.  P_S is evaluated by Horner's rule from exact integer
-    coefficients.
+    is rejected.  P_S is folded modulo x^d - 1 in exact integers, and its
+    at most min(d, F(S) + 2) nonzero folded coefficients are summed.
     """
     if not isinstance(d, int) or d < 2:
         raise PreconditionError(f"root order d must be an integer >= 2, got {d}")
     if i % d == 0:
         raise PreconditionError("H_S has a pole at x = 1 (index divisible by d)")
-    zeta = cmath.exp(2j * cmath.pi * i / d)
-    p = 0j
-    for c in reversed(semigroup_polynomial_coeffs(S)):
-        p = p * zeta + c
-    return p / (1 - zeta)
+    return _evaluate_folded(_fold_mod(S, d), d, i)
 
 
 def root_of_unity_identity_check(d: int) -> float:
@@ -124,7 +144,8 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise ResourceLimitError(
             f"(F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
-    total = sum(hilbert_at_root(S, d, i) for i in range(1, d))
+    folded = _fold_mod(S, d)
+    total = sum(_evaluate_folded(folded, d, i) for i in range(1, d))
     value = (S.genus + (d - 1) / 2 - total) / d
     rounded = round(value.real)
     return rounded, abs(value - rounded)

@@ -25,6 +25,7 @@ from multiprocessing import Pool
 from .core import (
     NumericalSemigroup,
     PreconditionError,
+    ResourceLimitError,
     TheoremViolationError,
     from_generators,
     is_d_symmetric,
@@ -42,6 +43,7 @@ from .quotient import frobenius_quotient_dsymmetric, quotient
 from .roots import (
     DEFAULT_TOLERANCE,
     IDENTITY_TOLERANCE,
+    MAX_ROOT_WORK,
     _genus_via_roots_residual,
     extract_cabd_constant,
     fit_quasipolynomial,
@@ -142,6 +144,13 @@ class SweepConfig:
             not cfg.k_list or any(k < 1 for k in cfg.k_list)
         ):
             raise PreconditionError(f"k_list must hold positive integers, got {cfg.k_list}")
+        if cfg.theorem == "root-identity":
+            # Case d sums d - 1 roots, so the sweep evaluates d_max(d_max - 1)/2.
+            work = cfg.d_max * (cfg.d_max - 1) // 2
+            if work > MAX_ROOT_WORK:
+                raise ResourceLimitError(
+                    f"d_max(d_max - 1)/2 = {work} root evaluations exceeds {MAX_ROOT_WORK}"
+                )
         return cfg
 
 

@@ -107,6 +107,34 @@ def test_out_to_unwritable_path_exits_two(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_bad_out_path_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before opening --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "quotient", no_work)
+    target = str(tmp_path / "missing" / "x")
+    for argv in (
+        ("verify", "full-ap", "--format", "json", "--out", target),
+        ("quotient", "--gens", "6,7,8", "--d", "3", "--out", target),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_huge_d_max_exits_two_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "root-identity", "--d-max", "10000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert time.perf_counter() - start < 5
+
+
 def test_apery_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "apery", "--gens", "3,5", "--format", "json"

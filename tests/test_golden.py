@@ -3,9 +3,15 @@ its default grid is pinned byte for byte.
 
 Any change to a record's value, key order or formatting changes a digest.
 Update a digest only together with a deliberate change to the records.
+The theorem-main stream is also pinned with its float ``residual`` removed,
+so a change to the root evaluation can move the residuals but nothing else.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+from functools import lru_cache
 
 import pytest
 
@@ -13,7 +19,7 @@ from numsgps import cli
 from numsgps.verify import THEOREM_IDS
 
 GOLDEN_SHA256 = {
-    "theorem-main": "c67882a1efa9a5e32baea3374d292b14ca2c78a2cf339dcabbfdc005d3f2b0bf",
+    "theorem-main": "ace815dcbfaf1ca39ef86dd112c9092126863027b952cd788527116823a7fd5d",
     "ed2-closed-form": "6833673ccb76655c33c6f3c269a45a00e65bb907452f6683751948441b011aa4",
     "sylvester": "8ae3551840ff8a5372572764785e928ed2f860b3d4810ef9d7318fca3bf360f8",
     "d2-constant": "63a7e5cfbaca76de0b7fb83c84f49acba841f68ba3cbf969a63ea22ad6f5b065",
@@ -27,6 +33,10 @@ GOLDEN_SHA256 = {
     "root-identity": "64fd32f7950b4d5966099b00903ecd3dc250193b6a6c5fe207154349069c1e14",
 }
 
+THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256 = (
+    "4df5b834b285f1c8c01da37c6ad023543e3b5b9c1013378fd210ef20ace74bae"
+)
+
 
 def test_every_theorem_id_is_pinned():
     assert set(GOLDEN_SHA256) == set(THEOREM_IDS)
@@ -38,3 +48,26 @@ def test_verify_json_matches_golden_hash(theorem, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[theorem]
+
+
+@lru_cache(maxsize=None)
+def _theorem_main_records() -> tuple[dict, ...]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "theorem-main", "--format", "json"])
+    assert code == 0
+    return tuple(json.loads(line) for line in out.getvalue().splitlines())
+
+
+def test_theorem_main_without_residual_matches_golden_hash():
+    stream = "".join(
+        json.dumps({k: v for k, v in record.items() if k != "residual"}, sort_keys=True)
+        + "\n"
+        for record in _theorem_main_records()
+    )
+    digest = hashlib.sha256(stream.encode()).hexdigest()
+    assert digest == THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256
+
+
+def test_theorem_main_worst_residual():
+    assert max(record["residual"] for record in _theorem_main_records()) < 1e-12

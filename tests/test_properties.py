@@ -1,11 +1,21 @@
-"""Property tests: canonical construction and quotients against the
-brute-force oracles on generated inputs."""
+"""Property tests: canonical construction, quotients and the root-of-unity
+genus against the brute-force oracles and independent paths on generated
+inputs."""
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from numsgps import NotNumericalSemigroupError, from_gaps, from_generators, quotient
+from numsgps import (
+    NotNumericalSemigroupError,
+    from_gaps,
+    from_generators,
+    gap_class_counts,
+    genus_quotient_via_roots,
+    quotient,
+    semigroup_polynomial_coeffs,
+)
+from numsgps.roots import _fold_mod
 from oracles import minimal_generators_by_enumeration, quotient_gaps
 
 # A fixed example sequence, so the suite runs the same cases every time.
@@ -48,3 +58,35 @@ def test_from_gaps_accepts_exactly_the_closed_complements(gaps):
     else:
         assert closed
         assert set(S.gaps) == gaps
+
+
+@fixed
+@given(generator_sets, st.integers(min_value=1, max_value=40))
+def test_folded_classes_match_polynomial_coefficients(gens, d):
+    S = from_generators(gens)
+    class_sums = [0] * d
+    for k, c in enumerate(semigroup_polynomial_coeffs(S)):
+        class_sums[k % d] += c
+    folded = [0] * d
+    for j, q in _fold_mod(S, d):
+        folded[j] = q
+    assert folded == class_sums
+    gap_sums = [0] * d
+    for gap in S.gaps:
+        gap_sums[gap % d] += 1
+    assert list(gap_class_counts(S, d).counts) == gap_sums
+
+
+@fixed
+@given(generator_sets, st.integers(min_value=1, max_value=40))
+def test_genus_via_roots_matches_quotient(gens, d):
+    S = from_generators(gens)
+    assert genus_quotient_via_roots(S, d) == quotient(S, d).genus
+
+
+@fixed
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=40))
+def test_genus_via_roots_beyond_the_frobenius_number(m, d):
+    # <m, m + 1, ..., 2m - 1> has F = m - 1, so most d here exceed F + 1.
+    S = from_generators(range(m, 2 * m))
+    assert genus_quotient_via_roots(S, d) == quotient(S, d).genus

@@ -19,6 +19,7 @@ from numsgps import (
     quasipoly_admissible_classes,
     quotient,
     root_of_unity_identity_check,
+    semigroup_polynomial_coeffs,
     sylvester_invariants,
 )
 from numsgps.roots import (
@@ -57,6 +58,24 @@ def test_hilbert_partial_sums_converge_to_value():
     finite = [x for x in range(S.conductor) if x not in S.gaps]
     direct = sum(zeta ** x for x in finite) + zeta ** S.conductor / (1 - zeta)
     assert abs(reference - direct) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "gens, d", [((3, 5), 2), ((3, 5), 7), ((4, 7), 6), ((5, 7, 9), 4), ((6, 7, 8), 12), ((2, 9), 30)]
+)
+def test_hilbert_at_root_matches_exact_cyclotomic_value(gens, d):
+    """P_S reduced exactly modulo the cyclotomic polynomial of the root's
+    order, then evaluated at 30 digits, against the float fold."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    S = from_generators(list(gens))
+    P = sympy.Poly(list(reversed(semigroup_polynomial_coeffs(S))), x)
+    for i in range(1, d):
+        order = d // math.gcd(i, d)
+        reduced = P.rem(sympy.Poly(sympy.cyclotomic_poly(order, x), x))
+        zeta = sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(i, d))
+        exact = complex((reduced.as_expr().subs(x, zeta) / (1 - zeta)).evalf(30))
+        assert abs(hilbert_at_root(S, d, i) - exact) < 1e-12, (gens, d, i)
 
 
 def test_root_identity_small_and_large():

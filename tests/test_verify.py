@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from numsgps import PreconditionError
+from numsgps import PreconditionError, ResourceLimitError
 from numsgps.verify import (
     MATCH,
     MISMATCH,
@@ -15,6 +15,7 @@ from numsgps.verify import (
     run_sweep,
     summarize,
 )
+from numsgps.roots import MAX_ROOT_WORK
 
 SMALL_GRIDS = {
     "theorem-main": dict(cases=15, max_gen=25, d_max=4),
@@ -116,3 +117,15 @@ def test_config_validation():
         SweepConfig(theorem="sylvester", format="xml").resolved()
     with pytest.raises(PreconditionError):
         SweepConfig(theorem="sylvester", parallel=0).resolved()
+
+
+def test_root_identity_d_max_is_bounded():
+    # A sweep to d_max evaluates d_max(d_max - 1)/2 roots in all.
+    largest = max(d for d in range(9_990, 10_010) if d * (d - 1) // 2 <= MAX_ROOT_WORK)
+    assert SweepConfig(theorem="root-identity", d_max=largest).resolved().d_max == largest
+    assert SweepConfig(theorem="root-identity").resolved().d_max == 1000
+    for d_max in (largest + 1, 10**12):
+        with pytest.raises(ResourceLimitError):
+            SweepConfig(theorem="root-identity", d_max=d_max).resolved()
+    # d_max of the other sweeps does not drive root evaluations.
+    assert SweepConfig(theorem="ed2-closed-form", d_max=largest + 1).resolved()
