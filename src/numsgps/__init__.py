@@ -30,11 +30,9 @@ from .core import (
     semigroup_polynomial_coeffs,
 )
 from .quotient import (
-    QuotientReport,
     frobenius_quotient_dsymmetric,
     gap_class_counts,
     quotient,
-    quotient_report,
 )
 from .roots import (
     QuasipolynomialFit,
@@ -75,7 +73,6 @@ __all__ = [
     "PrecisionLossError",
     "PreconditionError",
     "QuasipolynomialFit",
-    "QuotientReport",
     "ResourceLimitError",
     "TheoremViolationError",
     "apery_set",
@@ -102,7 +99,6 @@ __all__ = [
     "open_problem_sweep",
     "quasipoly_admissible_classes",
     "quotient",
-    "quotient_report",
     "root_of_unity_identity_check",
     "semigroup_polynomial_coeffs",
     "sylvester_invariants",

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .core import (
@@ -29,29 +29,16 @@ from .core import (
     invariants_from_apery,
     is_d_symmetric,
 )
-from .progressions import (
-    Ap3Spec,
-    FullApSpec,
-    ap3_even_d_invariants,
-    ap3_odd_a_invariants,
-    ap3_quotient_generators,
-    full_ap_d_divides_k,
-    full_ap_divisor_identity,
-    full_ap_quotient,
-    open_problem_sweep,
-)
-from .quotient import frobenius_quotient_dsymmetric, quotient
-from .roots import (
-    _genus_via_roots_residual,
-    DEFAULT_TOLERANCE,
-    fit_quasipolynomial,
-    genus_quotient_ed2_closed_form,
-)
+from .progressions import open_problem_sweep
+from .quotient import quotient
+from .roots import DEFAULT_TOLERANCE, fit_quasipolynomial
 from .verify import (
+    IDENTITIES,
     MATCH,
     MISMATCH,
     SweepConfig,
     THEOREM_IDS,
+    _frac,
     run_sweep,
     summarize,
 )
@@ -61,14 +48,11 @@ RECORD_COLUMNS = ("theorem", "params", "formula", "oracle", "status", "residual"
 
 def _gens_type(text: str) -> tuple[int, ...]:
     try:
-        gens = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         )
-    if not gens:
-        raise argparse.ArgumentTypeError("generator list is empty")
-    return gens
 
 
 def _range_type(text: str) -> tuple[int, int]:
@@ -81,16 +65,6 @@ def _range_type(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range endpoints must be integers: {text!r}")
-
-
-def _k_list_type(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-    return values
 
 
 def _positive_int(text: str) -> int:
@@ -179,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=_positive_int, default=None)
     p.add_argument("--k-max", type=_positive_int, default=None)
     p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--k-list", type=_k_list_type, default=None)
+    p.add_argument("--k-list", type=_gens_type, default=None)
     p.add_argument(
         "--inject-offby1",
         action="store_true",
@@ -329,100 +303,16 @@ def cmd_invariants(args, out: _Output) -> int:
     return 0
 
 
-def _ap3_pattern(S: NumericalSemigroup) -> tuple[int, int] | None:
-    gens = S.minimal_generators
-    if len(gens) != 3:
-        return None
-    a, mid, top = gens
-    k = mid - a
-    if k >= 1 and top == a + 2 * k and math.gcd(a, k) == 1:
-        return a, k
-    return None
-
-
-def _full_ap_pattern(S: NumericalSemigroup) -> tuple[int, int] | None:
-    gens = S.minimal_generators
-    a = gens[0]
-    if len(gens) != a or a < 2:
-        return None
-    k = gens[1] - gens[0]
-    if k < 1 or math.gcd(a, k) != 1:
-        return None
-    if all(gens[i] == a + i * k for i in range(a)):
-        return a, k
-    return None
-
-
-def _quotient_formulas(
-    S: NumericalSemigroup, d: int, Q: NumericalSemigroup, tolerance: float
-) -> dict[str, dict]:
-    """Every closed form whose hypotheses S and d satisfy, evaluated and
-    compared against the brute-force quotient Q = S/d."""
-    formulas: dict[str, dict] = {}
-
-    def add(name: str, formula, oracle) -> None:
-        formulas[name] = {
-            "formula": formula,
-            "oracle": oracle,
-            "match": formula == oracle,
-        }
-
-    value, residual = _genus_via_roots_residual(S, d)
-    formulas["genus-via-roots"] = {
-        "formula": value,
-        "oracle": Q.genus,
-        "match": value == Q.genus and residual <= tolerance,
-        "residual": residual,
-    }
-
-    gens = S.minimal_generators
-    if len(gens) == 2 and d >= 2 and math.gcd(gens[0], d) == 1 and math.gcd(gens[1], d) == 1:
-        add("ed2-genus", genus_quotient_ed2_closed_form(*gens, d), Q.genus)
-
-    if d >= 2 and S.frobenius >= 0 and is_d_symmetric(S, d):
-        add("dsymmetric-frobenius", frobenius_quotient_dsymmetric(S, d), Q.frobenius)
-
-    ap3 = _ap3_pattern(S)
-    if ap3 is not None:
-        a, k = ap3
-        if a % d == 0 and d >= 3 and (d % 2 == 0 or a % 2 == 0):
-            spec = Ap3Spec(a, k, d)
-            add(
-                "ap3-quotient-generators",
-                list(ap3_quotient_generators(spec).minimal_generators),
-                list(Q.minimal_generators),
-            )
-            if d % 2 == 0 and d >= 4:
-                f, g = ap3_even_d_invariants(spec)
-                add("ap3-even-divisor-invariants", [f, g], [Q.frobenius, Q.genus])
-        if a % d == 0 and a % 2 == 1:
-            f, g = ap3_odd_a_invariants(Ap3Spec(a, k, d))
-            add("ap3-odd-a-invariants", [f, g], [Q.frobenius, Q.genus])
-
-    full = _full_ap_pattern(S)
-    if full is not None:
-        a, k = full
-        spec = FullApSpec(a, k)
-        if a % d == 0 and a // d >= 2:
-            f, g = full_ap_divisor_identity(spec, d)
-            add(
-                "full-ap-generators",
-                list(full_ap_quotient(spec, d).minimal_generators),
-                list(Q.minimal_generators),
-            )
-            add("full-ap-invariants", [f, g], [Q.frobenius, Q.genus])
-        if k % d == 0:
-            f, g = full_ap_d_divides_k(spec, d)
-            add("full-ap-dk-invariants", [f, g], [Q.frobenius, Q.genus])
-    return formulas
-
-
 def cmd_quotient(args, out: _Output) -> int:
     S = from_generators(args.gens)
     d = args.d
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     Q = quotient(S, d)
-    formulas = _quotient_formulas(S, d, Q, tolerance)
+    formulas: dict[str, dict] = {}
+    for identity in IDENTITIES.values():
+        case = identity.case_of(S, d)
+        if case is not None:
+            formulas.update(identity.entries(case, S, Q, tolerance))
     report = {
         "base_generators": list(S.minimal_generators),
         "d": d,
@@ -457,22 +347,8 @@ def cmd_apery(args, out: _Output) -> int:
 
 
 def cmd_verify(args, out: _Output) -> int:
-    config = SweepConfig(
-        theorem=args.theorem,
-        seed=args.seed,
-        cases=args.cases,
-        max_gen=args.max_gen,
-        max_value=args.max_value,
-        d_max=args.d_max,
-        a_max=args.a_max,
-        k_max=args.k_max,
-        k_list=args.k_list,
-        samples=args.samples,
-        tolerance=args.tolerance,
-        format=args.format,
-        parallel=args.parallel,
-        inject_offby1=args.inject_offby1,
-    )
+    # every field of the config has an option of the same name
+    config = SweepConfig(**{field.name: getattr(args, field.name) for field in fields(SweepConfig)})
     records = run_sweep(config)
     counts = summarize(records)
     summary = (
@@ -489,12 +365,12 @@ def cmd_fit(args, out: _Output) -> int:
     for residue in sorted(fit.per_class):
         c2, c1, c0 = fit.per_class[residue]
         classes[str(residue)] = {
-            "c2": _frac_str(c2),
-            "c1": _frac_str(c1),
-            "c0": _frac_str(c0),
+            "c2": _frac(c2),
+            "c1": _frac(c1),
+            "c0": _frac(c0),
         }
     constants = {
-        f"{ra},{rb}": _frac_str(value)
+        f"{ra},{rb}": _frac(value)
         for (ra, rb), value in sorted(fit.cabd_constant.items())
     }
     report = {
@@ -504,16 +380,10 @@ def cmd_fit(args, out: _Output) -> int:
         "a_max": args.a[1],
         "classes": classes,
         "genus_minus_sylvester_constants": constants,
-        "leading_coefficient": _frac_str(Fraction(1, 2 * args.d)),
+        "leading_coefficient": _frac(Fraction(1, 2 * args.d)),
     }
     out.report(report)
     return 0
-
-
-def _frac_str(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _pmd_solution(a: int, b: int, c: int) -> NumericalSemigroup:

@@ -115,15 +115,6 @@ class NumericalSemigroup:
         coeffs[0] = 1
         return tuple(coeffs)
 
-    def contains(self, x: int) -> bool:
-        return contains(self, x)
-
-    def apery_set(self, n: int) -> AperySet:
-        return apery_set(self, n)
-
-    def is_d_symmetric(self, d: int) -> bool:
-        return is_d_symmetric(self, d)
-
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.minimal_generators) + ">"
 

@@ -61,9 +61,6 @@ class Ap3Spec:
     def t(self) -> int:
         return self.d // 2
 
-    def semigroup(self) -> NumericalSemigroup:
-        return ap3_semigroup(self.a, self.k)
-
 
 @dataclass(frozen=True)
 class FullApSpec:

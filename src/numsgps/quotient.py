@@ -10,8 +10,6 @@ census that underlies the root-of-unity genus formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     GapClassCounts,
     NumericalSemigroup,
@@ -20,20 +18,7 @@ from .core import (
     from_gaps,
     from_generators,
     gap_residue_counts,
-    is_d_symmetric,
 )
-
-
-@dataclass(frozen=True)
-class QuotientReport:
-    """Brute-force quotient invariants next to any applicable closed forms."""
-
-    base: NumericalSemigroup
-    divisor: int
-    quotient: NumericalSemigroup
-    frobenius_bruteforce: int
-    genus_bruteforce: int
-    formula_results: dict[str, object] = field(default_factory=dict)
 
 
 def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
@@ -91,27 +76,8 @@ def gap_class_counts(S: NumericalSemigroup, d: int) -> GapClassCounts:
     return GapClassCounts(d, tuple(counts) + (0,) * (d - len(counts)))
 
 
-def quotient_report(S: NumericalSemigroup, d: int) -> QuotientReport:
-    """Quotient invariants with a slot for closed-form comparisons.
-
-    The formula_results mapping is left empty here; callers that know
-    which identities apply (the CLI does) fill it in.
-    """
-    Q = quotient(S, d)
-    return QuotientReport(
-        base=S,
-        divisor=d,
-        quotient=Q,
-        frobenius_bruteforce=Q.frobenius,
-        genus_bruteforce=Q.genus,
-    )
-
-
 __all__ = [
-    "QuotientReport",
     "quotient",
     "frobenius_quotient_dsymmetric",
     "gap_class_counts",
-    "quotient_report",
-    "is_d_symmetric",
 ]

@@ -37,8 +37,8 @@ from .core import (
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-# Desk-scale guard on root evaluation: (d - 1)*nnz terms of the folded
-# P_S, nnz <= min(d, F(S) + 2).  The check is (F(S) + 2)(d - 1).
+# Desk-scale guard on root evaluation: the d - 1 roots each sum at most
+# min(d, F(S) + 2) nonzero terms of the folded P_S.
 MAX_ROOT_WORK = 50_000_000
 
 
@@ -139,10 +139,10 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise PreconditionError(f"d must be a positive integer, got {d}")
     if d == 1:
         return S.genus, 0.0
-    work = (S.frobenius + 2) * (d - 1)
+    work = min(d, S.frobenius + 2) * (d - 1)
     if work > MAX_ROOT_WORK:
         raise ResourceLimitError(
-            f"(F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
+            f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
     folded = _fold_mod(S, d)
     total = sum(_evaluate_folded(folded, d, i) for i in range(1, d))

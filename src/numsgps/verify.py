@@ -1,12 +1,19 @@
-"""Verification sweeps pitting every closed form against brute force.
+"""The registry of identities, and the sweeps that check them against brute force.
 
-Each sweep walks a parameter grid, evaluates a closed-form identity on
-one side and an independent brute-force computation on the other, and
-emits one record per comparison.  Records are plain dicts with keys
-``theorem``, ``params``, ``formula``, ``oracle``, ``status`` and
-``residual`` so they serialize directly to JSON; rationals are rendered
-as ``num/den`` strings.  A sweep never stops at the first failure: the
-caller decides what to do with mismatches.
+``IDENTITIES`` defines every identity once.  For each theorem id it holds
+the default grid, the case list of a grid, and the check of one case,
+which evaluates the closed form on one side and an independent
+brute-force computation on the other and returns records.  The seven
+identities about a quotient S/d also read their case off (S, d) alone
+(``case_of``, None when the hypotheses fail) and fill the formula entries
+of a ``numsgps quotient`` report from S, d and the brute-force quotient
+(``entries``); the command line loops over the registry and knows no
+identity of its own.
+
+Records are plain dicts with keys ``theorem``, ``params``, ``formula``,
+``oracle``, ``status`` and ``residual`` so they serialize directly to
+JSON; rationals are rendered as ``num/den`` strings.  A sweep never stops
+at the first failure: the caller decides what to do with mismatches.
 
 The ``inject_offby1`` switch deliberately perturbs the formula side of
 every record by one (flipping booleans) so that the surrounding tooling
@@ -21,6 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
+from typing import Callable
 
 from .core import (
     NumericalSemigroup,
@@ -37,6 +45,8 @@ from .progressions import (
     ap3_odd_a_invariants,
     ap3_quotient_generators,
     ap3_symmetric_iff_even,
+    full_ap_d_divides_k,
+    full_ap_divisor_identity,
     full_ap_quotient,
 )
 from .quotient import frobenius_quotient_dsymmetric, quotient
@@ -52,49 +62,14 @@ from .roots import (
     sylvester_invariants,
 )
 
-THEOREM_IDS = (
-    "theorem-main",
-    "ed2-closed-form",
-    "sylvester",
-    "d2-constant",
-    "quasipoly",
-    "strazzanti",
-    "ap3-symmetric",
-    "ap3-even-d",
-    "ap3-odd-a",
-    "full-ap",
-    "full-ap-dk",
-    "root-identity",
-)
-
 MATCH = "match"
 MISMATCH = "mismatch"
 SKIPPED = "skipped-precondition"
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "theorem-main": {
-        "cases": 500,
-        "max_gen": 60,
-        "d_max": 12,
-        "tolerance": DEFAULT_TOLERANCE,
-    },
-    "ed2-closed-form": {"max_value": 60, "d_max": 12},
-    "sylvester": {"max_value": 100},
-    "d2-constant": {"d_max": 8, "max_value": 200, "samples": 5},
-    "quasipoly": {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300},
-    "strazzanti": {"cases": 500, "max_gen": 60, "d_max": 10},
-    "ap3-symmetric": {"a_max": 120, "k_max": 20},
-    "ap3-even-d": {"a_max": 120, "k_max": 20},
-    "ap3-odd-a": {"a_max": 120, "k_max": 20},
-    "full-ap": {"a_max": 120, "k_max": 20},
-    "full-ap-dk": {"a_max": 120, "k_max": 20},
-    "root-identity": {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
-}
-
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and output parameters for one verification sweep.
+    """Grid parameters for one verification sweep.
 
     Fields left as ``None`` pick up the per-theorem defaults in
     ``resolved``; fields irrelevant to the chosen theorem stay ``None``.
@@ -111,22 +86,14 @@ class SweepConfig:
     k_list: tuple[int, ...] | None = None
     samples: int | None = None
     tolerance: float | None = None
-    format: str = "table"
     parallel: int = 1
     inject_offby1: bool = False
 
     def resolved(self) -> "SweepConfig":
         """A copy with defaults filled in and every field validated."""
-        if self.theorem not in THEOREM_IDS:
-            raise PreconditionError(
-                f"unknown theorem id {self.theorem!r}; "
-                f"expected one of {', '.join(THEOREM_IDS)}"
-            )
-        if self.format not in ("table", "json", "csv"):
-            raise PreconditionError(f"unknown output format {self.format!r}")
         filled = {
             name: value
-            for name, value in _DEFAULTS[self.theorem].items()
+            for name, value in _identity(self.theorem).defaults.items()
             if getattr(self, name) is None
         }
         cfg = replace(self, **filled)
@@ -198,88 +165,127 @@ def _record(
     }
 
 
-def build_cases(cfg: SweepConfig) -> list[tuple]:
-    """The case list for a resolved config, in deterministic order.
+def _compared(theorem: str, params: dict, formula, oracle) -> list[dict]:
+    status = MATCH if formula == oracle else MISMATCH
+    return [_record(theorem, params, formula, oracle, status)]
 
-    Cases are small tuples of primitives so they travel cheaply to worker
-    processes; anything expensive (semigroup construction, quotients)
-    happens in the checker.
-    """
-    t = cfg.theorem
-    if t == "theorem-main":
-        return [
-            (gens, d)
-            for gens in random_corpus(cfg.seed, cfg.cases, cfg.max_gen)
-            for d in range(2, cfg.d_max + 1)
-        ]
-    if t == "ed2-closed-form":
-        return [
-            (a, b, d)
-            for a in range(2, cfg.max_value + 1)
-            for b in range(a + 1, cfg.max_value + 1)
-            if math.gcd(a, b) == 1
-            for d in range(2, cfg.d_max + 1)
-        ]
-    if t == "sylvester":
-        return [
-            (a, b)
-            for a in range(1, cfg.max_value + 1)
-            for b in range(a, cfg.max_value + 1)
-            if math.gcd(a, b) == 1
-        ]
-    if t == "d2-constant":
-        return _d2_constant_cases(cfg)
-    if t == "quasipoly":
-        return [
-            (k, d, cfg.a_max) for k in cfg.k_list for d in range(1, cfg.d_max + 1)
-        ]
-    if t == "strazzanti":
-        return [
-            (gens, d)
-            for gens in random_corpus(cfg.seed, cfg.cases, cfg.max_gen)
-            for d in range(2, cfg.d_max + 1)
-        ]
-    if t == "ap3-symmetric":
-        return [
-            (a, k)
-            for a in range(2, cfg.a_max + 1)
-            for k in range(1, cfg.k_max + 1)
-            if math.gcd(a, k) == 1
-        ]
-    if t == "ap3-even-d":
-        return [
-            (a, k, d)
-            for a in range(2, cfg.a_max + 1)
-            for k in range(1, cfg.k_max + 1)
-            if math.gcd(a, k) == 1
-            for d in range(3, a + 1)
-            if a % d == 0 and (d % 2 == 0 or a % 2 == 0)
-        ]
-    if t == "ap3-odd-a":
-        return [
-            (a, k, d)
-            for a in range(1, cfg.a_max + 1, 2)
-            for k in range(1, cfg.k_max + 1)
-            if math.gcd(a, k) == 1
-            for d in range(1, a + 1)
-            if a % d == 0
-        ]
-    if t in ("full-ap", "full-ap-dk"):
-        divides = (lambda a, k, d: a % d == 0) if t == "full-ap" else (
-            lambda a, k, d: k % d == 0
-        )
-        limit = cfg.a_max if t == "full-ap" else cfg.k_max
-        return [
-            (a, k, d)
-            for a in range(2, cfg.a_max + 1)
-            for k in range(1, cfg.k_max + 1)
-            if math.gcd(a, k) == 1
-            for d in range(1, limit + 1)
-            if divides(a, k, d)
-        ]
-    if t == "root-identity":
-        return [(d,) for d in range(2, cfg.d_max + 1)]
-    raise PreconditionError(f"unknown theorem id {t!r}")
+
+def _entry(formula, oracle) -> dict:
+    """One formula entry of a ``quotient`` report."""
+    return {"formula": formula, "oracle": oracle, "match": formula == oracle}
+
+
+def _invariants(Q: NumericalSemigroup) -> list[int]:
+    return [Q.frobenius, Q.genus]
+
+
+def _corpus_cases(cfg: SweepConfig) -> list[tuple]:
+    return [
+        (gens, d)
+        for gens in random_corpus(cfg.seed, cfg.cases, cfg.max_gen)
+        for d in range(2, cfg.d_max + 1)
+    ]
+
+
+def _coprime_pairs(cfg: SweepConfig) -> list[tuple[int, int]]:
+    return [
+        (a, k)
+        for a in range(1, cfg.a_max + 1)
+        for k in range(1, cfg.k_max + 1)
+        if math.gcd(a, k) == 1
+    ]
+
+
+def _ap3(a: int, k: int) -> tuple[int, ...]:
+    return (a, a + k, a + 2 * k)
+
+
+def _full_ap(a: int, k: int) -> tuple[int, ...]:
+    return tuple(a + i * k for i in range(a))
+
+
+def _check_theorem_main(case, tolerance, inject):
+    gens, d = case
+    S = _sg(gens)
+    value, residual = _genus_via_roots_residual(S, d)
+    formula = value + (1 if inject else 0)
+    oracle = quotient(S, d).genus
+    status = MATCH if formula == oracle and residual <= tolerance else MISMATCH
+    params = {"gens": list(gens), "d": d}
+    return [_record("theorem-main", params, formula, oracle, status, residual)]
+
+
+def _any_case(S: NumericalSemigroup, d: int) -> tuple:
+    return S.minimal_generators, d
+
+
+def _theorem_main_entries(case, S, Q, tolerance) -> dict:
+    value, residual = _genus_via_roots_residual(S, case[-1])
+    return {
+        "genus-via-roots": {
+            "formula": value,
+            "oracle": Q.genus,
+            "match": value == Q.genus and residual <= tolerance,
+            "residual": residual,
+        }
+    }
+
+
+def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
+    return [
+        (a, b, d)
+        for a in range(2, cfg.max_value + 1)
+        for b in range(a + 1, cfg.max_value + 1)
+        if math.gcd(a, b) == 1
+        for d in range(2, cfg.d_max + 1)
+    ]
+
+
+def _ed2_skip(a: int, b: int, d: int) -> str | None:
+    """Why the closed form does not apply to <a, b>/d, or None."""
+    for x, name in ((a, "a"), (b, "b")):
+        if math.gcd(x, d) != 1:
+            return f"gcd({name}, d) = {math.gcd(x, d)}"
+    return None
+
+
+def _check_ed2(case, tolerance, inject):
+    a, b, d = case
+    params = {"a": a, "b": b, "d": d}
+    reason = _ed2_skip(a, b, d)
+    if reason:
+        params["reason"] = reason
+        return [_record("ed2-closed-form", params, None, None, SKIPPED)]
+    formula = genus_quotient_ed2_closed_form(a, b, d) + (1 if inject else 0)
+    return _compared("ed2-closed-form", params, formula, quotient(_sg((a, b)), d).genus)
+
+
+def _ed2_case(S: NumericalSemigroup, d: int) -> tuple | None:
+    gens = S.minimal_generators
+    if len(gens) == 2 and d >= 2 and _ed2_skip(*gens, d) is None:
+        return (*gens, d)
+    return None
+
+
+def _ed2_entries(case, S, Q, tolerance) -> dict:
+    return {"ed2-genus": _entry(genus_quotient_ed2_closed_form(*case), Q.genus)}
+
+
+def _sylvester_cases(cfg: SweepConfig) -> list[tuple]:
+    return [
+        (a, b)
+        for a in range(1, cfg.max_value + 1)
+        for b in range(a, cfg.max_value + 1)
+        if math.gcd(a, b) == 1
+    ]
+
+
+def _check_sylvester(case, tolerance, inject):
+    a, b = case
+    bump = 1 if inject else 0
+    f, g = sylvester_invariants(a, b)
+    S = _sg((a, b))
+    return _compared("sylvester", {"a": a, "b": b}, [f + bump, g + bump], [S.frobenius, S.genus])
 
 
 def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
@@ -313,66 +319,20 @@ def _class_sample_pairs(
     return pairs
 
 
-def _check_theorem_main(case, tolerance, inject):
-    gens, d = case
-    S = _sg(gens)
-    value, residual = _genus_via_roots_residual(S, d)
-    formula = value + (1 if inject else 0)
-    oracle = quotient(S, d).genus
-    ok = formula == oracle and residual <= tolerance
-    return [
-        _record(
-            "theorem-main",
-            {"gens": list(gens), "d": d},
-            formula,
-            oracle,
-            MATCH if ok else MISMATCH,
-            residual,
-        )
-    ]
-
-
-def _check_ed2(case, tolerance, inject):
-    a, b, d = case
-    params = {"a": a, "b": b, "d": d}
-    for x, name in ((a, "a"), (b, "b")):
-        if math.gcd(x, d) != 1:
-            params["reason"] = f"gcd({name}, d) = {math.gcd(x, d)}"
-            return [_record("ed2-closed-form", params, None, None, SKIPPED)]
-    formula = genus_quotient_ed2_closed_form(a, b, d) + (1 if inject else 0)
-    oracle = quotient(_sg((a, b)), d).genus
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("ed2-closed-form", params, formula, oracle, status)]
-
-
-def _check_sylvester(case, tolerance, inject):
-    a, b = case
-    bump = 1 if inject else 0
-    f, g = sylvester_invariants(a, b)
-    S = _sg((a, b))
-    formula = [f + bump, g + bump]
-    oracle = [S.frobenius, S.genus]
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("sylvester", {"a": a, "b": b}, formula, oracle, status)]
-
-
 def _check_d2_constant(case, tolerance, inject):
     d, a_class, b_class, pairs = case
-    params = {
-        "d": d,
-        "a_class": a_class,
-        "b_class": b_class,
-        "samples": [list(p) for p in pairs],
-    }
+    params = {"d": d, "a_class": a_class, "b_class": b_class, "samples": [list(p) for p in pairs]}
     try:
         constant = extract_cabd_constant(a_class, b_class, d, list(pairs))
     except TheoremViolationError as exc:
         params["error"] = str(exc)
         return [_record("d2-constant", params, None, None, MISMATCH)]
     formula = _frac(constant + (1 if inject else 0))
-    oracle = _frac(constant)
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("d2-constant", params, formula, oracle, status)]
+    return _compared("d2-constant", params, formula, _frac(constant))
+
+
+def _quasipoly_cases(cfg: SweepConfig) -> list[tuple]:
+    return [(k, d, cfg.a_max) for k in cfg.k_list for d in range(1, cfg.d_max + 1)]
 
 
 def _check_quasipoly(case, tolerance, inject):
@@ -380,11 +340,7 @@ def _check_quasipoly(case, tolerance, inject):
     try:
         fit = fit_quasipolynomial(k, d, (1, a_max))
     except TheoremViolationError as exc:
-        return [
-            _record(
-                "quasipoly", {"k": k, "d": d, "error": str(exc)}, None, None, MISMATCH
-            )
-        ]
+        return [_record("quasipoly", {"k": k, "d": d, "error": str(exc)}, None, None, MISMATCH)]
     expected = Fraction(1, 2 * d)
     records = []
     for residue in sorted(fit.per_class):
@@ -402,86 +358,102 @@ def _check_quasipoly(case, tolerance, inject):
     return records
 
 
+def _dsymmetric_case(S: NumericalSemigroup, d: int) -> tuple | None:
+    if d >= 2 and S.frobenius >= 0 and is_d_symmetric(S, d):
+        return S.minimal_generators, d
+    return None
+
+
 def _check_strazzanti(case, tolerance, inject):
     gens, d = case
     S = _sg(gens)
-    if not is_d_symmetric(S, d):
+    if _dsymmetric_case(S, d) is None:
         return []
     formula = frobenius_quotient_dsymmetric(S, d) + (1 if inject else 0)
-    oracle = quotient(S, d).frobenius
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("strazzanti", {"gens": list(gens), "d": d}, formula, oracle, status)]
+    return _compared("strazzanti", {"gens": list(gens), "d": d}, formula, quotient(S, d).frobenius)
+
+
+def _strazzanti_entries(case, S, Q, tolerance) -> dict:
+    formula = frobenius_quotient_dsymmetric(S, case[-1])
+    return {"dsymmetric-frobenius": _entry(formula, Q.frobenius)}
 
 
 def _check_ap3_symmetric(case, tolerance, inject):
     a, k = case
     formula = ap3_symmetric_iff_even(a, k) != inject
-    S = _sg((a, a + k, a + 2 * k))
-    oracle = is_d_symmetric(S, 1)
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("ap3-symmetric", {"a": a, "k": k}, formula, oracle, status)]
+    oracle = is_d_symmetric(_sg(_ap3(a, k)), 1)
+    return _compared("ap3-symmetric", {"a": a, "k": k}, formula, oracle)
+
+
+def _has_even_d_invariants(d: int) -> bool:
+    return d % 2 == 0 and d >= 4
 
 
 def _check_ap3_even_d(case, tolerance, inject):
     a, k, d = case
     spec = Ap3Spec(a, k, d)
     predicted = ap3_quotient_generators(spec)
-    Q = quotient(_sg((a, a + k, a + 2 * k)), d)
-    formula = {
-        "generators": list(predicted.minimal_generators),
-        "symmetric": not inject,
-    }
-    oracle = {
-        "generators": list(Q.minimal_generators),
-        "symmetric": is_d_symmetric(Q, 1),
-    }
-    if d % 2 == 0 and d >= 4:
+    Q = quotient(_sg(_ap3(a, k)), d)
+    formula = {"generators": list(predicted.minimal_generators), "symmetric": not inject}
+    oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
+    if _has_even_d_invariants(d):
         f, g = ap3_even_d_invariants(spec)
         formula["frobenius"] = f
         formula["genus"] = g + (1 if inject else 0)
         oracle["frobenius"] = Q.frobenius
         oracle["genus"] = Q.genus
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("ap3-even-d", {"a": a, "k": k, "d": d}, formula, oracle, status)]
+    return _compared("ap3-even-d", {"a": a, "k": k, "d": d}, formula, oracle)
+
+
+def _ap3_even_d_entries(case, S, Q, tolerance) -> dict:
+    spec = Ap3Spec(*case)
+    predicted = ap3_quotient_generators(spec).minimal_generators
+    entries = {
+        "ap3-quotient-generators": _entry(list(predicted), list(Q.minimal_generators))
+    }
+    if _has_even_d_invariants(spec.d):
+        invariants = list(ap3_even_d_invariants(spec))
+        entries["ap3-even-divisor-invariants"] = _entry(invariants, _invariants(Q))
+    return entries
 
 
 def _check_ap3_odd_a(case, tolerance, inject):
     a, k, d = case
-    spec = Ap3Spec(a, k, d)
-    f, g = ap3_odd_a_invariants(spec)
-    s = spec.s
-    Q = quotient(_sg((a, a + k, a + 2 * k)), d)
-    bump = 1 if inject else 0
-    formula = {
-        "frobenius": f,
-        "genus": g + bump,
-        "two_g_minus_f": (s + 1) // 2,
-    }
+    f, g = ap3_odd_a_invariants(Ap3Spec(a, k, d))
+    s = a // d
+    Q = quotient(_sg(_ap3(a, k)), d)
+    formula = {"frobenius": f, "genus": g + (1 if inject else 0), "two_g_minus_f": (s + 1) // 2}
     oracle = {
-        "frobenius": Q.frobenius,
-        "genus": Q.genus,
-        "two_g_minus_f": 2 * Q.genus - Q.frobenius,
+        "frobenius": Q.frobenius, "genus": Q.genus, "two_g_minus_f": 2 * Q.genus - Q.frobenius
     }
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("ap3-odd-a", {"a": a, "k": k, "d": d}, formula, oracle, status)]
+    return _compared("ap3-odd-a", {"a": a, "k": k, "d": d}, formula, oracle)
+
+
+def _ap3_odd_a_entries(case, S, Q, tolerance) -> dict:
+    invariants = list(ap3_odd_a_invariants(Ap3Spec(*case)))
+    return {"ap3-odd-a-invariants": _entry(invariants, _invariants(Q))}
+
+
+def _full_ap_skip(a: int, k: int, d: int) -> str | None:
+    """Why the closed form does not apply to the progression by d | a, or None."""
+    return "d = a gives the quotient N; closed form needs s >= 2" if d == a else None
 
 
 def _check_full_ap(case, tolerance, inject):
     a, k, d = case
-    spec = FullApSpec(a, k)
     params = {"a": a, "k": k, "d": d}
-    s = a // d
-    if s == 1:
-        params["reason"] = "d = a gives the quotient N; closed form needs s >= 2"
+    reason = _full_ap_skip(a, k, d)
+    if reason:
+        params["reason"] = reason
         return [_record("full-ap", params, None, None, SKIPPED)]
-    Q = quotient(_sg(tuple(a + i * k for i in range(a))), d)
-    predicted = full_ap_quotient(spec, d)
-    bump = 1 if inject else 0
+    spec = FullApSpec(a, k)
+    f, g = full_ap_divisor_identity(spec, d)
+    Q = quotient(_sg(_full_ap(a, k)), d)
     formula = {
-        "frobenius": k * (s - 1),
-        "genus": (k + 1) * (s - 1) // 2 + bump,
-        "generators": list(predicted.minimal_generators),
-        "two_genus": Q.frobenius + s - 1,
+        "frobenius": f,
+        "genus": g + (1 if inject else 0),
+        "generators": list(full_ap_quotient(spec, d).minimal_generators),
+        "two_genus": Q.frobenius + a // d - 1,
     }
     oracle = {
         "frobenius": Q.frobenius,
@@ -489,26 +461,32 @@ def _check_full_ap(case, tolerance, inject):
         "generators": list(Q.minimal_generators),
         "two_genus": 2 * Q.genus,
     }
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("full-ap", params, formula, oracle, status)]
+    return _compared("full-ap", params, formula, oracle)
+
+
+def _full_ap_entries(case, S, Q, tolerance) -> dict:
+    a, k, d = case
+    spec = FullApSpec(a, k)
+    predicted = full_ap_quotient(spec, d).minimal_generators
+    return {
+        "full-ap-generators": _entry(list(predicted), list(Q.minimal_generators)),
+        "full-ap-invariants": _entry(list(full_ap_divisor_identity(spec, d)), _invariants(Q)),
+    }
 
 
 def _check_full_ap_dk(case, tolerance, inject):
     a, k, d = case
-    Q = quotient(_sg(tuple(a + i * k for i in range(a))), d)
-    bump = 1 if inject else 0
-    formula = {
-        "frobenius": (a - 1) * (k // d),
-        "genus": (a - 1) * (k // d + 1) // 2 + bump,
-        "two_genus": Q.frobenius + a - 1,
-    }
-    oracle = {
-        "frobenius": Q.frobenius,
-        "genus": Q.genus,
-        "two_genus": 2 * Q.genus,
-    }
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record("full-ap-dk", {"a": a, "k": k, "d": d}, formula, oracle, status)]
+    f, g = full_ap_d_divides_k(FullApSpec(a, k), d)
+    Q = quotient(_sg(_full_ap(a, k)), d)
+    formula = {"frobenius": f, "genus": g + (1 if inject else 0), "two_genus": Q.frobenius + a - 1}
+    oracle = {"frobenius": Q.frobenius, "genus": Q.genus, "two_genus": 2 * Q.genus}
+    return _compared("full-ap-dk", {"a": a, "k": k, "d": d}, formula, oracle)
+
+
+def _full_ap_dk_entries(case, S, Q, tolerance) -> dict:
+    a, k, d = case
+    invariants = list(full_ap_d_divides_k(FullApSpec(a, k), d))
+    return {"full-ap-dk-invariants": _entry(invariants, _invariants(Q))}
 
 
 def _check_root_identity(case, tolerance, inject):
@@ -518,27 +496,130 @@ def _check_root_identity(case, tolerance, inject):
     return [_record("root-identity", {"d": d}, deviation, 0.0, status, deviation)]
 
 
-_CHECKERS = {
-    "theorem-main": _check_theorem_main,
-    "ed2-closed-form": _check_ed2,
-    "sylvester": _check_sylvester,
-    "d2-constant": _check_d2_constant,
-    "quasipoly": _check_quasipoly,
-    "strazzanti": _check_strazzanti,
-    "ap3-symmetric": _check_ap3_symmetric,
-    "ap3-even-d": _check_ap3_even_d,
-    "ap3-odd-a": _check_ap3_odd_a,
-    "full-ap": _check_full_ap,
-    "full-ap-dk": _check_full_ap_dk,
-    "root-identity": _check_root_identity,
+def _no_case(S: NumericalSemigroup, d: int) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
+    the grid, and ``check(case, tolerance, inject)`` returns its records.
+
+    For an identity about S/d, ``case_of(S, d)`` is the case that S and d
+    are, or None when the hypotheses fail, and ``entries(case, S, Q,
+    tolerance)`` maps report entry names to the formula, the oracle read
+    off the brute-force quotient Q, and whether they match.
+    """
+
+    defaults: dict[str, object]
+    cases: Callable[[SweepConfig], list[tuple]]
+    check: Callable[[tuple, float | None, bool], list[dict]]
+    case_of: Callable[[NumericalSemigroup, int], tuple | None] = _no_case
+    entries: Callable[..., dict[str, dict]] | None = None
+
+
+_AK_GRID = {"a_max": 120, "k_max": 20}
+
+
+def _progression(family, applies, check, entries, skip=None) -> Identity:
+    """An identity about S = family(a, k) with gcd(a, k) = 1, divided by d.
+
+    Its grid and the case read off (S, d) share the hypothesis
+    ``applies(a, k, d)``; a case that ``skip`` gives a reason for is in
+    the grid (its check reports the reason) but is not recognised.
+    """
+
+    def cases(cfg: SweepConfig) -> list[tuple]:
+        # every d that applies divides a or k, so it is at most max(a, k)
+        return [
+            (a, k, d)
+            for a, k in _coprime_pairs(cfg)
+            for d in range(1, max(a, k) + 1)
+            if applies(a, k, d)
+        ]
+
+    def case_of(S: NumericalSemigroup, d: int) -> tuple | None:
+        gens = S.minimal_generators  # gcd(a, k) is their gcd, so it is 1
+        if len(gens) < 2:
+            return None
+        a, k = gens[0], gens[1] - gens[0]
+        if family(a, k) != gens or not applies(a, k, d) or (skip and skip(a, k, d)):
+            return None
+        return a, k, d
+
+    return Identity(_AK_GRID, cases, check, case_of, entries)
+
+
+IDENTITIES: dict[str, Identity] = {
+    "theorem-main": Identity(
+        {"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
+        _corpus_cases, _check_theorem_main, _any_case, _theorem_main_entries,
+    ),
+    "ed2-closed-form": Identity(
+        {"max_value": 60, "d_max": 12}, _ed2_cases, _check_ed2, _ed2_case, _ed2_entries
+    ),
+    "sylvester": Identity({"max_value": 100}, _sylvester_cases, _check_sylvester),
+    "d2-constant": Identity(
+        {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant
+    ),
+    "quasipoly": Identity(
+        {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly
+    ),
+    "strazzanti": Identity(
+        {"cases": 500, "max_gen": 60, "d_max": 10},
+        _corpus_cases, _check_strazzanti, _dsymmetric_case, _strazzanti_entries,
+    ),
+    "ap3-symmetric": Identity(
+        _AK_GRID,
+        lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
+        _check_ap3_symmetric,
+    ),
+    "ap3-even-d": _progression(
+        _ap3,
+        lambda a, k, d: a % d == 0 and d >= 3 and (d % 2 == 0 or a % 2 == 0),
+        _check_ap3_even_d, _ap3_even_d_entries,
+    ),
+    "ap3-odd-a": _progression(
+        _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0, _check_ap3_odd_a, _ap3_odd_a_entries
+    ),
+    "full-ap": _progression(
+        _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _check_full_ap, _full_ap_entries,
+        skip=_full_ap_skip,
+    ),
+    "full-ap-dk": _progression(
+        _full_ap, lambda a, k, d: a >= 2 and k % d == 0, _check_full_ap_dk, _full_ap_dk_entries
+    ),
+    "root-identity": Identity(
+        {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
+        lambda cfg: [(d,) for d in range(2, cfg.d_max + 1)],
+        _check_root_identity,
+    ),
 }
+
+THEOREM_IDS = tuple(IDENTITIES)
+
+
+def _identity(theorem: str) -> Identity:
+    if theorem not in IDENTITIES:
+        raise PreconditionError(
+            f"unknown theorem id {theorem!r}; expected one of {', '.join(THEOREM_IDS)}"
+        )
+    return IDENTITIES[theorem]
+
+
+def build_cases(cfg: SweepConfig) -> list[tuple]:
+    """The case list for a resolved config, in deterministic order.
+
+    Cases are small tuples of primitives so they travel cheaply to worker
+    processes; anything expensive (semigroup construction, quotients)
+    happens in the check.
+    """
+    return _identity(cfg.theorem).cases(cfg)
 
 
 def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool) -> list[dict]:
     """Records for one case; pure, safe to run in any process."""
-    if theorem not in _CHECKERS:
-        raise PreconditionError(f"unknown theorem id {theorem!r}")
-    return _CHECKERS[theorem](case, tolerance, inject)
+    return _identity(theorem).check(case, tolerance, inject)
 
 
 def _check_case_packed(args: tuple) -> list[dict]:
@@ -569,6 +650,8 @@ def summarize(records: list[dict]) -> dict[str, int]:
 
 
 __all__ = [
+    "IDENTITIES",
+    "Identity",
     "MATCH",
     "MISMATCH",
     "SKIPPED",

@@ -5,7 +5,7 @@ import io
 import json
 import time
 
-from numsgps import cli
+from numsgps import cli, progressions, verify
 from numsgps.quotient import quotient
 
 
@@ -80,10 +80,19 @@ def test_quotient_builds_the_quotient_once(capsys, monkeypatch):
         calls.append(d)
         return quotient(S, d)
 
-    monkeypatch.setattr(cli, "quotient", counting_quotient)
-    code, _, _ = run_cli(capsys, "quotient", "--gens", "6,7,8", "--d", "3")
-    assert code == 0
-    assert calls == [3]
+    # the command and every module its registry entries reach
+    for module in (cli, verify, progressions):
+        monkeypatch.setattr(module, "quotient", counting_quotient)
+    for gens, d, filled in (
+        ("6,7,8", 3, 3),
+        ("10,13,16,19,22,25,28,31,34,37", 2, 3),
+        ("12,17,22", 4, 4),
+    ):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "quotient", "--gens", gens, "--d", str(d), "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["formulas"]) == filled
+        assert calls == [d]
 
 
 def test_quotient_huge_divisor_exits_two_promptly(capsys):
@@ -167,6 +176,13 @@ def test_verify_injected_fault_exits_one(capsys):
     )
     assert code == 1
     assert "mismatch" in err
+
+
+def test_verify_unknown_format_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "sylvester", "--format", "xml")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'xml'" in err
 
 
 def test_verify_unknown_theorem_exits_two(capsys):

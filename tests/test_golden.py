@@ -5,6 +5,9 @@ Any change to a record's value, key order or formatting changes a digest.
 Update a digest only together with a deliberate change to the records.
 The theorem-main stream is also pinned with its float ``residual`` removed,
 so a change to the root evaluation can move the residuals but nothing else.
+``numsgps quotient`` is pinned the same way, in json and in table form (the
+table shows the order of the formula entries), on inputs that together
+fill every formula entry of its report.
 """
 
 import contextlib
@@ -35,6 +38,19 @@ GOLDEN_SHA256 = {
 
 THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256 = (
     "4df5b834b285f1c8c01da37c6ad023543e3b5b9c1013378fd210ef20ace74bae"
+)
+
+QUOTIENT_SHA256 = "20f90c48c12a9819c74fa0d504261a7c7f21a36ff63c34e02ba1510470d63f63"
+
+QUOTIENT_INPUTS = (
+    (6, 7, 8),
+    (15, 17, 19),
+    (12, 17, 22),
+    (9, 11, 13),
+    (8, 11),
+    tuple(7 + 3 * i for i in range(7)),  # full progression, a = 7, k = 3
+    tuple(10 + 3 * i for i in range(10)),  # full progression, a = 10, k = 3
+    (4, 6, 9),
 )
 
 
@@ -71,3 +87,16 @@ def test_theorem_main_without_residual_matches_golden_hash():
 
 def test_theorem_main_worst_residual():
     assert max(record["residual"] for record in _theorem_main_records()) < 1e-12
+
+
+def test_quotient_reports_match_golden_hash():
+    digest = hashlib.sha256()
+    for gens in QUOTIENT_INPUTS:
+        for d in range(1, 13):
+            for fmt in ("json", "table"):
+                argv = ["quotient", "--gens", ",".join(map(str, gens)), "--d", str(d)]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv + ["--format", fmt])
+                digest.update(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == QUOTIENT_SHA256

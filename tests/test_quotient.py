@@ -13,7 +13,6 @@ from numsgps import (
     gap_class_counts,
     is_d_symmetric,
     quotient,
-    quotient_report,
 )
 from oracles import quotient_gaps, sieve_invariants
 
@@ -158,18 +157,6 @@ def test_dsymmetric_frobenius_rule_validation():
         frobenius_quotient_dsymmetric(S, 1)
     with pytest.raises(PreconditionError):
         frobenius_quotient_dsymmetric(from_generators([1]), 2)
-
-
-def test_quotient_report_consistency():
-    S = from_generators([6, 7, 8])
-    report = quotient_report(S, 3)
-    Q = quotient(S, 3)
-    assert report.quotient == Q
-    assert report.base == S
-    assert report.divisor == 3
-    assert report.frobenius_bruteforce == Q.frobenius
-    assert report.genus_bruteforce == Q.genus
-    assert report.formula_results == {}
 
 
 def test_sieve_oracle_self_check():

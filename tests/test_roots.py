@@ -106,6 +106,16 @@ def test_root_evaluation_work_is_bounded():
             genus_quotient_via_roots(S, d)
 
 
+def test_root_work_counts_folded_terms_only():
+    # F = 772,273, so (F + 2)(d - 1) is past the cap at d = 70, but the
+    # 69 roots each sum at most 70 folded terms.
+    S = from_generators([3001, 4007, 5003])
+    assert (S.frobenius + 2) * 69 > MAX_ROOT_WORK
+    value, residual = _genus_via_roots_residual(S, 70)
+    assert value == quotient(S, 70).genus
+    assert residual < 1e-9
+
+
 def test_sylvester_frozen_and_oracle():
     assert sylvester_invariants(3, 5) == (7, 4)
     assert sylvester_invariants(2, 3) == (1, 1)

@@ -4,18 +4,21 @@ import json
 
 import pytest
 
-from numsgps import PreconditionError, ResourceLimitError
+from numsgps import PreconditionError, ResourceLimitError, cli, from_generators, quotient
 from numsgps.verify import (
+    IDENTITIES,
     MATCH,
     MISMATCH,
     SKIPPED,
     SweepConfig,
     THEOREM_IDS,
+    build_cases,
+    check_case,
     random_corpus,
     run_sweep,
     summarize,
 )
-from numsgps.roots import MAX_ROOT_WORK
+from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK
 
 SMALL_GRIDS = {
     "theorem-main": dict(cases=15, max_gen=25, d_max=4),
@@ -114,8 +117,6 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         SweepConfig(theorem="sylvester", max_value=0).resolved()
     with pytest.raises(PreconditionError):
-        SweepConfig(theorem="sylvester", format="xml").resolved()
-    with pytest.raises(PreconditionError):
         SweepConfig(theorem="sylvester", parallel=0).resolved()
 
 
@@ -129,3 +130,64 @@ def test_root_identity_d_max_is_bounded():
             SweepConfig(theorem="root-identity", d_max=d_max).resolved()
     # d_max of the other sweeps does not drive root evaluations.
     assert SweepConfig(theorem="ed2-closed-form", d_max=largest + 1).resolved()
+
+
+# The quotient report entries each identity about S/d fills, by divisor.
+REPORT_ENTRIES = {
+    "theorem-main": lambda d: ["genus-via-roots"],
+    "ed2-closed-form": lambda d: ["ed2-genus"],
+    "strazzanti": lambda d: ["dsymmetric-frobenius"],
+    "ap3-even-d": lambda d: ["ap3-quotient-generators"]
+    + (["ap3-even-divisor-invariants"] if d % 2 == 0 else []),
+    "ap3-odd-a": lambda d: ["ap3-odd-a-invariants"],
+    "full-ap": lambda d: ["full-ap-generators", "full-ap-invariants"],
+    "full-ap-dk": lambda d: ["full-ap-dk-invariants"],
+}
+
+
+def case_generators(theorem, case):
+    if theorem in ("theorem-main", "strazzanti"):
+        return case[0]
+    if theorem == "ed2-closed-form":
+        return case[:2]
+    a, k = case[:2]
+    return tuple(a + i * k for i in range(3 if theorem.startswith("ap3") else a))
+
+
+def test_quotient_identities_are_the_ones_that_fill_reports():
+    assert [t for t in THEOREM_IDS if IDENTITIES[t].entries] == list(REPORT_ENTRIES)
+
+
+def test_quotient_reports_recognise_every_live_sweep_case(capsys):
+    """A sweep case that yields a checked record is recognised from (S, d)
+    alone, and ``numsgps quotient`` on S and d reports its entries, all
+    matching; a skipped case, a strazzanti case that is not d-symmetric,
+    and S = N (which fixes no k) are not recognised."""
+    reports = {}
+    for theorem, names in REPORT_ENTRIES.items():
+        identity = IDENTITIES[theorem]
+        cfg = small_config(theorem).resolved()
+        live = 0
+        for case in build_cases(cfg):
+            S, d = from_generators(case_generators(theorem, case)), case[-1]
+            records = check_case(theorem, case, cfg.tolerance, False)
+            if not records or records[0]["status"] == SKIPPED or S.frobenius < 0:
+                assert identity.case_of(S, d) is None, (theorem, case)
+                continue
+            live += 1
+            recognised = identity.case_of(S, d)
+            corpus = theorem in ("theorem-main", "strazzanti")
+            assert recognised == ((S.minimal_generators, d) if corpus else case)
+            expected = identity.entries(recognised, S, quotient(S, d), DEFAULT_TOLERANCE)
+            assert list(expected) == names(d), (theorem, case)
+            key = (S.minimal_generators, d)
+            if key not in reports:
+                gens = ",".join(map(str, S.minimal_generators))
+                code = cli.main(["quotient", "--gens", gens, "--d", str(d), "--format", "json"])
+                reports[key] = code, json.loads(capsys.readouterr().out)["formulas"]
+            code, formulas = reports[key]
+            assert code == 0, (theorem, case)
+            for name, entry in expected.items():
+                assert formulas[name] == entry, (theorem, case, name)
+                assert entry["match"] is True, (theorem, case, name)
+        assert live > 0, theorem
