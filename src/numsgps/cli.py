@@ -223,12 +223,28 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _silence(stream) -> None:
+    """Point a stream whose reader has gone at the null device, so that
+    what it still buffers, later writes and the interpreter's flush at
+    exit all succeed.  A stream with no descriptor is left as it is: each
+    write to it fails the same way and is dropped."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 class _Output:
     """Routes rendered text to stdout or --out, keeping headers visible.
 
     The seed header goes to stdout for tables but to stderr for json/csv
     so that machine-readable streams stay pure.  ``main`` opens it before
-    a command does any work, so a bad --out path fails at once.
+    a command does any work, so a bad --out path fails at once.  A stream
+    whose reader has gone away (``numsgps ... | head``) is not an error:
+    output to it stops quietly and the command's exit code stands.
     """
 
     def __init__(self, args):
@@ -236,20 +252,29 @@ class _Output:
         self.seed = args.seed
         self.path = args.out
         self.handle = open(self.path, "w") if self.path else sys.stdout
+        # where the seed header and the sweep summary go
+        self.notes = self.handle if self.format == "table" and self.path is None else sys.stderr
+
+    def _print(self, text: str, stream) -> None:
+        try:
+            print(text, file=stream)
+        except BrokenPipeError:
+            _silence(stream)
 
     def header(self) -> None:
-        line = f"# seed {self.seed}"
-        if self.format == "table" and self.path is None:
-            print(line, file=self.handle)
-        else:
-            print(line, file=sys.stderr)
+        self._print(f"# seed {self.seed}", self.notes)
 
     def line(self, text: str) -> None:
-        print(text, file=self.handle)
+        self._print(text, self.handle)
 
     def close(self) -> None:
         if self.path:
             self.handle.close()
+            return
+        try:
+            self.handle.flush()
+        except BrokenPipeError:
+            _silence(self.handle)
 
     def report(self, report: dict) -> None:
         self.header()
@@ -280,8 +305,7 @@ class _Output:
                     f"{record['status']}"
                 )
         if summary_line is not None:
-            target = sys.stdout if self.format == "table" and self.path is None else sys.stderr
-            print(summary_line, file=target)
+            self._print(summary_line, self.notes)
 
 
 def cmd_invariants(args, out: _Output) -> int:

@@ -10,8 +10,12 @@ and the coefficients of P_S are derived from the table on demand.
 The table comes from the round-robin relaxation of Boecker and Liptak.
 Taking generators in ascending order, the same pass tells which are
 minimal, and run over a candidate table's own entries it decides whether
-a finite set is the gap set of a semigroup.  Brute-force sieves appear
-only in the test suite, as independent oracles.
+a finite set is the gap set of a semigroup.  The minimal generators are
+computed only when first read, by that pass over the table's entries;
+the constructors here hand over the ones their own pass already found.
+A complement known to be a semigroup (a quotient, say) skips the check
+and is built from its gaps in one pass.  Brute-force sieves appear only
+in the test suite, as independent oracles.
 """
 
 from __future__ import annotations
@@ -71,15 +75,21 @@ class NumericalSemigroup:
 
     Instances are immutable and fully determined by ``apery``, where
     ``apery[r]`` is the least member congruent to r mod ``multiplicity``;
-    use :func:`from_generators` or :func:`from_gaps` to construct one.
+    equality and hashing read only these fields.  Use
+    :func:`from_generators` or :func:`from_gaps` to construct one.
     ``frobenius`` is -1 when the semigroup is all of the nonnegative
     integers (empty complement).
     """
 
-    minimal_generators: tuple[int, ...]
     multiplicity: int
     frobenius: int
     apery: tuple[int, ...]
+
+    @cached_property
+    def minimal_generators(self) -> tuple[int, ...]:
+        # Every minimal generator other than m is the least member of its
+        # class, so the round robin over the table's entries keeps exactly them.
+        return (self.multiplicity, *_round_robin(self.apery, self.multiplicity)[1])
 
     @property
     def genus(self) -> int:
@@ -196,39 +206,52 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
     frobenius = max(apery) - mult
     if frobenius > MAX_FROBENIUS:
         raise ResourceLimitError(f"Frobenius number {frobenius} exceeds {MAX_FROBENIUS}")
-    return NumericalSemigroup((mult, *kept), mult, frobenius, apery)
+    return _with_generators(NumericalSemigroup(mult, frobenius, apery), kept)
+
+
+def _with_generators(S: NumericalSemigroup, kept: list[int]) -> NumericalSemigroup:
+    """S with the minimal generators a round robin has already found filled
+    in, so that reading them does not run it again."""
+    S.__dict__["minimal_generators"] = (S.multiplicity, *kept)
+    return S
+
+
+def _complement(gaps: list[int]) -> NumericalSemigroup:
+    """The candidate semigroup N minus ``gaps`` (distinct, positive,
+    ascending), unchecked.
+
+    The multiplicity m is the least non-gap and each class mod m starts
+    just above its largest gap.  When the complement is a semigroup this
+    is its canonical form, with no more work than one pass over the gaps.
+    """
+    mult = next((i for i, x in enumerate(gaps, 1) if x != i), len(gaps) + 1)
+    table = list(range(mult))
+    for x in gaps:  # ascending, so the largest gap of each class wins
+        table[x % mult] = x + mult
+    return NumericalSemigroup(mult, gaps[-1] if gaps else -1, tuple(table))
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
     """Canonical semigroup whose complement is exactly the given finite set.
 
-    The candidate Apery table at the least non-gap m puts each class just
-    above its largest gap.  The complement is a semigroup exactly when the
-    table's genus equals the gap count (no gap above its class minimum)
-    and the round robin over the table's entries reproduces the table; the
-    entries it keeps are then the minimal generators.
+    The complement is a semigroup exactly when the candidate table of
+    :func:`_complement` has as many gaps as the set (no gap above its
+    class minimum) and the round robin over the table's entries
+    reproduces the table; the entries it keeps are then the minimal
+    generators.
     """
     gap_list = sorted(set(gaps))
     if any(not isinstance(x, int) or x < 1 for x in gap_list):
         raise PreconditionError("gaps must be positive integers")
-    if not gap_list:
-        return from_generators([1])
-    frobenius = gap_list[-1]
-    if frobenius > MAX_FROBENIUS:
-        raise ResourceLimitError(f"largest gap {frobenius} exceeds {MAX_FROBENIUS}")
-    mult = next(
-        (i for i, x in enumerate(gap_list, 1) if x != i), len(gap_list) + 1
-    )
-    table = list(range(mult))
-    for x in gap_list:  # ascending, so the largest gap of each class wins
-        table[x % mult] = x + mult
-    apery, kept = _round_robin(table, mult)
-    result = NumericalSemigroup((mult, *kept), mult, frobenius, apery)
-    if result.genus != len(gap_list) or list(apery) != table:
+    if gap_list and gap_list[-1] > MAX_FROBENIUS:
+        raise ResourceLimitError(f"largest gap {gap_list[-1]} exceeds {MAX_FROBENIUS}")
+    candidate = _complement(gap_list)
+    apery, kept = _round_robin(candidate.apery, candidate.multiplicity)
+    if candidate.genus != len(gap_list) or apery != candidate.apery:
         raise NotNumericalSemigroupError(
             "complement of the gap set is not closed under addition"
         )
-    return result
+    return _with_generators(candidate, kept)
 
 
 def contains(S: NumericalSemigroup, x: int) -> bool:

@@ -3,9 +3,13 @@
 S/d = {x >= 0 : d*x in S} is again a numerical semigroup; its Frobenius
 number is at most floor(F(S)/d), so the whole quotient is determined by
 membership checks up to that bound; that scan, shared with no closed
-form, is the oracle of every sweep.  The module also carries the
-Frobenius shortcut for d-symmetric semigroups and the per-residue gap
-census that underlies the root-of-unity genus formula.
+form, is the oracle of every sweep.  Its gaps give the canonical form
+directly (each class modulo the least non-gap starts just above its
+largest gap) with no closure check, since S/d is a semigroup by
+definition, and the minimal generators are left until they are read.
+The module also carries the Frobenius shortcut for d-symmetric
+semigroups and the per-residue gap census that underlies the
+root-of-unity genus formula.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from .core import (
     GapClassCounts,
     NumericalSemigroup,
     PreconditionError,
+    _complement,
     contains,
-    from_gaps,
-    from_generators,
     gap_residue_counts,
 )
 
@@ -25,16 +28,16 @@ def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
     """The quotient S/d = {x : d*x in S} in canonical form.
 
     Every x > floor(F(S)/d) is a member, so the complement is read off the
-    bounded prefix, and :func:`from_gaps` checks that it is a gap set.
+    bounded prefix.
     """
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"divisor must be a positive integer, got {d}")
     if d == 1:
         return S
-    if S.frobenius < 0 or contains(S, d):
-        return from_generators([1])  # 1 in S/d, so the quotient is all of N
+    if contains(S, d):
+        return _complement([])  # 1 in S/d, so the quotient is all of N
     ap, m = S.apery, S.multiplicity
-    return from_gaps(x for x in range(1, S.frobenius // d + 1) if d * x < ap[d * x % m])
+    return _complement([x for x in range(1, S.frobenius // d + 1) if d * x < ap[d * x % m]])
 
 
 def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:

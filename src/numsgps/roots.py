@@ -37,8 +37,10 @@ from .core import (
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-# Desk-scale guard on root evaluation: the d - 1 roots each sum at most
-# min(d, F(S) + 2) nonzero terms of the folded P_S.
+# Desk-scale guard on the steps one command may take in this module: the
+# d - 1 roots each sum at most min(d, F(S) + 2) nonzero terms of the folded
+# P_S, and a quasipolynomial fit counts gaps in O(a) steps per sample a.
+# Every verify sweep whose grid drives such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
 
 
@@ -301,6 +303,11 @@ def quasipoly_admissible_classes(k: int, d: int) -> list[int]:
     return [r for r in range(d) if math.gcd(k, math.gcd(r, d)) == 1]
 
 
+def _fit_work(a_min: int, a_max: int) -> int:
+    """Steps of a fit on a_min..a_max: at most one O(a) gap count per a."""
+    return (a_max * (a_max + 1) - (a_min - 1) * a_min) // 2
+
+
 def fit_quasipolynomial(
     k: int, d: int, a_range: tuple[int, int]
 ) -> QuasipolynomialFit:
@@ -321,6 +328,11 @@ def fit_quasipolynomial(
     a_min, a_max = a_range
     if a_min < 1 or a_max < a_min:
         raise PreconditionError(f"empty or invalid range {a_range}")
+    work = _fit_work(a_min, a_max)
+    if work > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"a fit over {a_min}..{a_max} takes {work} steps, more than {MAX_ROOT_WORK}"
+        )
     per_class: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     constants: dict[tuple[int, int], Fraction] = {}
     for r in quasipoly_admissible_classes(k, d):

@@ -54,6 +54,7 @@ from .roots import (
     DEFAULT_TOLERANCE,
     IDENTITY_TOLERANCE,
     MAX_ROOT_WORK,
+    _fit_work,
     _genus_via_roots_residual,
     extract_cabd_constant,
     fit_quasipolynomial,
@@ -91,9 +92,10 @@ class SweepConfig:
 
     def resolved(self) -> "SweepConfig":
         """A copy with defaults filled in and every field validated."""
+        identity = _identity(self.theorem)
         filled = {
             name: value
-            for name, value in _identity(self.theorem).defaults.items()
+            for name, value in identity.defaults.items()
             if getattr(self, name) is None
         }
         cfg = replace(self, **filled)
@@ -101,8 +103,9 @@ class SweepConfig:
             value = getattr(cfg, name)
             if value is not None and value < 1:
                 raise PreconditionError(f"{name} must be >= 1, got {value}")
-        if cfg.max_gen is not None and cfg.max_gen < 2:
-            raise PreconditionError(f"max_gen must be >= 2, got {cfg.max_gen}")
+        if cfg.max_gen is not None and cfg.max_gen < 3:
+            # a corpus draws from [2, max_gen] and needs two coprime values
+            raise PreconditionError(f"max_gen must be >= 3, got {cfg.max_gen}")
         if cfg.tolerance is not None and not cfg.tolerance > 0:
             raise PreconditionError(f"tolerance must be > 0, got {cfg.tolerance}")
         if cfg.parallel < 1:
@@ -111,13 +114,11 @@ class SweepConfig:
             not cfg.k_list or any(k < 1 for k in cfg.k_list)
         ):
             raise PreconditionError(f"k_list must hold positive integers, got {cfg.k_list}")
-        if cfg.theorem == "root-identity":
-            # Case d sums d - 1 roots, so the sweep evaluates d_max(d_max - 1)/2.
-            work = cfg.d_max * (cfg.d_max - 1) // 2
-            if work > MAX_ROOT_WORK:
-                raise ResourceLimitError(
-                    f"d_max(d_max - 1)/2 = {work} root evaluations exceeds {MAX_ROOT_WORK}"
-                )
+        work = identity.cost(cfg) if identity.cost else 0
+        if work > MAX_ROOT_WORK:
+            raise ResourceLimitError(
+                f"the {cfg.theorem} grid takes {work} steps, more than {MAX_ROOT_WORK}"
+            )
         return cfg
 
 
@@ -509,6 +510,10 @@ class Identity:
     are, or None when the hypotheses fail, and ``entries(case, S, Q,
     tolerance)`` maps report entry names to the formula, the oracle read
     off the brute-force quotient Q, and whether they match.
+
+    ``cost(cfg)``, where the grid alone can drive unbounded work, bounds
+    that work in steps; a grid that costs more than ``MAX_ROOT_WORK`` is
+    refused before any case is built.
     """
 
     defaults: dict[str, object]
@@ -516,6 +521,7 @@ class Identity:
     check: Callable[[tuple, float | None, bool], list[dict]]
     case_of: Callable[[NumericalSemigroup, int], tuple | None] = _no_case
     entries: Callable[..., dict[str, dict]] | None = None
+    cost: Callable[[SweepConfig], int] | None = None
 
 
 _AK_GRID = {"a_max": 120, "k_max": 20}
@@ -563,7 +569,8 @@ IDENTITIES: dict[str, Identity] = {
         {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant
     ),
     "quasipoly": Identity(
-        {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly
+        {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly,
+        cost=lambda cfg: len(cfg.k_list) * cfg.d_max * _fit_work(1, cfg.a_max),
     ),
     "strazzanti": Identity(
         {"cases": 500, "max_gen": 60, "d_max": 10},
@@ -593,6 +600,7 @@ IDENTITIES: dict[str, Identity] = {
         {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
         lambda cfg: [(d,) for d in range(2, cfg.d_max + 1)],
         _check_root_identity,
+        cost=lambda cfg: cfg.d_max * (cfg.d_max - 1) // 2,  # case d sums d - 1 roots
     ),
 }
 

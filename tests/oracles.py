@@ -67,6 +67,18 @@ def quotient_gaps(generators: list[int], d: int) -> list[int]:
     return [x for x in range(1, frobenius // d + 1) if d * x in gap_set]
 
 
+def minimal_generators_from_gaps(gaps: list[int]) -> list[int]:
+    """Minimal generators of the semigroup with the given gap set: the
+    members that are not a sum of two nonzero members.  Each lies below
+    F + 2m (m the least positive member), since x - m is a nonzero member
+    past that."""
+    gap_set = set(gaps)
+    m = next(x for x in range(1, len(gap_set) + 2) if x not in gap_set)
+    members = [x for x in range(1, max(gap_set, default=0) + 2 * m + 1) if x not in gap_set]
+    member = set(members)
+    return [x for x in members if not any(y in member and x - y in member for y in range(1, x))]
+
+
 def representable(x: int, generators: list[int]) -> bool:
     """Is x a nonnegative integer combination of the generators?"""
     if x < 0:

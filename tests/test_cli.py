@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from numsgps import cli, progressions, verify
 from numsgps.quotient import quotient
@@ -311,3 +315,54 @@ def test_sweep_open_problem(capsys):
     for record in records:
         oracle = record["oracle"]
         assert oracle["two_g_minus_f"] == 2 * oracle["genus"] - oracle["frobenius"]
+
+
+def test_corpus_sweep_with_max_gen_two_exits_two_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "theorem-main", "--max-gen", "2", "--cases", "1", "--d-max", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert time.perf_counter() - start < 5
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_an_error(capsys, monkeypatch):
+    for argv, expected in (
+        (["pmd", "3", "50", "2"], 0),
+        (["verify", "sylvester", "--max", "12"], 0),
+        (["verify", "sylvester", "--max", "12", "--format", "json", "--inject-offby1"], 1),
+    ):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == expected, argv
+        assert "error" not in err and "Broken pipe" not in err, argv
+
+
+def test_closed_pipe_ends_the_process_quietly():
+    # The reader is gone before the command writes anything, so every
+    # write, and the interpreter's own flush at exit, meets a closed pipe.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from numsgps.cli import entry; entry()",
+             "invariants", "--gens", "3,5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -16,7 +16,11 @@ from numsgps import (
     semigroup_polynomial_coeffs,
 )
 from numsgps.roots import _fold_mod
-from oracles import minimal_generators_by_enumeration, quotient_gaps
+from oracles import (
+    minimal_generators_by_enumeration,
+    minimal_generators_from_gaps,
+    quotient_gaps,
+)
 
 # A fixed example sequence, so the suite runs the same cases every time.
 fixed = settings(derandomize=True, deadline=None, database=None)
@@ -44,6 +48,15 @@ def test_from_gaps_round_trip(gens):
 @given(generator_sets, st.integers(min_value=1, max_value=15))
 def test_quotient_gaps_match_definition(gens, d):
     assert list(quotient(from_generators(gens), d).gaps) == quotient_gaps(gens, d)
+
+
+@fixed
+@given(generator_sets, st.integers(min_value=2, max_value=15))
+def test_quotient_is_the_semigroup_of_its_brute_force_gaps(gens, d):
+    gaps = quotient_gaps(gens, d)
+    Q = quotient(from_generators(gens), d)
+    assert Q == from_gaps(gaps)
+    assert list(Q.minimal_generators) == minimal_generators_from_gaps(gaps)
 
 
 @fixed

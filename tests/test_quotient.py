@@ -8,6 +8,7 @@ import pytest
 from numsgps import (
     PreconditionError,
     contains,
+    from_gaps,
     from_generators,
     frobenius_quotient_dsymmetric,
     gap_class_counts,
@@ -31,6 +32,25 @@ def test_golden_quotients():
             assert list(Q.minimal_generators) == expected_gens, (gens, d)
         assert Q.frobenius == frobenius, (gens, d)
         assert Q.genus == genus, (gens, d)
+
+
+def test_minimal_generators_cost_one_round_robin_when_first_read(round_robin_calls):
+    calls = round_robin_calls
+    S = from_generators([15, 17, 19])
+    assert len(calls) == 1
+    assert S.minimal_generators == (15, 17, 19)  # kept by the construction
+    assert len(calls) == 1
+    for d in (2, 3, 5, 17):
+        calls.clear()
+        Q = quotient(S, d)
+        assert calls == []
+        gens = Q.minimal_generators
+        assert calls == [Q.multiplicity]
+        assert Q.minimal_generators == gens == from_gaps(Q.gaps).minimal_generators
+        assert len(calls) == 2  # the second is from_gaps checking its input
+    calls.clear()
+    assert quotient(S, 15).minimal_generators == (1,)
+    assert calls == [1]
 
 
 def test_quotient_defining_predicate():

@@ -12,13 +12,14 @@ from numsgps.verify import (
     SKIPPED,
     SweepConfig,
     THEOREM_IDS,
+    _sg,
     build_cases,
     check_case,
     random_corpus,
     run_sweep,
     summarize,
 )
-from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK
+from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
 
 SMALL_GRIDS = {
     "theorem-main": dict(cases=15, max_gen=25, d_max=4),
@@ -118,6 +119,35 @@ def test_config_validation():
         SweepConfig(theorem="sylvester", max_value=0).resolved()
     with pytest.raises(PreconditionError):
         SweepConfig(theorem="sylvester", parallel=0).resolved()
+
+
+def test_corpus_sweeps_need_max_gen_three():
+    # generators are drawn from [2, max_gen], so 2 could never give a pair
+    with pytest.raises(PreconditionError):
+        SweepConfig(theorem="theorem-main", max_gen=2).resolved()
+    assert random_corpus(0, 5, 3) == [(2, 3)] * 5
+
+
+def test_quasipoly_work_is_bounded():
+    # each of the len(k_list) * d_max fits counts gaps in O(a) steps per a <= a_max
+    assert SweepConfig(theorem="quasipoly").resolved().a_max == 300
+    largest = max(a for a in range(1_760, 1_780) if 32 * a * (a + 1) // 2 <= MAX_ROOT_WORK)
+    assert SweepConfig(theorem="quasipoly", a_max=largest).resolved()
+    for a_max in (largest + 1, 10**9):
+        with pytest.raises(ResourceLimitError):
+            SweepConfig(theorem="quasipoly", a_max=a_max).resolved()
+    assert SweepConfig(theorem="quasipoly", k_list=(1,), d_max=1, a_max=9_999).resolved()
+    with pytest.raises(ResourceLimitError):
+        fit_quasipolynomial(1, 2, (1, 10_000))
+
+
+def test_full_ap_dk_sweep_builds_each_semigroup_once(round_robin_calls):
+    """The quotients of a sweep run no round robin; only the construction
+    of each progression does."""
+    _sg.cache_clear()
+    records = run_sweep(small_config("full-ap-dk"))
+    assert len(records) == 120
+    assert len(round_robin_calls) == len({(r["params"]["a"], r["params"]["k"]) for r in records}) == 65
 
 
 def test_root_identity_d_max_is_bounded():
