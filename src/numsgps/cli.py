@@ -11,13 +11,17 @@ sorted keys reproduces the bytes exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from typing import Iterable
 
 from .core import (
+    MAX_FROBENIUS,
     NumericalSemigroup,
     PrecisionLossError,
     PreconditionError,
@@ -31,16 +35,16 @@ from .core import (
 )
 from .progressions import open_problem_sweep
 from .quotient import quotient
-from .roots import DEFAULT_TOLERANCE, fit_quasipolynomial
+from .roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
 from .verify import (
     IDENTITIES,
     MATCH,
     MISMATCH,
+    SKIPPED,
     SweepConfig,
     THEOREM_IDS,
     _frac,
-    run_sweep,
-    summarize,
+    sweep,
 )
 
 RECORD_COLUMNS = ("theorem", "params", "formula", "oracle", "status", "residual")
@@ -242,10 +246,15 @@ class _Output:
 
     The seed header goes to stdout for tables but to stderr for json/csv
     so that machine-readable streams stay pure.  ``main`` opens it before
-    a command does any work, so a bad --out path fails at once.  A stream
-    whose reader has gone away (``numsgps ... | head``) is not an error:
-    output to it stops quietly and the command's exit code stands.
+    a command does any work, so a bad --out path fails at once.  Lines
+    are joined and written in blocks of ``BLOCK`` characters; the pending
+    block is also written before every note, at the end of a report and on
+    close, so a sweep that fails part-way leaves the records it finished.  A stream whose reader
+    has gone away (``numsgps ... | head``) is not an error: output to it
+    stops quietly and the command's exit code stands.
     """
+
+    BLOCK = 1 << 16
 
     def __init__(self, args):
         self.format = args.format
@@ -254,20 +263,38 @@ class _Output:
         self.handle = open(self.path, "w") if self.path else sys.stdout
         # where the seed header and the sweep summary go
         self.notes = self.handle if self.format == "table" and self.path is None else sys.stderr
+        self.pending: list[str] = []
+        self.pending_size = 0
 
-    def _print(self, text: str, stream) -> None:
+    def _write(self, text: str, stream) -> None:
         try:
-            print(text, file=stream)
+            stream.write(text)
         except BrokenPipeError:
             _silence(stream)
 
-    def header(self) -> None:
-        self._print(f"# seed {self.seed}", self.notes)
+    def _flush_block(self) -> None:
+        if self.pending:
+            block = "\n".join(self.pending) + "\n"
+            self.pending, self.pending_size = [], 0
+            self._write(block, self.handle)
 
     def line(self, text: str) -> None:
-        self._print(text, self.handle)
+        self.pending.append(text)
+        self.pending_size += len(text) + 1
+        if self.pending_size >= self.BLOCK:
+            self._flush_block()
+
+    def note(self, text: str) -> None:
+        # written after the pending lines, also on another stream, so that a
+        # terminal shows the two in the order they were produced
+        self._flush_block()
+        self._write(text + "\n", self.notes)
+
+    def header(self) -> None:
+        self.note(f"# seed {self.seed}")
 
     def close(self) -> None:
+        self._flush_block()
         if self.path:
             self.handle.close()
             return
@@ -287,8 +314,9 @@ class _Output:
         else:
             for key in sorted(report):
                 self.line(f"{key}: {_flat(report[key])}")
+        self._flush_block()
 
-    def records(self, records: list[dict], summary_line: str | None = None) -> None:
+    def records(self, records: Iterable[dict]) -> None:
         self.header()
         if self.format == "json":
             for record in records:
@@ -304,8 +332,6 @@ class _Output:
                     f"formula={_flat(record['formula'])}  oracle={_flat(record['oracle'])}  "
                     f"{record['status']}"
                 )
-        if summary_line is not None:
-            self._print(summary_line, self.notes)
 
 
 def cmd_invariants(args, out: _Output) -> int:
@@ -373,13 +399,19 @@ def cmd_apery(args, out: _Output) -> int:
 def cmd_verify(args, out: _Output) -> int:
     # every field of the config has an option of the same name
     config = SweepConfig(**{field.name: getattr(args, field.name) for field in fields(SweepConfig)})
-    records = run_sweep(config)
-    counts = summarize(records)
-    summary = (
+    records = sweep(config)  # a refused grid raises here, before any output
+    counts = Counter()
+
+    def counted():
+        for record in records:
+            counts[record["status"]] += 1
+            yield record
+
+    out.records(counted())
+    out.note(
         f"{args.theorem}: {counts[MATCH]} match, {counts[MISMATCH]} mismatch, "
-        f"{counts['skipped-precondition']} skipped"
+        f"{counts[SKIPPED]} skipped"
     )
-    out.records(records, summary)
     return 1 if counts[MISMATCH] else 0
 
 
@@ -415,9 +447,15 @@ def _pmd_solution(a: int, b: int, c: int) -> NumericalSemigroup:
 
     Membership is periodic in x modulo b once c x clears b, so a run of b
     consecutive solutions proves every larger x is a solution; the scan
-    is bounded because every x >= b/c satisfies the inequality.
+    is bounded because every x >= b/c satisfies the inequality.  The scan
+    bound is refused above ``MAX_FROBENIUS``, and a solution set of
+    multiplicity m above m^2 = ``MAX_ROOT_WORK``, the cost of checking it.
     """
     cap = (b + c - 1) // c + 2 * b + 2
+    if cap > MAX_FROBENIUS:
+        raise ResourceLimitError(
+            f"the scan of {a} x (mod {b}) <= {c} x runs to {cap}, more than {MAX_FROBENIUS}"
+        )
     member = lambda x: (a * x) % b <= c * x
     run_start = None
     run = 0
@@ -433,6 +471,12 @@ def _pmd_solution(a: int, b: int, c: int) -> NumericalSemigroup:
         raise PreconditionError(
             f"solution set of {a} x (mod {b}) <= {c} x did not stabilize below "
             f"{cap}; rerun with a larger bound"
+        )
+    multiplicity = next(x for x in itertools.count(1) if member(x))
+    if multiplicity**2 > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"the solution set of {a} x (mod {b}) <= {c} x has multiplicity {multiplicity}, "
+            f"and checking it takes {multiplicity**2} steps, more than {MAX_ROOT_WORK}"
         )
     gaps = [x for x in range(1, run_start) if not member(x)]
     return from_gaps(gaps)

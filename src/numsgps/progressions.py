@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from .core import (
     NumericalSemigroup,
     PreconditionError,
+    ResourceLimitError,
     TheoremViolationError,
     from_generators,
 )
 from .quotient import quotient
+from .roots import MAX_ROOT_WORK
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,22 @@ def ap3_odd_a_invariants(spec: Ap3Spec) -> tuple[int, int]:
     return frobenius, genus
 
 
-def full_ap_quotient(spec: FullApSpec, d: int) -> NumericalSemigroup:
-    """<a, a+k, ..., a+(a-1)k>/d for d | a equals <s, s+k, ..., s+(s-1)k>."""
+def full_ap_quotient_generators(spec: FullApSpec, d: int) -> tuple[int, ...]:
+    """Minimal generators s, s+k, ..., s+(s-1)k of <a, a+k, ..., a+(a-1)k>/d
+    for d | a.
+
+    The list is already minimal: gcd(s, k) = 1, so s + ik is the least
+    member of its class mod s, and no sum of two or more generators is.
+    """
     if not isinstance(d, int) or d < 1 or spec.a % d:
         raise PreconditionError(f"d = {d} must be a positive divisor of a = {spec.a}")
     s = spec.a // d
-    return from_generators([s + i * spec.k for i in range(s)])
+    return tuple(s + i * spec.k for i in range(s))
+
+
+def full_ap_quotient(spec: FullApSpec, d: int) -> NumericalSemigroup:
+    """<a, a+k, ..., a+(a-1)k>/d for d | a equals <s, s+k, ..., s+(s-1)k>."""
+    return from_generators(full_ap_quotient_generators(spec, d))
 
 
 def full_ap_divisor_identity(spec: FullApSpec, d: int) -> tuple[int, int]:
@@ -223,7 +235,9 @@ def open_problem_sweep(
 
     The truncation range 3 <= ell <= a - 2 sits strictly between the
     three-term and full-progression families, where no closed form is
-    known; the table is raw data for eyeballing such quotients.
+    known; the table is raw data for eyeballing such quotients.  Building
+    S is refused above a(ell + 1) = ``MAX_ROOT_WORK`` steps, and the
+    quotients above len(d_values)(1 + F(S) // min(d_values)).
     """
     if math.gcd(a, k) != 1:
         raise PreconditionError(f"a and k must be coprime, got gcd({a}, {k})")
@@ -231,7 +245,22 @@ def open_problem_sweep(
         raise PreconditionError(
             f"ell must satisfy 3 <= ell <= a - 2 = {a - 2}, got {ell}"
         )
+    if a * (ell + 1) > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"building <a, ..., a + ell k> takes a(ell + 1) = {a * (ell + 1)} steps, "
+            f"more than {MAX_ROOT_WORK}"
+        )
     S = from_generators([a + i * k for i in range(ell + 1)])
+    # the quotient by d scans 1 + F // d values; min() walks the whole list,
+    # so a list longer than the cap is refused as if it began at d = 1
+    count = len(d_values)
+    lo = min(d_values, default=1) if count <= MAX_ROOT_WORK else 1
+    work = count * (1 + S.frobenius // max(lo, 1))
+    if work > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"{count} quotients of a semigroup with F = {S.frobenius} take {work} steps, "
+            f"more than {MAX_ROOT_WORK}"
+        )
     rows = []
     for d in d_values:
         Q = quotient(S, d)

@@ -27,8 +27,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import Pool
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     NumericalSemigroup,
@@ -47,7 +46,7 @@ from .progressions import (
     ap3_symmetric_iff_even,
     full_ap_d_divides_k,
     full_ap_divisor_identity,
-    full_ap_quotient,
+    full_ap_quotient_generators,
 )
 from .quotient import frobenius_quotient_dsymmetric, quotient
 from .roots import (
@@ -453,7 +452,7 @@ def _check_full_ap(case, tolerance, inject):
     formula = {
         "frobenius": f,
         "genus": g + (1 if inject else 0),
-        "generators": list(full_ap_quotient(spec, d).minimal_generators),
+        "generators": list(full_ap_quotient_generators(spec, d)),
         "two_genus": Q.frobenius + a // d - 1,
     }
     oracle = {
@@ -468,7 +467,7 @@ def _check_full_ap(case, tolerance, inject):
 def _full_ap_entries(case, S, Q, tolerance) -> dict:
     a, k, d = case
     spec = FullApSpec(a, k)
-    predicted = full_ap_quotient(spec, d).minimal_generators
+    predicted = full_ap_quotient_generators(spec, d)
     return {
         "full-ap-generators": _entry(list(predicted), list(Q.minimal_generators)),
         "full-ap-invariants": _entry(list(full_ap_divisor_identity(spec, d)), _invariants(Q)),
@@ -634,19 +633,38 @@ def _check_case_packed(args: tuple) -> list[dict]:
     return check_case(*args)
 
 
-def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """All records for the sweep, in deterministic case order regardless of
-    the parallelism degree."""
+def sweep(cfg: SweepConfig) -> Iterator[dict]:
+    """The records of the sweep, case by case, in deterministic case order
+    regardless of the parallelism degree.
+
+    The config is resolved and the case list built before this returns,
+    so a refused grid raises here, before any record exists.  Each record
+    is yielded as soon as its case and every earlier one are checked; an
+    exception inside a case ends the stream at that case.
+    """
     cfg = cfg.resolved()
     cases = build_cases(cfg)
     packed = [(cfg.theorem, case, cfg.tolerance, cfg.inject_offby1) for case in cases]
-    if cfg.parallel == 1 or len(cases) < 2:
-        batches = map(_check_case_packed, packed)
-    else:
-        chunk = max(1, len(packed) // (4 * cfg.parallel))
-        with Pool(cfg.parallel) as pool:
-            batches = pool.map(_check_case_packed, packed, chunksize=chunk)
-    return [record for batch in batches for record in batch]
+    return _records(packed, cfg.parallel)
+
+
+def _records(packed: list[tuple], parallel: int) -> Iterator[dict]:
+    if parallel == 1 or len(packed) < 2:
+        for args in packed:
+            yield from _check_case_packed(args)
+        return
+    # imported here, so that a serial run never loads multiprocessing
+    from multiprocessing import Pool
+
+    chunk = max(1, len(packed) // (4 * parallel))
+    with Pool(parallel) as pool:
+        for batch in pool.imap(_check_case_packed, packed, chunksize=chunk):
+            yield from batch
+
+
+def run_sweep(cfg: SweepConfig) -> list[dict]:
+    """All records of ``sweep(cfg)``, as a list."""
+    return list(sweep(cfg))
 
 
 def summarize(records: list[dict]) -> dict[str, int]:
@@ -670,4 +688,5 @@ __all__ = [
     "random_corpus",
     "run_sweep",
     "summarize",
+    "sweep",
 ]

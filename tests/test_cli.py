@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from numsgps import cli, progressions, verify
+from numsgps import TheoremViolationError, cli, progressions, verify
 from numsgps.quotient import quotient
 
 
@@ -124,7 +125,7 @@ def test_bad_out_path_fails_before_any_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran before opening --out")
 
-    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "sweep", no_work)
     monkeypatch.setattr(cli, "quotient", no_work)
     target = str(tmp_path / "missing" / "x")
     for argv in (
@@ -210,12 +211,31 @@ def test_verify_json_round_trips_byte_identical(capsys):
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
+# A grid for every verify id, large enough that --parallel 2 and 3 cut it
+# into several chunks.
+CLI_GRIDS = {
+    "theorem-main": "--cases 10 --max-gen 20 --d-max 3",
+    "ed2-closed-form": "--max 12 --d-max 4",
+    "sylvester": "--max 12",
+    "d2-constant": "--d-max 4 --max 40 --samples 3",
+    "quasipoly": "--k-list 1,2 --d-max 3 --a-max 30",
+    "strazzanti": "--cases 20 --max-gen 20 --d-max 4",
+    "ap3-symmetric": "--a-max 12 --k-max 3",
+    "ap3-even-d": "--a-max 16 --k-max 3",
+    "ap3-odd-a": "--a-max 16 --k-max 3",
+    "full-ap": "--a-max 12 --k-max 3",
+    "full-ap-dk": "--a-max 12 --k-max 3",
+    "root-identity": "--d-max 40",
+}
+
+
 def test_verify_output_independent_of_parallelism(capsys):
-    args = ("verify", "theorem-main", "--cases", "10", "--max-gen", "20",
-            "--d-max", "3", "--format", "json")
-    _, serial, _ = run_cli(capsys, *args, "--parallel", "1")
-    _, threaded, _ = run_cli(capsys, *args, "--parallel", "2")
-    assert serial == threaded
+    assert set(CLI_GRIDS) == set(verify.THEOREM_IDS)
+    for theorem, grid in CLI_GRIDS.items():
+        for fmt in ("json", "csv", "table"):
+            args = ("verify", theorem, *grid.split(), "--format", fmt)
+            runs = {run_cli(capsys, *args, "--parallel", p) for p in ("1", "2", "3")}
+            assert len(runs) == 1, (theorem, fmt)
 
 
 def test_verify_seed_changes_cases(capsys):
@@ -237,6 +257,68 @@ def test_verify_out_file(tmp_path, capsys):
     assert len(lines) == 29
     assert all(json.loads(line)["status"] == "match" for line in lines)
     assert "# seed 0" in err
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_verify_writes_records_in_64k_blocks(monkeypatch):
+    for argv in (
+        ["verify", "sylvester", "--max", "100"],  # table: header and summary on stdout
+        ["verify", "sylvester", "--max", "60", "--format", "csv"],
+    ):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 0
+        size = len(stdout.getvalue().encode())
+        assert size > 65536, argv
+        assert stdout.writes <= -(-size // 65536) + 2, (argv, stdout.writes)
+
+
+def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatch):
+    argv = ("verify", "sylvester", "--max", "5")  # 10 cases: chunks of 1 at --parallel 2
+    clean = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "table")}
+    identity = verify.IDENTITIES["sylvester"]
+    third = identity.cases(verify.SweepConfig("sylvester", max_value=5).resolved())[2]
+
+    def failing(case, tolerance, inject):
+        if case == third:
+            raise TheoremViolationError(f"planted failure at {case}")
+        return identity.check(case, tolerance, inject)
+
+    # a forked pool worker sees the patched registry too
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", replace(identity, check=failing))
+    failure = f"identity failure: planted failure at {third}"
+    for parallel in ("1", "2"):
+        for fmt, kept in (("json", 2), ("table", 3)):  # the table's seed header is on stdout
+            code, out, err = run_cli(capsys, *argv, "--format", fmt, "--parallel", parallel)
+            assert code == 1, (parallel, fmt)
+            assert out == "".join(clean[fmt].splitlines(keepends=True)[:kept]), (parallel, fmt)
+            assert err.splitlines()[-1] == failure
+            assert "match" not in err  # no summary line
+        target = tmp_path / f"records-{parallel}.json"
+        code, out, err = run_cli(
+            capsys, *argv, "--format", "json", "--parallel", parallel, "--out", str(target)
+        )
+        assert (code, out, err.splitlines()[-1]) == (1, "", failure)
+        assert target.read_text() == "".join(clean["json"].splitlines(keepends=True)[:2])
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, numsgps.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_verify_csv_parses(capsys):
@@ -315,6 +397,23 @@ def test_sweep_open_problem(capsys):
     for record in records:
         oracle = record["oracle"]
         assert oracle["two_g_minus_f"] == 2 * oracle["genus"] - oracle["frobenius"]
+
+
+def test_pmd_and_open_problem_sweep_refuse_unbounded_work(capsys):
+    for argv in (
+        ("pmd", "3", "2000000", "2"),  # the scan would run to 5,000,002
+        ("pmd", "3", "100000", "2"),  # multiplicity 33,334: 1.1e9 steps to check
+        # building <a, ..., a + ell k> takes a(ell + 1) = 50,010,000 steps
+        ("sweep-open-problem", "--a", "10000", "--k", "1", "--ell", "5000", "--d", "2..3"),
+        # F = 3,332,999: twenty quotients from d = 1 scan up to 66,660,000 values
+        ("sweep-open-problem", "--a", "2000", "--k", "1001", "--ell", "3", "--d", "1..20"),
+        ("sweep-open-problem", "--a", "12", "--k", "1", "--ell", "4", "--d", "1..10000000000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
+        assert time.perf_counter() - start < 5, argv
 
 
 def test_corpus_sweep_with_max_gen_two_exits_two_promptly(capsys):

@@ -22,6 +22,7 @@ from numsgps import (
     open_problem_sweep,
     quotient,
 )
+from numsgps.progressions import full_ap_quotient_generators
 
 
 def test_ap3_symmetry_rule_small_cases():
@@ -151,6 +152,15 @@ def test_full_ap_quotient_is_full_progression():
     assert list(Q.minimal_generators) == [3, 8, 13]
     base = from_generators([12 + 5 * i for i in range(12)])
     assert Q == quotient(base, 4)
+    # the predicted list is already minimal, so it needs no canonical form
+    for a in range(1, 25):
+        for k in range(1, 8):
+            if math.gcd(a, k) != 1:
+                continue
+            base = from_generators([a + i * k for i in range(a)])
+            for d in (d for d in range(1, a + 1) if a % d == 0):
+                expected = quotient(base, d).minimal_generators
+                assert full_ap_quotient_generators(FullApSpec(a, k), d) == expected, (a, k, d)
 
 
 def test_full_ap_divisor_identity_closed_form():

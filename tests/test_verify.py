@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from numsgps import PreconditionError, ResourceLimitError, cli, from_generators, quotient
+from numsgps import PreconditionError, ResourceLimitError, cli, from_generators, quotient, verify
 from numsgps.verify import (
     IDENTITIES,
     MATCH,
@@ -18,6 +18,7 @@ from numsgps.verify import (
     random_corpus,
     run_sweep,
     summarize,
+    sweep,
 )
 from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
 
@@ -95,6 +96,31 @@ def test_results_independent_of_parallelism():
         assert serial == parallel, theorem
 
 
+def test_sweep_yields_each_record_once_its_case_is_checked(monkeypatch):
+    cfg = small_config("sylvester")
+    expected = run_sweep(cfg)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_case(*args)
+
+    monkeypatch.setattr(verify, "check_case", counting)
+    records = sweep(cfg)
+    assert calls == []
+    assert next(records) == expected[0]
+    assert len(calls) == 1
+    assert [expected[0], *records] == expected
+    assert len(calls) == len(expected)
+
+
+def test_sweep_refuses_a_grid_before_it_returns():
+    with pytest.raises(ResourceLimitError):
+        sweep(SweepConfig(theorem="root-identity", d_max=10**12))
+    with pytest.raises(PreconditionError):
+        sweep(SweepConfig(theorem="sylvester", max_value=0))
+
+
 def test_corpus_is_seed_deterministic():
     a = random_corpus(7, 30, 40)
     b = random_corpus(7, 30, 40)
@@ -148,6 +174,18 @@ def test_full_ap_dk_sweep_builds_each_semigroup_once(round_robin_calls):
     records = run_sweep(small_config("full-ap-dk"))
     assert len(records) == 120
     assert len(round_robin_calls) == len({(r["params"]["a"], r["params"]["k"]) for r in records}) == 65
+
+
+def test_full_ap_sweep_takes_the_closed_form_generators_as_they_are(round_robin_calls):
+    """One round robin builds each progression and one finds the minimal
+    generators of each brute-force quotient by d >= 2 (by 1 it is S); the
+    predicted generators of the closed form need none."""
+    _sg.cache_clear()
+    records = run_sweep(small_config("full-ap"))
+    built = {(r["params"]["a"], r["params"]["k"]) for r in records}
+    divided = [r for r in records if r["status"] != SKIPPED and r["params"]["d"] >= 2]
+    assert (len(records), len(built), len(divided)) == (196, 65, 66)
+    assert len(round_robin_calls) == len(built) + len(divided) == 131
 
 
 def test_root_identity_d_max_is_bounded():
