@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable
 
@@ -398,7 +397,7 @@ def cmd_apery(args, out: _Output) -> int:
 
 def cmd_verify(args, out: _Output) -> int:
     # every field of the config has an option of the same name
-    config = SweepConfig(**{field.name: getattr(args, field.name) for field in fields(SweepConfig)})
+    config = SweepConfig(**{name: getattr(args, name) for name in SweepConfig._fields})
     records = sweep(config)  # a refused grid raises here, before any output
     counts = Counter()
 

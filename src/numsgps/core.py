@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Iterable
 
@@ -53,23 +53,18 @@ class ResourceLimitError(RuntimeError):
     """Instance exceeds the desk-scale size guards."""
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(namedtuple("AperySet", "modulus elements")):
     """Per-residue minima: ``elements[r]`` is the least member congruent to r mod n."""
 
-    modulus: int
-    elements: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GapClassCounts:
+class GapClassCounts(namedtuple("GapClassCounts", "d counts")):
     """Number of gaps in each residue class modulo d; ``counts[r]`` covers class r."""
 
-    d: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """Canonical form of a numerical semigroup.
 
@@ -81,9 +76,20 @@ class NumericalSemigroup:
     integers (empty complement).
     """
 
-    multiplicity: int
-    frobenius: int
-    apery: tuple[int, ...]
+    def __init__(self, multiplicity: int, frobenius: int, apery: tuple[int, ...]):
+        self.__dict__.update(multiplicity=multiplicity, frobenius=frobenius, apery=apery)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: NumericalSemigroup is immutable")
+
+    def _key(self) -> tuple:
+        return self.multiplicity, self.frobenius, self.apery
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -295,13 +301,13 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
 
     S is d-symmetric when F(S) - n is a member for every gap n that is a
     positive multiple of d.  d = 1 is ordinary symmetry (2g = F + 1).
+    The gap mask read at d, 2d, ... and at F - d, F - 2d, ... pairs each
+    n with F - n, so one AND of the two strides finds any pair of gaps.
     """
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"d must be a positive integer, got {d}")
-    F = S.frobenius
-    return all(
-        contains(S, F - n) for n in range(d, F + 1, d) if not contains(S, n)
-    )
+    mask, F = S._gap_mask(), S.frobenius  # for d > F, mask[d::d] is empty: d-symmetric
+    return not int.from_bytes(mask[d::d], "big") & int.from_bytes(mask[F - d :: -d], "big")
 
 
 def gap_residue_counts(S: NumericalSemigroup, d: int) -> list[int]:

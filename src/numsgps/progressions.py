@@ -18,7 +18,7 @@ helper tabulates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     NumericalSemigroup,
@@ -31,29 +31,32 @@ from .quotient import quotient
 from .roots import MAX_ROOT_WORK
 
 
-@dataclass(frozen=True)
-class Ap3Spec:
+def _validated(spec):
+    """``spec`` once its fields are positive integers and gcd(a, k) = 1."""
+    for name, v in zip(spec._fields, spec):
+        if not isinstance(v, int) or v < 1:
+            raise PreconditionError(f"{name} must be a positive integer, got {v}")
+    if math.gcd(spec.a, spec.k) != 1:
+        raise PreconditionError(
+            f"a and k must be coprime, got gcd({spec.a}, {spec.k}) = {math.gcd(spec.a, spec.k)}"
+        )
+    return spec
+
+
+class Ap3Spec(namedtuple("Ap3Spec", "a k d")):
     """Parameters (a, k, d) for <a, a+k, a+2k> and a divisor d of a.
 
     Derived: s = a/d and t = floor(d/2), so d = 2t for even d and
     d = 2t + 1 for odd d.
     """
 
-    a: int
-    k: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "k", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise PreconditionError(f"{name} must be a positive integer, got {v}")
-        if math.gcd(self.a, self.k) != 1:
-            raise PreconditionError(
-                f"a and k must be coprime, got gcd({self.a}, {self.k}) = {math.gcd(self.a, self.k)}"
-            )
-        if self.a % self.d:
-            raise PreconditionError(f"d = {self.d} must divide a = {self.a}")
+    def __new__(cls, a: int, k: int, d: int):
+        spec = _validated(super().__new__(cls, a, k, d))
+        if a % d:
+            raise PreconditionError(f"d = {d} must divide a = {a}")
+        return spec
 
     @property
     def s(self) -> int:
@@ -64,22 +67,13 @@ class Ap3Spec:
         return self.d // 2
 
 
-@dataclass(frozen=True)
-class FullApSpec:
+class FullApSpec(namedtuple("FullApSpec", "a k")):
     """Parameters (a, k) for the full progression <a, a+k, ..., a+(a-1)k>."""
 
-    a: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise PreconditionError(f"{name} must be a positive integer, got {v}")
-        if math.gcd(self.a, self.k) != 1:
-            raise PreconditionError(
-                f"a and k must be coprime, got gcd({self.a}, {self.k}) = {math.gcd(self.a, self.k)}"
-            )
+    def __new__(cls, a: int, k: int):
+        return _validated(super().__new__(cls, a, k))
 
     def semigroup(self) -> NumericalSemigroup:
         return from_generators([self.a + i * self.k for i in range(self.a)])

@@ -21,6 +21,7 @@ from .core import (
     _complement,
     contains,
     gap_residue_counts,
+    is_d_symmetric,
 )
 
 
@@ -58,11 +59,11 @@ def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
         raise PreconditionError(
             "the semigroup of all nonnegative integers has no proper quotient structure here"
         )
-    for n in range(d, F + 1, d):
-        if not contains(S, n) and not contains(S, F - n):
-            raise PreconditionError(
-                f"{S} is not {d}-symmetric: gap {n} has F - {n} = {F - n} outside the semigroup"
-            )
+    if not is_d_symmetric(S, d):
+        n = next(n for n in range(d, F + 1, d) if not contains(S, n) and not contains(S, F - n))
+        raise PreconditionError(
+            f"{S} is not {d}-symmetric: gap {n} has F - {n} = {F - n} outside the semigroup"
+        )
     x = F % d
     while not contains(S, x):
         x += d

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -44,8 +44,7 @@ IDENTITY_TOLERANCE = 1e-9
 MAX_ROOT_WORK = 50_000_000
 
 
-@dataclass(frozen=True)
-class QuasipolynomialFit:
+class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_constant")):
     """Exact quadratic fits of a -> g(<a, a+k>/d) on residue classes mod d.
 
     ``per_class`` maps a residue r to coefficients (c2, c1, c0) with
@@ -54,10 +53,7 @@ class QuasipolynomialFit:
     g(<a,b>/d) = (a-1)(b-1)/(2d) + C.
     """
 
-    d: int
-    k: int
-    per_class: dict[int, tuple[Fraction, Fraction, Fraction]]
-    cabd_constant: dict[tuple[int, int], Fraction]
+    __slots__ = ()
 
 
 def _require_positive(name: str, value: int) -> None:
@@ -106,16 +102,10 @@ def root_of_unity_identity_check(d: int) -> float:
     Returns max(|real - (d-1)/2|, |imag|); exact pairing of conjugate
     roots makes the true value (d-1)/2, so this measures float error only.
     """
-    total = _root_identity_sum(d)
-    return max(abs(total.real - (d - 1) / 2), abs(total.imag))
-
-
-def _root_identity_sum(d: int) -> complex:
     if not isinstance(d, int) or d < 2:
         raise PreconditionError(f"d must be an integer >= 2, got {d}")
-    return sum(
-        1 / (1 - cmath.exp(2j * cmath.pi * n / d)) for n in range(1, d)
-    )
+    total = sum(1 / (1 - cmath.exp(2j * cmath.pi * n / d)) for n in range(1, d))
+    return max(abs(total.real - (d - 1) / 2), abs(total.imag))
 
 
 def genus_quotient_via_roots(

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
     NumericalSemigroup,
@@ -67,27 +67,18 @@ MISMATCH = "mismatch"
 SKIPPED = "skipped-precondition"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple(
+    "SweepConfig",
+    "theorem seed cases max_gen max_value d_max a_max k_max k_list samples tolerance parallel"
+    " inject_offby1", defaults=(0,) + (None,) * 9 + (1, False),
+)):
     """Grid parameters for one verification sweep.
 
     Fields left as ``None`` pick up the per-theorem defaults in
     ``resolved``; fields irrelevant to the chosen theorem stay ``None``.
     """
 
-    theorem: str
-    seed: int = 0
-    cases: int | None = None
-    max_gen: int | None = None
-    max_value: int | None = None
-    d_max: int | None = None
-    a_max: int | None = None
-    k_max: int | None = None
-    k_list: tuple[int, ...] | None = None
-    samples: int | None = None
-    tolerance: float | None = None
-    parallel: int = 1
-    inject_offby1: bool = False
+    __slots__ = ()
 
     def resolved(self) -> "SweepConfig":
         """A copy with defaults filled in and every field validated."""
@@ -97,7 +88,7 @@ class SweepConfig:
             for name, value in identity.defaults.items()
             if getattr(self, name) is None
         }
-        cfg = replace(self, **filled)
+        cfg = self._replace(**filled)
         for name in ("cases", "max_gen", "max_value", "d_max", "a_max", "k_max", "samples"):
             value = getattr(cfg, name)
             if value is not None and value < 1:
@@ -239,6 +230,15 @@ def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
         if math.gcd(a, b) == 1
         for d in range(2, cfg.d_max + 1)
     ]
+
+
+def _ed2_cost(cfg: SweepConfig) -> int:
+    """A step per case plus the quotient scans: <a, b>/d scans fewer than ab/d
+    values, and 1/d summed over 2 <= d <= d_max is at most floor(log2 d_max),
+    one per block [2^i, 2^(i+1)).  The closed form's O(a) sum is not counted."""
+    m = cfg.max_value
+    products = ((m * (m + 1) // 2) ** 2 - m * (m + 1) * (2 * m + 1) // 6) // 2  # ab over a < b
+    return (cfg.d_max - 1) * m * (m - 1) // 2 + products * (cfg.d_max.bit_length() - 1)
 
 
 def _ed2_skip(a: int, b: int, d: int) -> str | None:
@@ -500,8 +500,9 @@ def _no_case(S: NumericalSemigroup, d: int) -> None:
     return None
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(namedtuple(
+    "Identity", "defaults cases check case_of entries cost", defaults=(_no_case, None, None)
+)):
     """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
     the grid, and ``check(case, tolerance, inject)`` returns its records.
 
@@ -515,12 +516,7 @@ class Identity:
     refused before any case is built.
     """
 
-    defaults: dict[str, object]
-    cases: Callable[[SweepConfig], list[tuple]]
-    check: Callable[[tuple, float | None, bool], list[dict]]
-    case_of: Callable[[NumericalSemigroup, int], tuple | None] = _no_case
-    entries: Callable[..., dict[str, dict]] | None = None
-    cost: Callable[[SweepConfig], int] | None = None
+    __slots__ = ()
 
 
 _AK_GRID = {"a_max": 120, "k_max": 20}
@@ -561,9 +557,14 @@ IDENTITIES: dict[str, Identity] = {
         _corpus_cases, _check_theorem_main, _any_case, _theorem_main_entries,
     ),
     "ed2-closed-form": Identity(
-        {"max_value": 60, "d_max": 12}, _ed2_cases, _check_ed2, _ed2_case, _ed2_entries
+        {"max_value": 60, "d_max": 12}, _ed2_cases, _check_ed2, _ed2_case, _ed2_entries,
+        cost=_ed2_cost,
     ),
-    "sylvester": Identity({"max_value": 100}, _sylvester_cases, _check_sylvester),
+    "sylvester": Identity(
+        {"max_value": 100}, _sylvester_cases, _check_sylvester,
+        # building <a, b> takes O(a) steps, summed over a <= b <= max_value
+        cost=lambda cfg: cfg.max_value * (cfg.max_value + 1) * (cfg.max_value + 2) // 6,
+    ),
     "d2-constant": Identity(
         {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant
     ),
@@ -629,8 +630,13 @@ def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool)
     return _identity(theorem).check(case, tolerance, inject)
 
 
-def _check_case_packed(args: tuple) -> list[dict]:
-    return check_case(*args)
+def _check_case_caught(args: tuple) -> list[dict] | Exception:
+    """``check_case`` in a pool worker: a case that raises returns its exception,
+    so the records of the cases before it in its chunk still come back."""
+    try:
+        return check_case(*args)
+    except Exception as exc:
+        return exc
 
 
 def sweep(cfg: SweepConfig) -> Iterator[dict]:
@@ -640,7 +646,8 @@ def sweep(cfg: SweepConfig) -> Iterator[dict]:
     The config is resolved and the case list built before this returns,
     so a refused grid raises here, before any record exists.  Each record
     is yielded as soon as its case and every earlier one are checked; an
-    exception inside a case ends the stream at that case.
+    exception inside a case ends the stream at that case, at any
+    parallelism degree.
     """
     cfg = cfg.resolved()
     cases = build_cases(cfg)
@@ -651,14 +658,16 @@ def sweep(cfg: SweepConfig) -> Iterator[dict]:
 def _records(packed: list[tuple], parallel: int) -> Iterator[dict]:
     if parallel == 1 or len(packed) < 2:
         for args in packed:
-            yield from _check_case_packed(args)
+            yield from check_case(*args)
         return
     # imported here, so that a serial run never loads multiprocessing
     from multiprocessing import Pool
 
     chunk = max(1, len(packed) // (4 * parallel))
     with Pool(parallel) as pool:
-        for batch in pool.imap(_check_case_packed, packed, chunksize=chunk):
+        for batch in pool.imap(_check_case_caught, packed, chunksize=chunk):
+            if isinstance(batch, Exception):
+                raise batch
             yield from batch
 
 

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from numsgps import TheoremViolationError, cli, progressions, verify
@@ -294,7 +293,7 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
         return identity.check(case, tolerance, inject)
 
     # a forked pool worker sees the patched registry too
-    monkeypatch.setitem(verify.IDENTITIES, "sylvester", replace(identity, check=failing))
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
     failure = f"identity failure: planted failure at {third}"
     for parallel in ("1", "2"):
         for fmt, kept in (("json", 2), ("table", 3)):  # the table's seed header is on stdout
@@ -311,6 +310,23 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
         assert target.read_text() == "".join(clean["json"].splitlines(keepends=True)[:2])
 
 
+def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, monkeypatch):
+    argv = ("verify", "sylvester", "--max", "30", "--format", "json")  # chunks of 34 at 2
+    identity = verify.IDENTITIES["sylvester"]
+    cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
+    assert len(cases) // (4 * 2) == 34
+
+    def failing(case, tolerance, inject):
+        if case == cases[2]:
+            raise TheoremViolationError(f"planted failure at {case}")
+        return identity.check(case, tolerance, inject)
+
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
+    serial = run_cli(capsys, *argv, "--parallel", "1")
+    assert serial[0] == 1 and len(serial[1].splitlines()) == 2
+    assert run_cli(capsys, *argv, "--parallel", "2") == serial
+
+
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = "import sys, numsgps.cli; print('multiprocessing' in sys.modules)"
@@ -319,6 +335,18 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses pulls in inspect, which pulls in ast, dis, tokenize and linecache
+    src = str(Path(cli.__file__).resolve().parents[1])
+    names = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"]
+    probe = f"import sys, numsgps.cli; print([n for n in {names!r} if n in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_verify_csv_parses(capsys):

@@ -12,6 +12,7 @@ from numsgps import (
     from_generators,
     gap_class_counts,
     genus_quotient_via_roots,
+    is_d_symmetric,
     quotient,
     semigroup_polynomial_coeffs,
 )
@@ -20,6 +21,8 @@ from oracles import (
     minimal_generators_by_enumeration,
     minimal_generators_from_gaps,
     quotient_gaps,
+    sieve_invariants,
+    sieve_members,
 )
 
 # A fixed example sequence, so the suite runs the same cases every time.
@@ -42,6 +45,20 @@ def test_minimal_generators_match_enumeration(gens):
 def test_from_gaps_round_trip(gens):
     S = from_generators(gens)
     assert from_gaps(S.gaps) == S
+
+
+@fixed
+@given(generator_sets)
+def test_d_symmetry_matches_definition(gens):
+    S = from_generators(gens)
+    frobenius = sieve_invariants(gens)[0]
+    member = sieve_members(sorted(set(gens)), max(frobenius, 0))
+    for d in range(1, frobenius + 2):
+        # every gap n that is a positive multiple of d has F - n in S
+        expected = all(
+            member[frobenius - n] for n in range(d, frobenius + 1, d) if not member[n]
+        )
+        assert is_d_symmetric(S, d) == expected, d
 
 
 @fixed

@@ -167,6 +167,27 @@ def test_quasipoly_work_is_bounded():
         fit_quasipolynomial(1, 2, (1, 10_000))
 
 
+def test_sylvester_and_ed2_work_is_bounded():
+    # sylvester builds <a, b> in O(a) steps for every a <= b <= max_value
+    largest = max(m for m in range(660, 680) if m * (m + 1) * (m + 2) // 6 <= MAX_ROOT_WORK)
+    assert SweepConfig(theorem="sylvester", max_value=largest).resolved()
+    # ed2 adds one step per case to the quotient scans, fewer than ab/d values each
+    assert SweepConfig(theorem="ed2-closed-form", max_value=100).resolved()
+    for theorem, grid in (
+        ("sylvester", dict(max_value=largest + 1)),
+        ("sylvester", dict(max_value=10**9)),
+        ("ed2-closed-form", dict(max_value=120)),
+        ("ed2-closed-form", dict(d_max=10**6)),
+    ):
+        with pytest.raises(ResourceLimitError):
+            sweep(SweepConfig(theorem=theorem, **grid))
+    # the default grids, and the ones the benchmark passes, stay accepted
+    for theorem in THEOREM_IDS:
+        assert SweepConfig(theorem=theorem).resolved()
+    assert SweepConfig(theorem="ed2-closed-form", max_value=12, d_max=5).resolved()
+    assert SweepConfig(theorem="sylvester", max_value=15).resolved()
+
+
 def test_full_ap_dk_sweep_builds_each_semigroup_once(round_robin_calls):
     """The quotients of a sweep run no round robin; only the construction
     of each progression does."""
