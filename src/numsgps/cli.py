@@ -335,7 +335,6 @@ class _Output:
 
 def cmd_invariants(args, out: _Output) -> int:
     S = from_generators(args.gens)
-    ap = apery_set(S, S.multiplicity)
     report = {
         "generators": list(S.minimal_generators),
         "multiplicity": S.multiplicity,
@@ -344,7 +343,7 @@ def cmd_invariants(args, out: _Output) -> int:
         "genus": S.genus,
         "conductor": S.conductor,
         "gaps": list(S.gaps),
-        "apery_at_multiplicity": list(ap.elements),
+        "apery_at_multiplicity": list(S.apery),
         "symmetric": is_d_symmetric(S, 1),
         "d_symmetric": {str(d): is_d_symmetric(S, d) for d in range(2, 11)},
     }
@@ -387,7 +386,7 @@ def cmd_apery(args, out: _Output) -> int:
     report = {
         "generators": list(S.minimal_generators),
         "n": n,
-        "apery": list(ap.elements),
+        "apery": list(ap),
         "frobenius": frobenius,
         "genus": genus,
     }

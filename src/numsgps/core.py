@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import namedtuple
 from functools import cached_property
 from typing import Iterable
 
@@ -51,18 +50,6 @@ class PrecisionLossError(ArithmeticError):
 
 class ResourceLimitError(RuntimeError):
     """Instance exceeds the desk-scale size guards."""
-
-
-class AperySet(namedtuple("AperySet", "modulus elements")):
-    """Per-residue minima: ``elements[r]`` is the least member congruent to r mod n."""
-
-    __slots__ = ()
-
-
-class GapClassCounts(namedtuple("GapClassCounts", "d counts")):
-    """Number of gaps in each residue class modulo d; ``counts[r]`` covers class r."""
-
-    __slots__ = ()
 
 
 class NumericalSemigroup:
@@ -267,8 +254,9 @@ def contains(S: NumericalSemigroup, x: int) -> bool:
     return x >= S.apery[x % S.multiplicity]
 
 
-def apery_set(S: NumericalSemigroup, n: int) -> AperySet:
-    """Ap(S, n) = {s in S : s - n not in S}, as per-residue least members."""
+def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
+    """Ap(S, n) = {s in S : s - n not in S}, as per-residue least members:
+    entry r is the least member congruent to r mod n."""
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"Apery modulus must be a positive integer, got {n}")
     if not contains(S, n):
@@ -276,19 +264,20 @@ def apery_set(S: NumericalSemigroup, n: int) -> AperySet:
     if n > MAX_APERY_MODULUS:
         raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_APERY_MODULUS}")
     if n == S.multiplicity:
-        return AperySet(n, S.apery)
-    return AperySet(n, _round_robin(S.minimal_generators, n)[0])
+        return S.apery
+    return _round_robin(S.minimal_generators, n)[0]
 
 
-def invariants_from_apery(ap: AperySet) -> tuple[int, int]:
-    """(Frobenius number, genus) from one Apery set.
+def invariants_from_apery(elements: tuple[int, ...]) -> tuple[int, int]:
+    """(Frobenius number, genus) from one Apery set, given as per-residue
+    least members, so that its modulus n is its length.
 
     F(S) = max(Ap) - n and g(S) = sum(Ap)/n - (n-1)/2; the genus is computed
     in scaled integer arithmetic and must come out integral.
     """
-    n = ap.modulus
-    frobenius = max(ap.elements) - n
-    doubled = 2 * sum(ap.elements) - n * (n - 1)
+    n = len(elements)
+    frobenius = max(elements) - n
+    doubled = 2 * sum(elements) - n * (n - 1)
     if doubled % (2 * n):
         raise TheoremViolationError(
             f"genus from Apery set mod {n} is not an integer; the table is corrupted"

@@ -75,16 +75,6 @@ class FullApSpec(namedtuple("FullApSpec", "a k")):
     def __new__(cls, a: int, k: int):
         return _validated(super().__new__(cls, a, k))
 
-    def semigroup(self) -> NumericalSemigroup:
-        return from_generators([self.a + i * self.k for i in range(self.a)])
-
-
-def ap3_semigroup(a: int, k: int) -> NumericalSemigroup:
-    """<a, a+k, a+2k> for coprime a, k."""
-    if math.gcd(a, k) != 1:
-        raise PreconditionError(f"a and k must be coprime, got gcd({a}, {k})")
-    return from_generators([a, a + k, a + 2 * k])
-
 
 def ap3_symmetric_iff_even(a: int, k: int) -> bool:
     """Predicted symmetry of <a, a+k, a+2k>: symmetric exactly when a is even.

@@ -8,19 +8,16 @@ directly (each class modulo the least non-gap starts just above its
 largest gap) with no closure check, since S/d is a semigroup by
 definition, and the minimal generators are left until they are read.
 The module also carries the Frobenius shortcut for d-symmetric
-semigroups and the per-residue gap census that underlies the
-root-of-unity genus formula.
+semigroups.
 """
 
 from __future__ import annotations
 
 from .core import (
-    GapClassCounts,
     NumericalSemigroup,
     PreconditionError,
     _complement,
     contains,
-    gap_residue_counts,
     is_d_symmetric,
 )
 
@@ -70,18 +67,7 @@ def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
     return (F - x) // d
 
 
-def gap_class_counts(S: NumericalSemigroup, d: int) -> GapClassCounts:
-    """Census of the gaps of S by residue class modulo d.
-
-    The counts sum to g(S), and the class-0 count is exactly g(S/d): gaps
-    of the quotient correspond one-to-one to gaps of S divisible by d.
-    """
-    counts = gap_residue_counts(S, d)
-    return GapClassCounts(d, tuple(counts) + (0,) * (d - len(counts)))
-
-
 __all__ = [
     "quotient",
     "frobenius_quotient_dsymmetric",
-    "gap_class_counts",
 ]

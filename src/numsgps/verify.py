@@ -6,9 +6,11 @@ which evaluates the closed form on one side and an independent
 brute-force computation on the other and returns records.  The seven
 identities about a quotient S/d also read their case off (S, d) alone
 (``case_of``, None when the hypotheses fail) and fill the formula entries
-of a ``numsgps quotient`` report from S, d and the brute-force quotient
-(``entries``); the command line loops over the registry and knows no
-identity of its own.
+of a ``numsgps quotient`` report (``entries``).  Each of them is written
+once, as a function ``sides(case, S, Q)`` of the semigroup and its
+brute-force quotient, from which ``_about_quotient`` derives both its
+check and its report entries; the command line loops over the registry
+and knows no identity of its own.
 
 Records are plain dicts with keys ``theorem``, ``params``, ``formula``,
 ``oracle``, ``status`` and ``residual`` so they serialize directly to
@@ -17,7 +19,8 @@ at the first failure: the caller decides what to do with mismatches.
 
 The ``inject_offby1`` switch deliberately perturbs the formula side of
 every record by one (flipping booleans) so that the surrounding tooling
-can prove it would notice a wrong closed form.
+can prove it would notice a wrong closed form; for an identity about S/d
+the genus, or the lone value, is the number that moves.
 """
 
 from __future__ import annotations
@@ -161,15 +164,6 @@ def _compared(theorem: str, params: dict, formula, oracle) -> list[dict]:
     return [_record(theorem, params, formula, oracle, status)]
 
 
-def _entry(formula, oracle) -> dict:
-    """One formula entry of a ``quotient`` report."""
-    return {"formula": formula, "oracle": oracle, "match": formula == oracle}
-
-
-def _invariants(Q: NumericalSemigroup) -> list[int]:
-    return [Q.frobenius, Q.genus]
-
-
 def _corpus_cases(cfg: SweepConfig) -> list[tuple]:
     return [
         (gens, d)
@@ -195,31 +189,13 @@ def _full_ap(a: int, k: int) -> tuple[int, ...]:
     return tuple(a + i * k for i in range(a))
 
 
-def _check_theorem_main(case, tolerance, inject):
-    gens, d = case
-    S = _sg(gens)
-    value, residual = _genus_via_roots_residual(S, d)
-    formula = value + (1 if inject else 0)
-    oracle = quotient(S, d).genus
-    status = MATCH if formula == oracle and residual <= tolerance else MISMATCH
-    params = {"gens": list(gens), "d": d}
-    return [_record("theorem-main", params, formula, oracle, status, residual)]
-
-
 def _any_case(S: NumericalSemigroup, d: int) -> tuple:
     return S.minimal_generators, d
 
 
-def _theorem_main_entries(case, S, Q, tolerance) -> dict:
+def _theorem_main_sides(case, S, Q):
     value, residual = _genus_via_roots_residual(S, case[-1])
-    return {
-        "genus-via-roots": {
-            "formula": value,
-            "oracle": Q.genus,
-            "match": value == Q.genus and residual <= tolerance,
-            "residual": residual,
-        }
-    }
+    return value, Q.genus, residual
 
 
 def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
@@ -249,17 +225,6 @@ def _ed2_skip(a: int, b: int, d: int) -> str | None:
     return None
 
 
-def _check_ed2(case, tolerance, inject):
-    a, b, d = case
-    params = {"a": a, "b": b, "d": d}
-    reason = _ed2_skip(a, b, d)
-    if reason:
-        params["reason"] = reason
-        return [_record("ed2-closed-form", params, None, None, SKIPPED)]
-    formula = genus_quotient_ed2_closed_form(a, b, d) + (1 if inject else 0)
-    return _compared("ed2-closed-form", params, formula, quotient(_sg((a, b)), d).genus)
-
-
 def _ed2_case(S: NumericalSemigroup, d: int) -> tuple | None:
     gens = S.minimal_generators
     if len(gens) == 2 and d >= 2 and _ed2_skip(*gens, d) is None:
@@ -267,8 +232,8 @@ def _ed2_case(S: NumericalSemigroup, d: int) -> tuple | None:
     return None
 
 
-def _ed2_entries(case, S, Q, tolerance) -> dict:
-    return {"ed2-genus": _entry(genus_quotient_ed2_closed_form(*case), Q.genus)}
+def _ed2_sides(case, S, Q):
+    return genus_quotient_ed2_closed_form(*case), Q.genus, None
 
 
 def _sylvester_cases(cfg: SweepConfig) -> list[tuple]:
@@ -364,18 +329,8 @@ def _dsymmetric_case(S: NumericalSemigroup, d: int) -> tuple | None:
     return None
 
 
-def _check_strazzanti(case, tolerance, inject):
-    gens, d = case
-    S = _sg(gens)
-    if _dsymmetric_case(S, d) is None:
-        return []
-    formula = frobenius_quotient_dsymmetric(S, d) + (1 if inject else 0)
-    return _compared("strazzanti", {"gens": list(gens), "d": d}, formula, quotient(S, d).frobenius)
-
-
-def _strazzanti_entries(case, S, Q, tolerance) -> dict:
-    formula = frobenius_quotient_dsymmetric(S, case[-1])
-    return {"dsymmetric-frobenius": _entry(formula, Q.frobenius)}
+def _strazzanti_sides(case, S, Q):
+    return frobenius_quotient_dsymmetric(S, case[-1]), Q.frobenius, None
 
 
 def _check_ap3_symmetric(case, tolerance, inject):
@@ -385,53 +340,28 @@ def _check_ap3_symmetric(case, tolerance, inject):
     return _compared("ap3-symmetric", {"a": a, "k": k}, formula, oracle)
 
 
-def _has_even_d_invariants(d: int) -> bool:
-    return d % 2 == 0 and d >= 4
+def _invariants(Q: NumericalSemigroup) -> dict:
+    return {"frobenius": Q.frobenius, "genus": Q.genus}
 
 
-def _check_ap3_even_d(case, tolerance, inject):
-    a, k, d = case
-    spec = Ap3Spec(a, k, d)
-    predicted = ap3_quotient_generators(spec)
-    Q = quotient(_sg(_ap3(a, k)), d)
-    formula = {"generators": list(predicted.minimal_generators), "symmetric": not inject}
-    oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
-    if _has_even_d_invariants(d):
-        f, g = ap3_even_d_invariants(spec)
-        formula["frobenius"] = f
-        formula["genus"] = g + (1 if inject else 0)
-        oracle["frobenius"] = Q.frobenius
-        oracle["genus"] = Q.genus
-    return _compared("ap3-even-d", {"a": a, "k": k, "d": d}, formula, oracle)
-
-
-def _ap3_even_d_entries(case, S, Q, tolerance) -> dict:
+def _ap3_even_d_sides(case, S, Q):
     spec = Ap3Spec(*case)
-    predicted = ap3_quotient_generators(spec).minimal_generators
-    entries = {
-        "ap3-quotient-generators": _entry(list(predicted), list(Q.minimal_generators))
-    }
-    if _has_even_d_invariants(spec.d):
-        invariants = list(ap3_even_d_invariants(spec))
-        entries["ap3-even-divisor-invariants"] = _entry(invariants, _invariants(Q))
-    return entries
+    predicted = ap3_quotient_generators(spec)
+    formula = {"generators": list(predicted.minimal_generators), "symmetric": True}
+    oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
+    if spec.d % 2 == 0 and spec.d >= 4:
+        f, g = ap3_even_d_invariants(spec)
+        formula.update(frobenius=f, genus=g)
+        oracle.update(_invariants(Q))
+    return formula, oracle, None
 
 
-def _check_ap3_odd_a(case, tolerance, inject):
-    a, k, d = case
-    f, g = ap3_odd_a_invariants(Ap3Spec(a, k, d))
-    s = a // d
-    Q = quotient(_sg(_ap3(a, k)), d)
-    formula = {"frobenius": f, "genus": g + (1 if inject else 0), "two_g_minus_f": (s + 1) // 2}
-    oracle = {
-        "frobenius": Q.frobenius, "genus": Q.genus, "two_g_minus_f": 2 * Q.genus - Q.frobenius
-    }
-    return _compared("ap3-odd-a", {"a": a, "k": k, "d": d}, formula, oracle)
-
-
-def _ap3_odd_a_entries(case, S, Q, tolerance) -> dict:
-    invariants = list(ap3_odd_a_invariants(Ap3Spec(*case)))
-    return {"ap3-odd-a-invariants": _entry(invariants, _invariants(Q))}
+def _ap3_odd_a_sides(case, S, Q):
+    spec = Ap3Spec(*case)
+    f, g = ap3_odd_a_invariants(spec)
+    formula = {"frobenius": f, "genus": g, "two_g_minus_f": (spec.s + 1) // 2}
+    oracle = {**_invariants(Q), "two_g_minus_f": 2 * Q.genus - Q.frobenius}
+    return formula, oracle, None
 
 
 def _full_ap_skip(a: int, k: int, d: int) -> str | None:
@@ -439,54 +369,30 @@ def _full_ap_skip(a: int, k: int, d: int) -> str | None:
     return "d = a gives the quotient N; closed form needs s >= 2" if d == a else None
 
 
-def _check_full_ap(case, tolerance, inject):
+def _full_ap_sides(case, S, Q):
     a, k, d = case
-    params = {"a": a, "k": k, "d": d}
-    reason = _full_ap_skip(a, k, d)
-    if reason:
-        params["reason"] = reason
-        return [_record("full-ap", params, None, None, SKIPPED)]
     spec = FullApSpec(a, k)
     f, g = full_ap_divisor_identity(spec, d)
-    Q = quotient(_sg(_full_ap(a, k)), d)
     formula = {
         "frobenius": f,
-        "genus": g + (1 if inject else 0),
+        "genus": g,
         "generators": list(full_ap_quotient_generators(spec, d)),
         "two_genus": Q.frobenius + a // d - 1,
     }
     oracle = {
-        "frobenius": Q.frobenius,
-        "genus": Q.genus,
+        **_invariants(Q),
         "generators": list(Q.minimal_generators),
         "two_genus": 2 * Q.genus,
     }
-    return _compared("full-ap", params, formula, oracle)
+    return formula, oracle, None
 
 
-def _full_ap_entries(case, S, Q, tolerance) -> dict:
-    a, k, d = case
-    spec = FullApSpec(a, k)
-    predicted = full_ap_quotient_generators(spec, d)
-    return {
-        "full-ap-generators": _entry(list(predicted), list(Q.minimal_generators)),
-        "full-ap-invariants": _entry(list(full_ap_divisor_identity(spec, d)), _invariants(Q)),
-    }
-
-
-def _check_full_ap_dk(case, tolerance, inject):
+def _full_ap_dk_sides(case, S, Q):
     a, k, d = case
     f, g = full_ap_d_divides_k(FullApSpec(a, k), d)
-    Q = quotient(_sg(_full_ap(a, k)), d)
-    formula = {"frobenius": f, "genus": g + (1 if inject else 0), "two_genus": Q.frobenius + a - 1}
-    oracle = {"frobenius": Q.frobenius, "genus": Q.genus, "two_genus": 2 * Q.genus}
-    return _compared("full-ap-dk", {"a": a, "k": k, "d": d}, formula, oracle)
-
-
-def _full_ap_dk_entries(case, S, Q, tolerance) -> dict:
-    a, k, d = case
-    invariants = list(full_ap_d_divides_k(FullApSpec(a, k), d))
-    return {"full-ap-dk-invariants": _entry(invariants, _invariants(Q))}
+    formula = {"frobenius": f, "genus": g, "two_genus": Q.frobenius + a - 1}
+    oracle = {**_invariants(Q), "two_genus": 2 * Q.genus}
+    return formula, oracle, None
 
 
 def _check_root_identity(case, tolerance, inject):
@@ -509,7 +415,9 @@ class Identity(namedtuple(
     For an identity about S/d, ``case_of(S, d)`` is the case that S and d
     are, or None when the hypotheses fail, and ``entries(case, S, Q,
     tolerance)`` maps report entry names to the formula, the oracle read
-    off the brute-force quotient Q, and whether they match.
+    off the brute-force quotient Q, and whether they match.  Both
+    ``check`` and ``entries`` are derived from one function of the
+    identity, ``sides(case, S, Q)``; see ``_about_quotient``.
 
     ``cost(cfg)``, where the grid alone can drive unbounded work, bounds
     that work in steps; a grid that costs more than ``MAX_ROOT_WORK`` is
@@ -519,10 +427,89 @@ class Identity(namedtuple(
     __slots__ = ()
 
 
+def _perturbed(formula):
+    """The formula side as ``--inject-offby1`` shows it: the lone value, or
+    the ``genus`` field, goes up by one, and every boolean flips."""
+    if not isinstance(formula, dict):
+        return formula + 1
+    return {
+        key: (not value) if isinstance(value, bool) else value + 1 if key == "genus" else value
+        for key, value in formula.items()
+    }
+
+
+def _shown(side, keys: tuple[str, ...]):
+    """What a report entry shows of one side: the lone value for no key,
+    the field for one key, the list of the fields for several."""
+    if not keys:
+        return side
+    return side[keys[0]] if len(keys) == 1 else [side[key] for key in keys]
+
+
+def _about_quotient(
+    theorem, sides, shown, *, defaults, cases, case_of, generators, params,
+    skip=None, recognised_only=False, cost=None,
+) -> Identity:
+    """An identity about S/d whose sweep records and report entries both
+    come from ``sides(case, S, Q)``.
+
+    ``sides`` returns the formula side, the oracle side read off the
+    brute-force quotient Q, and a float residual or None; the two sides
+    are two values, or two dicts with the same keys.  They match when
+    they are equal and the residual, if any, is within the tolerance.
+    ``shown`` maps each report entry name to the keys of the sides it
+    shows; an entry is left out when the formula lacks one of its keys.
+
+    In the sweep, S is built from ``generators(case)`` and the record
+    carries ``params(*case)``.  A case that ``skip`` gives a reason for is
+    reported as skipped without any work, and with ``recognised_only`` a
+    case that ``case_of`` does not recognise yields no record at all.
+    """
+
+    def within(residual, tolerance) -> bool:
+        return residual is None or residual <= tolerance
+
+    def check(case, tolerance, inject):
+        reason = skip(*case) if skip else None
+        if reason:
+            return [_record(theorem, {**params(*case), "reason": reason}, None, None, SKIPPED)]
+        S, d = _sg(generators(case)), case[-1]
+        if recognised_only and case_of(S, d) is None:
+            return []
+        formula, oracle, residual = sides(case, S, quotient(S, d))
+        if inject:
+            formula = _perturbed(formula)
+        status = MATCH if formula == oracle and within(residual, tolerance) else MISMATCH
+        return [_record(theorem, params(*case), formula, oracle, status, residual)]
+
+    def entries(case, S, Q, tolerance) -> dict:
+        formula, oracle, residual = sides(case, S, Q)
+        report = {}
+        for name, keys in shown.items():
+            if any(key not in formula for key in keys):
+                continue
+            entry = {"formula": _shown(formula, keys), "oracle": _shown(oracle, keys)}
+            entry["match"] = entry["formula"] == entry["oracle"] and within(residual, tolerance)
+            if residual is not None:
+                entry["residual"] = residual
+            report[name] = entry
+        return report
+
+    return Identity(defaults, cases, check, case_of, entries, cost)
+
+
+def _corpus_gens(case: tuple) -> tuple[int, ...]:
+    return case[0]
+
+
+def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
+    return {"gens": list(gens), "d": d}
+
+
 _AK_GRID = {"a_max": 120, "k_max": 20}
 
 
-def _progression(family, applies, check, entries, skip=None) -> Identity:
+def _progression(theorem, family, applies, sides, shown, skip=None) -> Identity:
     """An identity about S = family(a, k) with gcd(a, k) = 1, divided by d.
 
     Its grid and the case read off (S, d) share the hypothesis
@@ -548,17 +535,25 @@ def _progression(family, applies, check, entries, skip=None) -> Identity:
             return None
         return a, k, d
 
-    return Identity(_AK_GRID, cases, check, case_of, entries)
+    return _about_quotient(
+        theorem, sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
+        generators=lambda case: family(case[0], case[1]),
+        params=lambda a, k, d: {"a": a, "k": k, "d": d},
+        skip=skip,
+    )
 
 
 IDENTITIES: dict[str, Identity] = {
-    "theorem-main": Identity(
-        {"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
-        _corpus_cases, _check_theorem_main, _any_case, _theorem_main_entries,
+    "theorem-main": _about_quotient(
+        "theorem-main", _theorem_main_sides, {"genus-via-roots": ()},
+        defaults={"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
+        cases=_corpus_cases, case_of=_any_case, generators=_corpus_gens, params=_corpus_params,
     ),
-    "ed2-closed-form": Identity(
-        {"max_value": 60, "d_max": 12}, _ed2_cases, _check_ed2, _ed2_case, _ed2_entries,
-        cost=_ed2_cost,
+    "ed2-closed-form": _about_quotient(
+        "ed2-closed-form", _ed2_sides, {"ed2-genus": ()},
+        defaults={"max_value": 60, "d_max": 12}, cases=_ed2_cases, case_of=_ed2_case,
+        generators=lambda case: case[:2], params=lambda a, b, d: {"a": a, "b": b, "d": d},
+        skip=_ed2_skip, cost=_ed2_cost,
     ),
     "sylvester": Identity(
         {"max_value": 100}, _sylvester_cases, _check_sylvester,
@@ -572,9 +567,11 @@ IDENTITIES: dict[str, Identity] = {
         {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly,
         cost=lambda cfg: len(cfg.k_list) * cfg.d_max * _fit_work(1, cfg.a_max),
     ),
-    "strazzanti": Identity(
-        {"cases": 500, "max_gen": 60, "d_max": 10},
-        _corpus_cases, _check_strazzanti, _dsymmetric_case, _strazzanti_entries,
+    "strazzanti": _about_quotient(
+        "strazzanti", _strazzanti_sides, {"dsymmetric-frobenius": ()},
+        defaults={"cases": 500, "max_gen": 60, "d_max": 10}, cases=_corpus_cases,
+        case_of=_dsymmetric_case, generators=_corpus_gens, params=_corpus_params,
+        recognised_only=True,
     ),
     "ap3-symmetric": Identity(
         _AK_GRID,
@@ -582,19 +579,24 @@ IDENTITIES: dict[str, Identity] = {
         _check_ap3_symmetric,
     ),
     "ap3-even-d": _progression(
-        _ap3,
+        "ap3-even-d", _ap3,
         lambda a, k, d: a % d == 0 and d >= 3 and (d % 2 == 0 or a % 2 == 0),
-        _check_ap3_even_d, _ap3_even_d_entries,
+        _ap3_even_d_sides,
+        {"ap3-quotient-generators": ("generators",),
+         "ap3-even-divisor-invariants": ("frobenius", "genus")},
     ),
     "ap3-odd-a": _progression(
-        _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0, _check_ap3_odd_a, _ap3_odd_a_entries
+        "ap3-odd-a", _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0,
+        _ap3_odd_a_sides, {"ap3-odd-a-invariants": ("frobenius", "genus")},
     ),
     "full-ap": _progression(
-        _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _check_full_ap, _full_ap_entries,
+        "full-ap", _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_sides,
+        {"full-ap-generators": ("generators",), "full-ap-invariants": ("frobenius", "genus")},
         skip=_full_ap_skip,
     ),
     "full-ap-dk": _progression(
-        _full_ap, lambda a, k, d: a >= 2 and k % d == 0, _check_full_ap_dk, _full_ap_dk_entries
+        "full-ap-dk", _full_ap, lambda a, k, d: a >= 2 and k % d == 0,
+        _full_ap_dk_sides, {"full-ap-dk-invariants": ("frobenius", "genus")},
     ),
     "root-identity": Identity(
         {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
@@ -676,14 +678,6 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     return list(sweep(cfg))
 
 
-def summarize(records: list[dict]) -> dict[str, int]:
-    """Counts by status, with zero entries for the statuses not seen."""
-    counts = {MATCH: 0, MISMATCH: 0, SKIPPED: 0}
-    for record in records:
-        counts[record["status"]] = counts.get(record["status"], 0) + 1
-    return counts
-
-
 __all__ = [
     "IDENTITIES",
     "Identity",
@@ -696,6 +690,5 @@ __all__ = [
     "check_case",
     "random_corpus",
     "run_sweep",
-    "summarize",
     "sweep",
 ]

@@ -10,30 +10,30 @@ import math
 import time
 from fractions import Fraction
 
-from numsgps import (
-    cli,
+from numsgps import cli
+from numsgps.core import from_generators, is_d_symmetric
+from numsgps.quotient import frobenius_quotient_dsymmetric, quotient
+from numsgps.roots import (
+    _genus_via_roots_residual,
+    _pair_quotient_genus,
+    extract_cabd_constant,
+    fit_quasipolynomial,
+    genus_quotient_ed2_closed_form,
+    quasipoly_admissible_classes,
+    root_of_unity_identity_check,
+    sylvester_invariants,
+)
+from numsgps.progressions import (
     ap3_even_d_invariants,
     ap3_odd_a_invariants,
     ap3_quotient_generators,
-    ap3_semigroup,
     ap3_symmetric_iff_even,
     Ap3Spec,
-    extract_cabd_constant,
-    fit_quasipolynomial,
-    from_generators,
-    frobenius_quotient_dsymmetric,
     full_ap_d_divides_k,
     full_ap_divisor_identity,
     full_ap_quotient,
     FullApSpec,
-    genus_quotient_ed2_closed_form,
-    is_d_symmetric,
-    quasipoly_admissible_classes,
-    quotient,
-    root_of_unity_identity_check,
-    sylvester_invariants,
 )
-from numsgps.roots import _genus_via_roots_residual, _pair_quotient_genus
 from numsgps.verify import random_corpus
 
 _CORPUS_CACHE: dict = {}
@@ -187,7 +187,7 @@ def test_criterion_08_ap3_quotient_families():
         for k in range(1, 21):
             if math.gcd(a, k) != 1:
                 continue
-            base = ap3_semigroup(a, k)
+            base = from_generators([a, a + k, a + 2 * k])
             for d in range(3, a + 1):
                 if a % d:
                     continue
@@ -218,7 +218,7 @@ def test_criterion_09_ap3_symmetry_iff_even():
         for k in range(1, 21):
             if math.gcd(a, k) != 1:
                 continue
-            S = ap3_semigroup(a, k)
+            S = from_generators([a, a + k, a + 2 * k])
             if ap3_symmetric_iff_even(a, k) != is_d_symmetric(S, 1):
                 mismatches += 1
     _report(9, mismatches == 0, "a <= 120, k <= 20")
@@ -233,7 +233,7 @@ def test_criterion_10_full_progression_quotients():
             if math.gcd(a, k) != 1:
                 continue
             spec = FullApSpec(a, k)
-            base = spec.semigroup()
+            base = from_generators([a + i * k for i in range(a)])
             for d in range(1, a + 1):
                 if a % d == 0 and a // d >= 2:
                     checked += 1

@@ -9,7 +9,8 @@ import sys
 import time
 from pathlib import Path
 
-from numsgps import TheoremViolationError, cli, progressions, verify
+from numsgps import cli, progressions, verify
+from numsgps.core import TheoremViolationError
 from numsgps.quotient import quotient
 
 

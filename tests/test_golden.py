@@ -7,7 +7,9 @@ The theorem-main stream is also pinned with its float ``residual`` removed,
 so a change to the root evaluation can move the residuals but nothing else.
 ``numsgps quotient`` is pinned the same way, in json and in table form (the
 table shows the order of the formula entries), on inputs that together
-fill every formula entry of its report.
+fill every formula entry of its report.  The small grids of the sweep
+tests are pinned in the other output forms: table, csv, and json with
+``--inject-offby1``, which shows the perturbed formula side of every record.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pytest
 
 from numsgps import cli
 from numsgps.verify import THEOREM_IDS
+from test_verify import SMALL_GRIDS
 
 GOLDEN_SHA256 = {
     "theorem-main": "ace815dcbfaf1ca39ef86dd112c9092126863027b952cd788527116823a7fd5d",
@@ -42,6 +45,27 @@ THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256 = (
 
 QUOTIENT_SHA256 = "20f90c48c12a9819c74fa0d504261a7c7f21a36ff63c34e02ba1510470d63f63"
 
+SMALL_GRID_SHA256 = {
+    "theorem-main": "eb3bb3612003398b507cb123cde5cb00460cd4ff5bf12da95dabc3b75dec8edb",
+    "ed2-closed-form": "52ada863fa7eb3a1449a4cfee8015370ee43f9a9bcbd91c9c816cf47ce13367c",
+    "sylvester": "b00719c47f247d1454b41417911d905605b7f0cb13be3f4b2def33511c8e1e0e",
+    "d2-constant": "f21d213a3b3e70cc893cb0facaf368d50f34520941ae6f77b1df8d42e9e59857",
+    "quasipoly": "936510e27f4dea97a7334c9a39cf041efe3dfd578520b732496830b66efb5d71",
+    "strazzanti": "d62ea1eefa3202e86ed86aff8db74e1fd427d8719c89596c941d09f3ef88feab",
+    "ap3-symmetric": "a62d1daf159e3c076c3e60f6de746b32426527c572a872e5433bf51d96c594e5",
+    "ap3-even-d": "9dcfe8cbf20e2ceb635adf73c74b9cbe28768f131823199d4209abe5a90e71ef",
+    "ap3-odd-a": "75df4e254cbc6ba86dba32838abf503a8e1e66839955b4371afbcf5c069bc0a5",
+    "full-ap": "5a88b1d032b864aab47d92379ff62db58c008c5e83d8201e6161e2552016a12b",
+    "full-ap-dk": "12e978a2906b9232c366a5bbce29069bf2c483e91b955f6b68e34a07bbc1ad5e",
+    "root-identity": "42348ada80208372555e226a662a956a71827a5aa0e69879b3f457a9b82fb164",
+}
+
+SMALL_GRID_FORMS = (
+    ["--format", "table"],
+    ["--format", "csv"],
+    ["--format", "json", "--inject-offby1"],
+)
+
 QUOTIENT_INPUTS = (
     (6, 7, 8),
     (15, 17, 19),
@@ -55,7 +79,7 @@ QUOTIENT_INPUTS = (
 
 
 def test_every_theorem_id_is_pinned():
-    assert set(GOLDEN_SHA256) == set(THEOREM_IDS)
+    assert set(GOLDEN_SHA256) == set(SMALL_GRID_SHA256) == set(SMALL_GRIDS) == set(THEOREM_IDS)
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
@@ -64,6 +88,26 @@ def test_verify_json_matches_golden_hash(theorem, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[theorem]
+
+
+def _grid_options(grid: dict) -> list[str]:
+    options = []
+    for name, value in grid.items():
+        option = "--max" if name == "max_value" else "--" + name.replace("_", "-")
+        options += [option, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+    return options
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_small_grid_forms_match_golden_hash(theorem):
+    digest = hashlib.sha256()
+    argv = ["verify", theorem, *_grid_options(SMALL_GRIDS[theorem])]
+    for form in SMALL_GRID_FORMS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + form)
+        digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+    assert digest.hexdigest() == SMALL_GRID_SHA256[theorem]
 
 
 @lru_cache(maxsize=None)

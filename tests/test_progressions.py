@@ -5,24 +5,21 @@ import random
 
 import pytest
 
-from numsgps import (
+from numsgps.core import PreconditionError, from_generators, is_d_symmetric
+from numsgps.quotient import quotient
+from numsgps.progressions import (
     Ap3Spec,
     FullApSpec,
-    PreconditionError,
     ap3_even_d_invariants,
     ap3_odd_a_invariants,
     ap3_quotient_generators,
-    ap3_semigroup,
     ap3_symmetric_iff_even,
-    from_generators,
     full_ap_d_divides_k,
     full_ap_divisor_identity,
     full_ap_quotient,
-    is_d_symmetric,
+    full_ap_quotient_generators,
     open_problem_sweep,
-    quotient,
 )
-from numsgps.progressions import full_ap_quotient_generators
 
 
 def test_ap3_symmetry_rule_small_cases():
@@ -41,7 +38,7 @@ def test_ap3_symmetry_rule_matches_definition():
         k = rng.randint(1, 15)
         if math.gcd(a, k) != 1:
             continue
-        S = ap3_semigroup(a, k)
+        S = from_generators([a, a + k, a + 2 * k])
         assert ap3_symmetric_iff_even(a, k) == is_d_symmetric(S, 1), (a, k)
 
 
@@ -88,7 +85,7 @@ def test_ap3_quotient_generators_random_grid():
         hits += 1
         spec = Ap3Spec(a, k, d)
         Q = ap3_quotient_generators(spec)
-        B = quotient(ap3_semigroup(a, k), d)
+        B = quotient(from_generators([a, a + k, a + 2 * k]), d)
         assert Q == B, (a, k, d)
         assert is_d_symmetric(Q, 1), (a, k, d)
     assert hits >= 40
@@ -105,7 +102,7 @@ def test_ap3_even_d_closed_form():
         k = rng.randint(1, 10)
         if math.gcd(a, k) != 1:
             continue
-        Q = quotient(ap3_semigroup(a, k), d)
+        Q = quotient(from_generators([a, a + k, a + 2 * k]), d)
         assert ap3_even_d_invariants(Ap3Spec(a, k, d)) == (Q.frobenius, Q.genus), (
             a, k, d,
         )
@@ -122,7 +119,7 @@ def test_ap3_odd_a_closed_form():
         d = rng.choice(divisors)
         spec = Ap3Spec(a, k, d)
         frobenius, genus = ap3_odd_a_invariants(spec)
-        Q = quotient(ap3_semigroup(a, k), d)
+        Q = quotient(from_generators([a, a + k, a + 2 * k]), d)
         assert (frobenius, genus) == (Q.frobenius, Q.genus), (a, k, d)
         # The family satisfies 2 g - F = (s + 1)/2 with s = a/d.
         assert 2 * genus - frobenius == (a // d + 1) // 2, (a, k, d)
@@ -210,7 +207,7 @@ def test_full_ap_validation():
         FullApSpec(4, 2)  # gcd(a, k) = 2
     # a = 1 is the degenerate progression <1> = N; FullApSpec allows it
     # but the closed forms refuse it.
-    assert FullApSpec(1, 3).semigroup().genus == 0
+    assert FullApSpec(1, 3) == (1, 3)
     with pytest.raises(PreconditionError):
         full_ap_d_divides_k(FullApSpec(1, 3), 3)
     with pytest.raises(PreconditionError):

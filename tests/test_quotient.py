@@ -5,16 +5,15 @@ import random
 
 import pytest
 
-from numsgps import (
+from numsgps.core import (
     PreconditionError,
     contains,
     from_gaps,
     from_generators,
-    frobenius_quotient_dsymmetric,
-    gap_class_counts,
+    gap_residue_counts,
     is_d_symmetric,
-    quotient,
 )
+from numsgps.quotient import frobenius_quotient_dsymmetric, quotient
 from oracles import quotient_gaps, sieve_invariants
 
 
@@ -117,11 +116,11 @@ def test_gap_class_counts_sum_to_genus():
             continue
         S = from_generators(gens)
         d = rng.randint(2, 10)
-        counts = gap_class_counts(S, d)
-        assert len(counts.counts) == d
-        assert sum(counts.counts) == S.genus, (gens, d)
+        counts = gap_residue_counts(S, d)
+        assert len(counts) == min(d, S.frobenius + 1)
+        assert sum(counts) == S.genus, (gens, d)
         # Class 0 holds the gaps divisible by d, one per quotient gap.
-        assert counts.counts[0] == quotient(S, d).genus, (gens, d)
+        assert counts[0] == quotient(S, d).genus, (gens, d)
 
 
 def test_dsymmetric_frobenius_rule_examples():

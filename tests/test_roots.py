@@ -7,26 +7,26 @@ from fractions import Fraction
 
 import pytest
 
-from numsgps import (
+from numsgps.core import (
     PreconditionError,
     ResourceLimitError,
-    extract_cabd_constant,
-    fit_quasipolynomial,
     from_generators,
-    genus_quotient_ed2_closed_form,
-    genus_quotient_via_roots,
-    hilbert_at_root,
-    quasipoly_admissible_classes,
-    quotient,
-    root_of_unity_identity_check,
     semigroup_polynomial_coeffs,
-    sylvester_invariants,
 )
+from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
     MAX_ROOT_WORK,
     _genus_via_roots_residual,
     _pair_quotient_genus,
+    extract_cabd_constant,
+    fit_quasipolynomial,
+    genus_quotient_ed2_closed_form,
+    genus_quotient_via_roots,
+    hilbert_at_root,
+    quasipoly_admissible_classes,
+    root_of_unity_identity_check,
+    sylvester_invariants,
 )
 from oracles import sieve_invariants
 

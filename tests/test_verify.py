@@ -1,10 +1,13 @@
 """Sweep machinery: grids, record schema, fault injection, parallelism."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from numsgps import PreconditionError, ResourceLimitError, cli, from_generators, quotient, verify
+from numsgps import cli, verify
+from numsgps.core import PreconditionError, ResourceLimitError, from_generators
+from numsgps.quotient import quotient
 from numsgps.verify import (
     IDENTITIES,
     MATCH,
@@ -17,7 +20,6 @@ from numsgps.verify import (
     check_case,
     random_corpus,
     run_sweep,
-    summarize,
     sweep,
 )
 from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
@@ -57,7 +59,7 @@ def test_unknown_theorem_rejected():
 def test_every_sweep_clean_on_small_grid():
     for theorem in THEOREM_IDS:
         records = run_sweep(small_config(theorem))
-        counts = summarize(records)
+        counts = Counter(record["status"] for record in records)
         assert counts[MISMATCH] == 0, theorem
         assert counts[MATCH] > 0, theorem
 
@@ -65,7 +67,7 @@ def test_every_sweep_clean_on_small_grid():
 def test_every_sweep_detects_injected_fault():
     for theorem in THEOREM_IDS:
         records = run_sweep(small_config(theorem, inject_offby1=True))
-        assert summarize(records)[MISMATCH] > 0, theorem
+        assert any(record["status"] == MISMATCH for record in records), theorem
 
 
 def test_record_schema_and_json_round_trip():
@@ -137,7 +139,7 @@ def test_seed_changes_theorem_main_grid():
     r0 = run_sweep(small_config("theorem-main", seed=0))
     r1 = run_sweep(small_config("theorem-main", seed=1))
     assert r0 != r1
-    assert summarize(r0)[MISMATCH] == summarize(r1)[MISMATCH] == 0
+    assert all(record["status"] != MISMATCH for record in r0 + r1)
 
 
 def test_config_validation():
@@ -221,17 +223,27 @@ def test_root_identity_d_max_is_bounded():
     assert SweepConfig(theorem="ed2-closed-form", d_max=largest + 1).resolved()
 
 
-# The quotient report entries each identity about S/d fills, by divisor.
+# The quotient report entries each identity about S/d fills, by divisor, and
+# the fields of the sweep record's sides that each entry shows: none for a
+# lone value, one for that field's value, several for the list of them.
+INVARIANTS = ("frobenius", "genus")
 REPORT_ENTRIES = {
-    "theorem-main": lambda d: ["genus-via-roots"],
-    "ed2-closed-form": lambda d: ["ed2-genus"],
-    "strazzanti": lambda d: ["dsymmetric-frobenius"],
-    "ap3-even-d": lambda d: ["ap3-quotient-generators"]
-    + (["ap3-even-divisor-invariants"] if d % 2 == 0 else []),
-    "ap3-odd-a": lambda d: ["ap3-odd-a-invariants"],
-    "full-ap": lambda d: ["full-ap-generators", "full-ap-invariants"],
-    "full-ap-dk": lambda d: ["full-ap-dk-invariants"],
+    "theorem-main": lambda d: {"genus-via-roots": ()},
+    "ed2-closed-form": lambda d: {"ed2-genus": ()},
+    "strazzanti": lambda d: {"dsymmetric-frobenius": ()},
+    "ap3-even-d": lambda d: {"ap3-quotient-generators": ("generators",)}
+    | ({"ap3-even-divisor-invariants": INVARIANTS} if d % 2 == 0 else {}),
+    "ap3-odd-a": lambda d: {"ap3-odd-a-invariants": INVARIANTS},
+    "full-ap": lambda d: {"full-ap-generators": ("generators",), "full-ap-invariants": INVARIANTS},
+    "full-ap-dk": lambda d: {"full-ap-dk-invariants": INVARIANTS},
 }
+
+
+def record_fields(side, fields):
+    if not fields:
+        return side
+    values = [side[field] for field in fields]
+    return values[0] if len(fields) == 1 else values
 
 
 def case_generators(theorem, case):
@@ -250,8 +262,9 @@ def test_quotient_identities_are_the_ones_that_fill_reports():
 def test_quotient_reports_recognise_every_live_sweep_case(capsys):
     """A sweep case that yields a checked record is recognised from (S, d)
     alone, and ``numsgps quotient`` on S and d reports its entries, all
-    matching; a skipped case, a strazzanti case that is not d-symmetric,
-    and S = N (which fixes no k) are not recognised."""
+    matching, each showing the same formula and oracle values as the
+    case's sweep record; a skipped case, a strazzanti case that is not
+    d-symmetric, and S = N (which fixes no k) are not recognised."""
     reports = {}
     for theorem, names in REPORT_ENTRIES.items():
         identity = IDENTITIES[theorem]
@@ -268,7 +281,7 @@ def test_quotient_reports_recognise_every_live_sweep_case(capsys):
             corpus = theorem in ("theorem-main", "strazzanti")
             assert recognised == ((S.minimal_generators, d) if corpus else case)
             expected = identity.entries(recognised, S, quotient(S, d), DEFAULT_TOLERANCE)
-            assert list(expected) == names(d), (theorem, case)
+            assert list(expected) == list(names(d)), (theorem, case)
             key = (S.minimal_generators, d)
             if key not in reports:
                 gens = ",".join(map(str, S.minimal_generators))
@@ -276,7 +289,13 @@ def test_quotient_reports_recognise_every_live_sweep_case(capsys):
                 reports[key] = code, json.loads(capsys.readouterr().out)["formulas"]
             code, formulas = reports[key]
             assert code == 0, (theorem, case)
+            (record,) = records
             for name, entry in expected.items():
                 assert formulas[name] == entry, (theorem, case, name)
                 assert entry["match"] is True, (theorem, case, name)
+                fields = names(d)[name]
+                for side in ("formula", "oracle"):
+                    shown = record_fields(record[side], fields)
+                    assert entry[side] == shown, (theorem, case, name, side)
+                assert entry.get("residual") == record["residual"], (theorem, case, name)
         assert live > 0, theorem
