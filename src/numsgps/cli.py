@@ -204,7 +204,7 @@ def _dump(obj) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list, tuple)):
         text = _dump(value)
     elif value is None:
         text = ""
@@ -342,7 +342,7 @@ def cmd_invariants(args, out: _Output) -> int:
         "frobenius": S.frobenius,
         "genus": S.genus,
         "conductor": S.conductor,
-        "gaps": list(S.gaps),
+        "gaps": S.gaps,
         "apery_at_multiplicity": list(S.apery),
         "symmetric": is_d_symmetric(S, 1),
         "d_symmetric": {str(d): is_d_symmetric(S, d) for d in range(2, 11)},
@@ -352,9 +352,11 @@ def cmd_invariants(args, out: _Output) -> int:
 
 
 def cmd_quotient(args, out: _Output) -> int:
+    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+    if not tolerance > 0:  # also refuses nan, as verify does
+        raise PreconditionError(f"tolerance must be > 0, got {tolerance}")
     S = from_generators(args.gens)
     d = args.d
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     Q = quotient(S, d)
     formulas: dict[str, dict] = {}
     for identity in IDENTITIES.values():
@@ -367,7 +369,7 @@ def cmd_quotient(args, out: _Output) -> int:
         "generators": list(Q.minimal_generators),
         "frobenius": Q.frobenius,
         "genus": Q.genus,
-        "gaps": list(Q.gaps),
+        "gaps": Q.gaps,
         "formulas": formulas,
     }
     out.report(report)
@@ -381,6 +383,12 @@ def cmd_quotient(args, out: _Output) -> int:
 def cmd_apery(args, out: _Output) -> int:
     S = from_generators(args.gens)
     n = args.n if args.n is not None else S.multiplicity
+    # any other n runs the round robin, which relaxes n entries per generator
+    work = n * S.embedding_dimension
+    if n != S.multiplicity and work > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"the Apery set of {S} at n = {n} takes {work} steps, more than {MAX_ROOT_WORK}"
+        )
     ap = apery_set(S, n)
     frobenius, genus = invariants_from_apery(ap)
     report = {
@@ -490,7 +498,7 @@ def cmd_pmd(args, out: _Output) -> int:
         "multiplicity": S.multiplicity,
         "frobenius": S.frobenius,
         "genus": S.genus,
-        "gaps": list(S.gaps),
+        "gaps": S.gaps,
     }
     out.report(report)
     return 0

@@ -5,7 +5,10 @@ that contains 0 and is closed under addition.  Its canonical form is the
 per-residue table of least elements modulo the multiplicity m (the Apery
 set Ap(S, m)): membership is one comparison against it, F(S) is
 max(Ap(S, m)) - m, and g(S) = (1/m) * sum(Ap(S, m)) - (m - 1)/2.  Gaps
-and the coefficients of P_S are derived from the table on demand.
+and the coefficients of P_S are derived from the table on demand, through
+a byte mask of the gaps up to F(S) that is built at most once per
+semigroup and kept (immutable) for every later reader: the gap list, P_S,
+the d-symmetry test and the per-class gap counts of the root layer.
 
 The table comes from the round-robin relaxation of Boecker and Liptak.
 Taking generators in ascending order, the same pass tells which are
@@ -98,22 +101,24 @@ class NumericalSemigroup:
     def conductor(self) -> int:
         return self.frobenius + 1
 
-    def _gap_mask(self) -> bytearray:
-        """mask[x] = 1 exactly when 0 <= x <= F(S) is a gap."""
+    @cached_property
+    def _gap_mask(self) -> bytes:
+        """mask[x] = 1 exactly when 0 <= x <= F(S) is a gap; built once,
+        and immutable so that no reader can change what later ones see."""
         m = self.multiplicity
         mask = bytearray(self.frobenius + 1)
         for r in range(1, m):
             mask[r : self.apery[r] : m] = b"\x01" * ((self.apery[r] - r) // m)
-        return mask
+        return bytes(mask)
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
-        return tuple(itertools.compress(itertools.count(), self._gap_mask()))
+        return tuple(itertools.compress(itertools.count(), self._gap_mask))
 
     @cached_property
     def _polynomial_coeffs(self) -> tuple[int, ...]:
         # Coefficient k of 1 - (1 - x) * sum_gaps x^s is [k = 0] - gap(k) + gap(k - 1).
-        mask = self._gap_mask()
+        mask = self._gap_mask
         coeffs = list(map(operator.sub, b"\x00" + mask, mask + b"\x00"))
         coeffs[0] = 1
         return tuple(coeffs)
@@ -261,10 +266,10 @@ def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
         raise PreconditionError(f"Apery modulus must be a positive integer, got {n}")
     if not contains(S, n):
         raise PreconditionError(f"Apery modulus {n} is not a member of {S}")
-    if n > MAX_APERY_MODULUS:
-        raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_APERY_MODULUS}")
     if n == S.multiplicity:
         return S.apery
+    if n > MAX_FROBENIUS:  # the table holds an int per class, as a gap list does per gap
+        raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_FROBENIUS}")
     return _round_robin(S.minimal_generators, n)[0]
 
 
@@ -295,7 +300,7 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     """
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"d must be a positive integer, got {d}")
-    mask, F = S._gap_mask(), S.frobenius  # for d > F, mask[d::d] is empty: d-symmetric
+    mask, F = S._gap_mask, S.frobenius  # for d > F, mask[d::d] is empty: d-symmetric
     return not int.from_bytes(mask[d::d], "big") & int.from_bytes(mask[F - d :: -d], "big")
 
 
@@ -305,7 +310,7 @@ def gap_residue_counts(S: NumericalSemigroup, d: int) -> list[int]:
     over a stride of the gap mask."""
     if not isinstance(d, int) or d < 1:
         raise PreconditionError(f"d must be a positive integer, got {d}")
-    mask = S._gap_mask()
+    mask = S._gap_mask
     return [mask[j::d].count(1) for j in range(min(d, S.frobenius + 1))]
 
 

@@ -11,7 +11,13 @@ sum_{n=1}^{d-1} 1/(1 - zeta_d^n) = (d - 1)/2, conjugate roots pairing to 1.
 Since zeta_d^d = 1, P_S is first folded modulo x^d - 1 in exact integers:
 with G_j the number of gaps in class j mod d, the folded coefficient of
 x^j is [j = 0] - G_j + G_{j-1 mod d}, and only the nonzero ones, at most
-min(d, F(S) + 2), are evaluated at each root.
+min(d, F(S) + 2), are evaluated at each root.  The d values zeta_d^t are
+computed once per order into a table, and the tables of the 32 orders
+used last are kept.  A table is used only while d <= F(S) + 2, so that it
+is never larger than the folded P_S, and d <= sqrt(MAX_ROOT_WORK) + 1,
+which the genus formula's work cap implies.  Each entry is the float
+exp(2 pi i t / d) of the direct evaluation; above the bound each term's
+root is evaluated that way as it is read.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
@@ -25,6 +31,7 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     NumericalSemigroup,
@@ -42,6 +49,10 @@ IDENTITY_TOLERANCE = 1e-9
 # P_S, and a quasipolynomial fit counts gaps in O(a) steps per sample a.
 # Every verify sweep whose grid drives such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
+# Tables of d-th roots kept at once, each of d <= min(F(S) + 2, ROOT_TABLE_MAX)
+# entries; the genus formula's work cap already holds such a d to 7,071.
+ROOT_TABLES = 32
+ROOT_TABLE_MAX = math.isqrt(MAX_ROOT_WORK) + 1
 
 
 class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_constant")):
@@ -74,11 +85,32 @@ def _fold_mod(S: NumericalSemigroup, d: int) -> list[tuple[int, int]]:
     return [(j, q) for j, q in folded if q]
 
 
-def _evaluate_folded(folded: list[tuple[int, int]], d: int, i: int) -> complex:
-    """H_S(zeta_d^i) from the folded P_S; exponents are reduced mod d
-    exactly before they reach floating point."""
-    p = sum(q * cmath.exp(2j * cmath.pi * (i * j % d) / d) for j, q in folded)
-    return p / (1 - cmath.exp(2j * cmath.pi * i / d))
+@lru_cache(maxsize=ROOT_TABLES)
+def _unit_roots(d: int) -> tuple[complex, ...]:
+    """zeta_d^t for 0 <= t < d, each the float of exp(2 pi i t / d)."""
+    return tuple(cmath.exp(2j * cmath.pi * t / d) for t in range(d))
+
+
+class _RootsAsRead:
+    """zeta_d^t computed anew at each read of index t, for an order whose
+    table would outgrow the folded P_S."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __getitem__(self, t: int) -> complex:
+        return cmath.exp(2j * cmath.pi * t / self.d)
+
+
+def _roots(S: NumericalSemigroup, d: int):
+    """zeta_d^t by index t < d: the memoised table while it is no larger
+    than the folded P_S (d <= F(S) + 2) nor than ROOT_TABLE_MAX, else each
+    entry as it is read."""
+    if d <= min(S.frobenius + 2, ROOT_TABLE_MAX):
+        return _unit_roots(d)
+    return _RootsAsRead(d)
 
 
 def hilbert_at_root(S: NumericalSemigroup, d: int, i: int) -> complex:
@@ -93,7 +125,9 @@ def hilbert_at_root(S: NumericalSemigroup, d: int, i: int) -> complex:
         raise PreconditionError(f"root order d must be an integer >= 2, got {d}")
     if i % d == 0:
         raise PreconditionError("H_S has a pole at x = 1 (index divisible by d)")
-    return _evaluate_folded(_fold_mod(S, d), d, i)
+    # exponents are reduced mod d exactly before they reach floating point
+    folded, zeta = _fold_mod(S, d), _roots(S, d)
+    return sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i % d])
 
 
 def root_of_unity_identity_check(d: int) -> float:
@@ -136,8 +170,11 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise ResourceLimitError(
             f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
-    folded = _fold_mod(S, d)
-    total = sum(_evaluate_folded(folded, d, i) for i in range(1, d))
+    folded, zeta = _fold_mod(S, d), _roots(S, d)
+    # hilbert_at_root at i = 1..d - 1 from one fold, with no call per root
+    total = sum(
+        sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i]) for i in range(1, d)
+    )
     value = (S.genus + (d - 1) / 2 - total) / d
     rounded = round(value.real)
     return rounded, abs(value - rounded)

@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 from numsgps import cli, progressions, verify
-from numsgps.core import TheoremViolationError
+from numsgps.core import NumericalSemigroup, TheoremViolationError, from_generators
 from numsgps.quotient import quotient
 
 
@@ -98,6 +99,58 @@ def test_quotient_builds_the_quotient_once(capsys, monkeypatch):
         assert code == 0
         assert len(json.loads(out)["formulas"]) == filled
         assert calls == [d]
+
+
+def test_quotient_builds_the_base_gap_mask_once(capsys, monkeypatch):
+    # theorem-main folds P_S, and strazzanti tests d-symmetry, twice when S is
+    built = []
+    build = NumericalSemigroup.__dict__["_gap_mask"].func
+
+    def counting_build(S):
+        built.append(S)
+        return build(S)
+
+    counting = cached_property(counting_build)
+    counting.__set_name__(NumericalSemigroup, "_gap_mask")
+    monkeypatch.setattr(NumericalSemigroup, "_gap_mask", counting)
+    for gens, d, formulas in (
+        ("3001,4007,5003", 2, {"genus-via-roots"}),
+        ("6,7,8", 3, {"genus-via-roots", "dsymmetric-frobenius", "ap3-quotient-generators"}),
+    ):
+        built.clear()
+        code, out, _ = run_cli(capsys, "quotient", "--gens", gens, "--d", str(d), "--format", "json")
+        assert code == 0
+        assert set(json.loads(out)["formulas"]) == formulas
+        assert built.count(from_generators(map(int, gens.split(",")))) == 1, gens
+
+
+def test_quotient_refuses_a_tolerance_as_verify_does(capsys):
+    for value in ("0", "-1", "nan"):
+        refusals = []
+        for argv in (
+            ("quotient", "--gens", "6,7,8", "--d", "3"),
+            ("verify", "theorem-main", "--cases", "2"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--tolerance", value)
+            assert (code, out) == (2, "")
+            refusals.append(err)
+        assert refusals == [f"error: tolerance must be > 0, got {float(value)}\n"] * 2
+
+
+def test_apery_n_is_bounded(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apery", "--gens", "3,5", "--n", "10000000")
+    assert (code, out) == (2, "")
+    assert err == "error: Apery modulus 10000000 exceeds 5000000\n"
+    # 11 minimal generators relax 4,545,455 entries each: past the work cap
+    gens = ",".join(map(str, range(11, 22)))
+    code, out, err = run_cli(capsys, "apery", "--gens", gens, "--n", "4545455")
+    assert (code, out) == (2, "")
+    assert "more than 50000000" in err
+    assert time.perf_counter() - start < 5
+    code, out, err = run_cli(capsys, "apery", "--gens", "3,5", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: Apery modulus 4 is not a member of <3, 5>\n"
 
 
 def test_quotient_huge_divisor_exits_two_promptly(capsys):

@@ -6,12 +6,15 @@ import random
 import pytest
 
 from numsgps.core import (
+    MAX_FROBENIUS,
     NotNumericalSemigroupError,
     PreconditionError,
+    ResourceLimitError,
     apery_set,
     contains,
     from_gaps,
     from_generators,
+    gap_residue_counts,
     invariants_from_apery,
     is_d_symmetric,
     semigroup_polynomial_coeffs,
@@ -79,6 +82,12 @@ def test_apery_requires_membership():
         apery_set(S, 4)  # 4 is a gap
     with pytest.raises(PreconditionError):
         apery_set(S, 0)
+
+
+def test_apery_table_size_is_bounded():
+    S = from_generators([3, 5])
+    with pytest.raises(ResourceLimitError):
+        apery_set(S, MAX_FROBENIUS + 1)  # a member, refused before any work
 
 
 def test_apery_of_two_generators_is_multiples():
@@ -235,3 +244,18 @@ def test_genus_bounds():
         # Every gap is at most F and at least (F + 1)/2 of them exist.
         assert S.genus >= (S.frobenius + 1) / 2, gens
         assert S.genus <= max(S.frobenius, 0), gens
+
+
+def test_gap_mask_is_built_once_and_immutable():
+    S = from_generators([4, 5, 7])  # gaps 1, 2, 3, 6
+    mask = S._gap_mask
+    assert type(mask) is bytes
+    assert mask == bytes([0, 1, 1, 1, 0, 0, 1])
+    # every reader sees the one cached object
+    assert S.gaps == (1, 2, 3, 6)
+    assert semigroup_polynomial_coeffs(S) == (1, -1, 0, 0, 1, 0, -1, 1)
+    assert not is_d_symmetric(S, 3)
+    assert gap_residue_counts(S, 3) == [2, 1, 1]
+    assert S._gap_mask is mask
+    with pytest.raises(TypeError):
+        mask[1] = 0

@@ -7,9 +7,11 @@ The theorem-main stream is also pinned with its float ``residual`` removed,
 so a change to the root evaluation can move the residuals but nothing else.
 ``numsgps quotient`` is pinned the same way, in json and in table form (the
 table shows the order of the formula entries), on inputs that together
-fill every formula entry of its report.  The small grids of the sweep
-tests are pinned in the other output forms: table, csv, and json with
-``--inject-offby1``, which shows the perturbed formula side of every record.
+fill every formula entry of its report, and in csv on the same inputs;
+``numsgps invariants`` and ``numsgps apery`` are pinned on them in all
+three forms.  The small grids of the sweep tests are pinned in the other
+output forms: table, csv, and json with ``--inject-offby1``, which shows
+the perturbed formula side of every record.
 """
 
 import contextlib
@@ -44,6 +46,12 @@ THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256 = (
 )
 
 QUOTIENT_SHA256 = "20f90c48c12a9819c74fa0d504261a7c7f21a36ff63c34e02ba1510470d63f63"
+
+REPORT_SHA256 = {
+    "quotient": "d3fe642871a5ad21305d56f2142563c9048631b5d584edacbf6b3d19fb3a4ef0",
+    "invariants": "49b8fac55fbaf41e147e4ec372ee2e7a6c81d977d81466b4fdbd68ee438e07a2",
+    "apery": "31e235f45620cde02ce130828d941239f0a1042c0e59296d2a4045efa1c1995f",
+}
 
 SMALL_GRID_SHA256 = {
     "theorem-main": "eb3bb3612003398b507cb123cde5cb00460cd4ff5bf12da95dabc3b75dec8edb",
@@ -144,3 +152,37 @@ def test_quotient_reports_match_golden_hash():
                     code = cli.main(argv + ["--format", fmt])
                 digest.update(f"{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == QUOTIENT_SHA256
+
+
+def _report_forms_digest(command: str, runs, formats) -> str:
+    digest = hashlib.sha256()
+    for options in runs:
+        for fmt in formats:
+            argv = [command, *options, "--format", fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def _report_runs(command: str) -> list[list[str]]:
+    runs = []
+    for gens in QUOTIENT_INPUTS:
+        text = ",".join(map(str, gens))
+        if command == "quotient":
+            runs += [["--gens", text, "--d", str(d)] for d in range(1, 13)]
+        elif command == "invariants":
+            runs.append(["--gens", text])
+        else:  # the default n (the multiplicity), then each listed member
+            runs += [["--gens", text]] + [["--gens", text, "--n", str(n)] for n in gens]
+    return runs
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_report_forms_match_golden_hash(command):
+    """quotient in csv (its json and table forms are pinned above), and
+    invariants and apery in every form, with their stderr and exit codes."""
+    formats = ("csv",) if command == "quotient" else ("json", "table", "csv")
+    digest = _report_forms_digest(command, _report_runs(command), formats)
+    assert digest == REPORT_SHA256[command]

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,11 @@ from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
     MAX_ROOT_WORK,
+    ROOT_TABLE_MAX,
+    ROOT_TABLES,
     _genus_via_roots_residual,
     _pair_quotient_genus,
+    _unit_roots,
     extract_cabd_constant,
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
@@ -114,6 +118,46 @@ def test_root_work_counts_folded_terms_only():
     value, residual = _genus_via_roots_residual(S, 70)
     assert value == quotient(S, 70).genus
     assert residual < 1e-9
+
+
+def test_unit_root_tables_hold_the_direct_floats():
+    for d in range(1, 65):
+        assert _unit_roots(d) == tuple(cmath.exp(2j * cmath.pi * t / d) for t in range(d))
+
+
+def test_root_tables_only_up_to_the_folded_size():
+    S = from_generators([6, 7, 8])  # F = 17: the folded P_S has at most 19 terms
+    _unit_roots.cache_clear()
+    for d in range(2, 20):
+        _genus_via_roots_residual(S, d)
+        hilbert_at_root(S, d, 1)
+    assert _unit_roots.cache_info().currsize == 18
+    for d in range(20, 40):
+        _genus_via_roots_residual(S, d)
+        hilbert_at_root(S, d, 1)
+        root_of_unity_identity_check(d)
+    assert _unit_roots.cache_info().currsize == 18
+    big = from_generators([101, 103, 107])
+    for d in range(2, 60):
+        _genus_via_roots_residual(big, d)
+    assert _unit_roots.cache_info().currsize == ROOT_TABLES
+    huge = from_generators([3001, 4007, 5003])  # F = 772,273
+    misses = _unit_roots.cache_info().misses
+    hilbert_at_root(huge, ROOT_TABLE_MAX, 1)
+    hilbert_at_root(huge, ROOT_TABLE_MAX + 1, 1)
+    assert _unit_roots.cache_info().misses == misses + 1
+
+
+def test_large_order_small_semigroup_allocates_no_root_table():
+    S = from_generators([6, 7, 8])  # a table at d = 20,000 would take about 800 KB
+    tracemalloc.start()
+    try:
+        value, residual = _genus_via_roots_residual(S, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (value, residual < 1e-9) == (0, True)
+    assert peak < 50_000
 
 
 def test_sylvester_frozen_and_oracle():
