@@ -1,5 +1,5 @@
-"""Command-line front end: invariant queries, identity verification sweeps,
-quasipolynomial fitting, and a modular-inequality helper.
+"""Command-line front end: invariant, quotient and Apery queries, identity
+verification sweeps, and quasipolynomial fitting.
 
 Exit codes follow one contract everywhere: 0 means every check passed,
 1 means at least one identity mismatch (the offending records are in the
@@ -11,7 +11,6 @@ sorted keys reproduces the bytes exactly.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -20,19 +19,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import (
-    MAX_FROBENIUS,
-    NumericalSemigroup,
     PrecisionLossError,
     PreconditionError,
     ResourceLimitError,
     TheoremViolationError,
     apery_set,
-    from_gaps,
     from_generators,
     invariants_from_apery,
     is_d_symmetric,
 )
-from .progressions import open_problem_sweep
 from .quotient import quotient
 from .roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
 from .verify import (
@@ -174,27 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--a", type=_range_type, required=True, metavar="MIN..MAX")
     p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser(
-        "pmd",
-        parents=[common],
-        help="solution semigroup of a x (mod b) <= c x",
-    )
-    p.add_argument("a", type=_positive_int)
-    p.add_argument("b", type=_positive_int)
-    p.add_argument("c", type=_positive_int)
-    p.set_defaults(func=cmd_pmd)
-
-    p = sub.add_parser(
-        "sweep-open-problem",
-        parents=[common],
-        help="brute-force quotient invariants of a truncated progression",
-    )
-    p.add_argument("--a", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--ell", type=_positive_int, required=True)
-    p.add_argument("--d", type=_range_type, required=True, metavar="MIN..MAX")
-    p.set_defaults(func=cmd_sweep_open_problem)
 
     return parser
 
@@ -445,82 +419,6 @@ def cmd_fit(args, out: _Output) -> int:
         "leading_coefficient": _frac(Fraction(1, 2 * args.d)),
     }
     out.report(report)
-    return 0
-
-
-def _pmd_solution(a: int, b: int, c: int) -> NumericalSemigroup:
-    """Brute-force the solution set of a x (mod b) <= c x.
-
-    Membership is periodic in x modulo b once c x clears b, so a run of b
-    consecutive solutions proves every larger x is a solution; the scan
-    is bounded because every x >= b/c satisfies the inequality.  The scan
-    bound is refused above ``MAX_FROBENIUS``, and a solution set of
-    multiplicity m above m^2 = ``MAX_ROOT_WORK``, the cost of checking it.
-    """
-    cap = (b + c - 1) // c + 2 * b + 2
-    if cap > MAX_FROBENIUS:
-        raise ResourceLimitError(
-            f"the scan of {a} x (mod {b}) <= {c} x runs to {cap}, more than {MAX_FROBENIUS}"
-        )
-    member = lambda x: (a * x) % b <= c * x
-    run_start = None
-    run = 0
-    for x in range(cap + 1):
-        if member(x):
-            run += 1
-            if run == b:
-                run_start = x - b + 1
-                break
-        else:
-            run = 0
-    if run_start is None:
-        raise PreconditionError(
-            f"solution set of {a} x (mod {b}) <= {c} x did not stabilize below "
-            f"{cap}; rerun with a larger bound"
-        )
-    multiplicity = next(x for x in itertools.count(1) if member(x))
-    if multiplicity**2 > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"the solution set of {a} x (mod {b}) <= {c} x has multiplicity {multiplicity}, "
-            f"and checking it takes {multiplicity**2} steps, more than {MAX_ROOT_WORK}"
-        )
-    gaps = [x for x in range(1, run_start) if not member(x)]
-    return from_gaps(gaps)
-
-
-def cmd_pmd(args, out: _Output) -> int:
-    S = _pmd_solution(args.a, args.b, args.c)
-    report = {
-        "a": args.a,
-        "b": args.b,
-        "c": args.c,
-        "generators": list(S.minimal_generators),
-        "multiplicity": S.multiplicity,
-        "frobenius": S.frobenius,
-        "genus": S.genus,
-        "gaps": S.gaps,
-    }
-    out.report(report)
-    return 0
-
-
-def cmd_sweep_open_problem(args, out: _Output) -> int:
-    lo, hi = args.d
-    if lo < 1 or hi < lo:
-        raise PreconditionError(f"empty divisor range {lo}..{hi}")
-    rows = open_problem_sweep(args.a, args.k, args.ell, range(lo, hi + 1))
-    records = [
-        {
-            "theorem": "open-problem",
-            "params": {"a": args.a, "k": args.k, "ell": args.ell, "d": d},
-            "formula": None,
-            "oracle": {"frobenius": f, "genus": g, "two_g_minus_f": t},
-            "status": "observed",
-            "residual": None,
-        }
-        for d, f, g, t in rows
-    ]
-    out.records(records)
     return 0
 
 

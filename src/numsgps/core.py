@@ -12,13 +12,11 @@ the d-symmetry test and the per-class gap counts of the root layer.
 
 The table comes from the round-robin relaxation of Boecker and Liptak.
 Taking generators in ascending order, the same pass tells which are
-minimal, and run over a candidate table's own entries it decides whether
-a finite set is the gap set of a semigroup.  The minimal generators are
-computed only when first read, by that pass over the table's entries;
-the constructors here hand over the ones their own pass already found.
-A complement known to be a semigroup (a quotient, say) skips the check
-and is built from its gaps in one pass.  Brute-force sieves appear only
-in the test suite, as independent oracles.
+minimal: ``from_generators`` keeps the ones it found, and any other
+semigroup computes them only when first read, by that pass over the
+table's own entries.  A complement known to be a semigroup (a quotient,
+say) is built from its gaps in one pass, with no closure check.
+Brute-force sieves appear only in the test suite, as independent oracles.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ import operator
 from functools import cached_property
 from typing import Iterable
 
-# Desk-scale guards: refuse instances whose residue table or gap list
-# would thrash memory, instead of dying slowly.
-MAX_APERY_MODULUS = 10_000_000
+# Desk-scale guard: refuse instances whose gap list would thrash memory,
+# instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
 
 
@@ -61,7 +58,7 @@ class NumericalSemigroup:
     Instances are immutable and fully determined by ``apery``, where
     ``apery[r]`` is the least member congruent to r mod ``multiplicity``;
     equality and hashing read only these fields.  Use
-    :func:`from_generators` or :func:`from_gaps` to construct one.
+    :func:`from_generators` to construct one.
     ``frobenius`` is -1 when the semigroup is all of the nonnegative
     integers (empty complement).
     """
@@ -198,19 +195,18 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
             "so this is not a numerical semigroup"
         )
     mult = values[0]
-    if mult > MAX_APERY_MODULUS:
-        raise ResourceLimitError(f"multiplicity {mult} exceeds {MAX_APERY_MODULUS}")
+    if mult - 1 > MAX_FROBENIUS:  # 1, ..., m - 1 are gaps: refused before the round robin
+        raise ResourceLimitError(
+            f"multiplicity {mult} makes the Frobenius number at least {mult - 1}, "
+            f"more than {MAX_FROBENIUS}"
+        )
     apery, kept = _round_robin(values, mult)
     frobenius = max(apery) - mult
     if frobenius > MAX_FROBENIUS:
         raise ResourceLimitError(f"Frobenius number {frobenius} exceeds {MAX_FROBENIUS}")
-    return _with_generators(NumericalSemigroup(mult, frobenius, apery), kept)
-
-
-def _with_generators(S: NumericalSemigroup, kept: list[int]) -> NumericalSemigroup:
-    """S with the minimal generators a round robin has already found filled
-    in, so that reading them does not run it again."""
-    S.__dict__["minimal_generators"] = (S.multiplicity, *kept)
+    S = NumericalSemigroup(mult, frobenius, apery)
+    # the minimal generators this pass found, so that reading them does not run it again
+    S.__dict__["minimal_generators"] = (mult, *kept)
     return S
 
 
@@ -227,29 +223,6 @@ def _complement(gaps: list[int]) -> NumericalSemigroup:
     for x in gaps:  # ascending, so the largest gap of each class wins
         table[x % mult] = x + mult
     return NumericalSemigroup(mult, gaps[-1] if gaps else -1, tuple(table))
-
-
-def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
-    """Canonical semigroup whose complement is exactly the given finite set.
-
-    The complement is a semigroup exactly when the candidate table of
-    :func:`_complement` has as many gaps as the set (no gap above its
-    class minimum) and the round robin over the table's entries
-    reproduces the table; the entries it keeps are then the minimal
-    generators.
-    """
-    gap_list = sorted(set(gaps))
-    if any(not isinstance(x, int) or x < 1 for x in gap_list):
-        raise PreconditionError("gaps must be positive integers")
-    if gap_list and gap_list[-1] > MAX_FROBENIUS:
-        raise ResourceLimitError(f"largest gap {gap_list[-1]} exceeds {MAX_FROBENIUS}")
-    candidate = _complement(gap_list)
-    apery, kept = _round_robin(candidate.apery, candidate.multiplicity)
-    if candidate.genus != len(gap_list) or apery != candidate.apery:
-        raise NotNumericalSemigroupError(
-            "complement of the gap set is not closed under addition"
-        )
-    return _with_generators(candidate, kept)
 
 
 def contains(S: NumericalSemigroup, x: int) -> bool:

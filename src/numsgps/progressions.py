@@ -11,8 +11,7 @@ a = s*d and t = floor(d/2) (so d = 2t or 2t + 1),
 The full progression <a, a+k, ..., a+(a-1)k> divides out exactly:
 S/d = <s, s+k, ..., s+(s-1)k> for d | a, with F = k(s-1) and
 g = (k+1)(s-1)/2, and S/d for d | k keeps the shape with k/d in place
-of k.  The remaining mixed cases have no known closed form; a sweep
-helper tabulates them.
+of k.  The remaining mixed cases have no known closed form.
 """
 
 from __future__ import annotations
@@ -23,12 +22,9 @@ from collections import namedtuple
 from .core import (
     NumericalSemigroup,
     PreconditionError,
-    ResourceLimitError,
     TheoremViolationError,
     from_generators,
 )
-from .quotient import quotient
-from .roots import MAX_ROOT_WORK
 
 
 def _validated(spec):
@@ -211,42 +207,3 @@ def full_ap_d_divides_k(spec: FullApSpec, d: int) -> tuple[int, int]:
         raise TheoremViolationError(f"g != (F + a - 1)/2 for {spec}/{d}")
     return frobenius, genus
 
-
-def open_problem_sweep(
-    a: int, k: int, ell: int, d_values: list[int]
-) -> list[tuple[int, int, int, int]]:
-    """Brute-force (d, F, g, 2g - F) rows for <a, a+k, ..., a+ell*k>/d.
-
-    The truncation range 3 <= ell <= a - 2 sits strictly between the
-    three-term and full-progression families, where no closed form is
-    known; the table is raw data for eyeballing such quotients.  Building
-    S is refused above a(ell + 1) = ``MAX_ROOT_WORK`` steps, and the
-    quotients above len(d_values)(1 + F(S) // min(d_values)).
-    """
-    if math.gcd(a, k) != 1:
-        raise PreconditionError(f"a and k must be coprime, got gcd({a}, {k})")
-    if not 3 <= ell <= a - 2:
-        raise PreconditionError(
-            f"ell must satisfy 3 <= ell <= a - 2 = {a - 2}, got {ell}"
-        )
-    if a * (ell + 1) > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"building <a, ..., a + ell k> takes a(ell + 1) = {a * (ell + 1)} steps, "
-            f"more than {MAX_ROOT_WORK}"
-        )
-    S = from_generators([a + i * k for i in range(ell + 1)])
-    # the quotient by d scans 1 + F // d values; min() walks the whole list,
-    # so a list longer than the cap is refused as if it began at d = 1
-    count = len(d_values)
-    lo = min(d_values, default=1) if count <= MAX_ROOT_WORK else 1
-    work = count * (1 + S.frobenius // max(lo, 1))
-    if work > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"{count} quotients of a semigroup with F = {S.frobenius} take {work} steps, "
-            f"more than {MAX_ROOT_WORK}"
-        )
-    rows = []
-    for d in d_values:
-        Q = quotient(S, d)
-        rows.append((d, Q.frobenius, Q.genus, 2 * Q.genus - Q.frobenius))
-    return rows

@@ -14,10 +14,10 @@ x^j is [j = 0] - G_j + G_{j-1 mod d}, and only the nonzero ones, at most
 min(d, F(S) + 2), are evaluated at each root.  The d values zeta_d^t are
 computed once per order into a table, and the tables of the 32 orders
 used last are kept.  A table is used only while d <= F(S) + 2, so that it
-is never larger than the folded P_S, and d <= sqrt(MAX_ROOT_WORK) + 1,
-which the genus formula's work cap implies.  Each entry is the float
-exp(2 pi i t / d) of the direct evaluation; above the bound each term's
-root is evaluated that way as it is read.
+is never larger than the folded P_S; the genus formula's work cap,
+d(d - 1) <= MAX_ROOT_WORK there, then holds d to 7,071.  Each entry is the
+float exp(2 pi i t / d) of the direct evaluation; above the bound each
+term's root is evaluated that way as it is read.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
@@ -49,10 +49,9 @@ IDENTITY_TOLERANCE = 1e-9
 # P_S, and a quasipolynomial fit counts gaps in O(a) steps per sample a.
 # Every verify sweep whose grid drives such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
-# Tables of d-th roots kept at once, each of d <= min(F(S) + 2, ROOT_TABLE_MAX)
-# entries; the genus formula's work cap already holds such a d to 7,071.
+# Tables of d-th roots kept at once, each of d <= F(S) + 2 entries; the
+# genus formula's work cap holds such a d to 7,071.
 ROOT_TABLES = 32
-ROOT_TABLE_MAX = math.isqrt(MAX_ROOT_WORK) + 1
 
 
 class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_constant")):
@@ -104,32 +103,6 @@ class _RootsAsRead:
         return cmath.exp(2j * cmath.pi * t / self.d)
 
 
-def _roots(S: NumericalSemigroup, d: int):
-    """zeta_d^t by index t < d: the memoised table while it is no larger
-    than the folded P_S (d <= F(S) + 2) nor than ROOT_TABLE_MAX, else each
-    entry as it is read."""
-    if d <= min(S.frobenius + 2, ROOT_TABLE_MAX):
-        return _unit_roots(d)
-    return _RootsAsRead(d)
-
-
-def hilbert_at_root(S: NumericalSemigroup, d: int, i: int) -> complex:
-    """H_S(zeta_d^i) evaluated as P_S(zeta)/(1 - zeta).
-
-    The member series itself diverges on the unit circle; the pole-free
-    polynomial P_S carries the value.  i = 0 (mod d) is the pole at 1 and
-    is rejected.  P_S is folded modulo x^d - 1 in exact integers, and its
-    at most min(d, F(S) + 2) nonzero folded coefficients are summed.
-    """
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"root order d must be an integer >= 2, got {d}")
-    if i % d == 0:
-        raise PreconditionError("H_S has a pole at x = 1 (index divisible by d)")
-    # exponents are reduced mod d exactly before they reach floating point
-    folded, zeta = _fold_mod(S, d), _roots(S, d)
-    return sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i % d])
-
-
 def root_of_unity_identity_check(d: int) -> float:
     """Deviation of sum 1/(1 - zeta_d^n), n = 1..d-1, from (d-1)/2.
 
@@ -170,8 +143,12 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise ResourceLimitError(
             f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
-    folded, zeta = _fold_mod(S, d), _roots(S, d)
-    # hilbert_at_root at i = 1..d - 1 from one fold, with no call per root
+    folded = _fold_mod(S, d)
+    # a table only while it is no larger than the folded P_S
+    zeta = _unit_roots(d) if d <= S.frobenius + 2 else _RootsAsRead(d)
+    # the member series diverges on the unit circle, so H_S(zeta^i) is read as
+    # P_S(zeta^i)/(1 - zeta^i), for i = 1..d - 1 from one fold; exponents are
+    # reduced mod d exactly before they reach floating point
     total = sum(
         sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i]) for i in range(1, d)
     )
@@ -215,10 +192,6 @@ def genus_quotient_ed2_closed_form(a: int, b: int, d: int) -> int:
     if not isinstance(d, int) or d < 2:
         raise PreconditionError(f"d must be an integer >= 2, got {d}")
     _require_pairwise_coprime(a, b, d)
-    return _ed2_closed_form(a, b, d)
-
-
-def _ed2_closed_form(a: int, b: int, d: int) -> int:
     astar = pow(a, -1, d)
     q = (a - 1) // d
     tail = sum((astar * b * j) // d for j in range(1, a) if j % d)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in process through main()."""
 
+import ast
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import time
 from functools import cached_property
 from pathlib import Path
 
-from numsgps import cli, progressions, verify
+from numsgps import cli, verify
 from numsgps.core import NumericalSemigroup, TheoremViolationError, from_generators
 from numsgps.quotient import quotient
 
@@ -19,10 +20,6 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def json_lines(text):
-    return [json.loads(line) for line in text.splitlines() if line.startswith("{")]
 
 
 def test_invariants_json(capsys):
@@ -87,7 +84,7 @@ def test_quotient_builds_the_quotient_once(capsys, monkeypatch):
         return quotient(S, d)
 
     # the command and every module its registry entries reach
-    for module in (cli, verify, progressions):
+    for module in (cli, verify):
         monkeypatch.setattr(module, "quotient", counting_quotient)
     for gens, d, filled in (
         ("6,7,8", 3, 3),
@@ -250,6 +247,54 @@ def test_verify_unknown_theorem_exits_two(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+def _top_level_statements(path):
+    return enumerate(ast.parse(path.read_text(), str(path)).body)
+
+
+def test_every_command_and_name_has_a_use(capsys):
+    # commands that printed brute-force data and checked no identity are gone
+    for argv in (
+        ("pmd", "3", "7", "1"),
+        ("sweep-open-problem", "--a", "12", "--k", "1", "--ell", "4", "--d", "2..6"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "invalid choice" in err, argv
+    # each top-level name of the package is read by the package or the benchmark
+    # somewhere other than its own definition
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "numsgps").glob("*.py"))
+    readers: dict[str, set] = {}
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        for index, statement in _top_level_statements(path):
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((path, index))
+    unread = []
+    for path in package:
+        for index, statement in _top_level_statements(path):
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                names = [statement.target.id]
+            else:
+                continue
+            for name in names:
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and readers.get(name, set()) <= {(path, index)}:
+                    unread.append(f"{path.name}: {name}")
+    assert unread == []
 
 
 def test_verify_json_round_trips_byte_identical(capsys):
@@ -431,73 +476,6 @@ def test_fit_rejects_bad_range(capsys):
     assert run_cli(capsys, "fit", "--k", "1", "--d", "2", "--a", "oops")[0] == 2
 
 
-def test_pmd_examples(capsys):
-    code, out, _ = run_cli(capsys, "pmd", "3", "7", "1", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["generators"] == [3, 5, 7]
-    assert (report["frobenius"], report["genus"]) == (4, 3)
-
-    code, out, _ = run_cli(capsys, "pmd", "2", "5", "1", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["generators"] == [3, 4, 5]
-
-
-def test_pmd_generous_slope_gives_naturals(capsys):
-    code, out, _ = run_cli(capsys, "pmd", "2", "7", "5", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["generators"] == [1]
-    assert report["frobenius"] == -1
-
-
-def test_pmd_matches_predicate(capsys):
-    for a, b, c in [(5, 9, 2), (7, 11, 1), (4, 13, 3), (11, 24, 2)]:
-        code, out, _ = run_cli(
-            capsys, "pmd", str(a), str(b), str(c), "--format", "json"
-        )
-        assert code == 0
-        report = json.loads(out)
-        gaps = set(report["gaps"])
-        for x in range(0, 3 * b):
-            assert ((a * x) % b <= c * x) == (x not in gaps), (a, b, c, x)
-
-
-def test_pmd_rejects_nonpositive(capsys):
-    assert run_cli(capsys, "pmd", "0", "7", "1")[0] == 2
-
-
-def test_sweep_open_problem(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep-open-problem", "--a", "12", "--k", "1", "--ell", "4",
-        "--d", "2..6", "--format", "json",
-    )
-    assert code == 0
-    records = json_lines(out)
-    assert [r["params"]["d"] for r in records] == [2, 3, 4, 5, 6]
-    for record in records:
-        oracle = record["oracle"]
-        assert oracle["two_g_minus_f"] == 2 * oracle["genus"] - oracle["frobenius"]
-
-
-def test_pmd_and_open_problem_sweep_refuse_unbounded_work(capsys):
-    for argv in (
-        ("pmd", "3", "2000000", "2"),  # the scan would run to 5,000,002
-        ("pmd", "3", "100000", "2"),  # multiplicity 33,334: 1.1e9 steps to check
-        # building <a, ..., a + ell k> takes a(ell + 1) = 50,010,000 steps
-        ("sweep-open-problem", "--a", "10000", "--k", "1", "--ell", "5000", "--d", "2..3"),
-        # F = 3,332,999: twenty quotients from d = 1 scan up to 66,660,000 values
-        ("sweep-open-problem", "--a", "2000", "--k", "1001", "--ell", "3", "--d", "1..20"),
-        ("sweep-open-problem", "--a", "12", "--k", "1", "--ell", "4", "--d", "1..10000000000"),
-    ):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error:"), argv
-        assert time.perf_counter() - start < 5, argv
-
-
 def test_corpus_sweep_with_max_gen_two_exits_two_promptly(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -518,7 +496,7 @@ class ClosedPipe(io.StringIO):
 
 def test_closed_stdout_is_not_an_error(capsys, monkeypatch):
     for argv, expected in (
-        (["pmd", "3", "50", "2"], 0),
+        (["invariants", "--gens", "3,5"], 0),
         (["verify", "sylvester", "--max", "12"], 0),
         (["verify", "sylvester", "--max", "12", "--format", "json", "--inject-offby1"], 1),
     ):

@@ -12,7 +12,6 @@ from numsgps.core import (
     ResourceLimitError,
     apery_set,
     contains,
-    from_gaps,
     from_generators,
     gap_residue_counts,
     invariants_from_apery,
@@ -90,6 +89,13 @@ def test_apery_table_size_is_bounded():
         apery_set(S, MAX_FROBENIUS + 1)  # a member, refused before any work
 
 
+def test_a_huge_multiplicity_is_refused_before_the_round_robin(round_robin_calls):
+    # 1, ..., m - 1 are gaps, so m = MAX_FROBENIUS + 2 forces F > MAX_FROBENIUS
+    with pytest.raises(ResourceLimitError):
+        from_generators([5_000_002, 5_000_003])
+    assert round_robin_calls == []
+
+
 def test_apery_of_two_generators_is_multiples():
     """Ap(<a, b>, a) is exactly {0, b, 2b, ..., (a-1)b}."""
     for a, b in [(3, 5), (5, 7), (7, 11), (4, 9), (9, 10)]:
@@ -124,28 +130,6 @@ def test_polynomial_at_one_is_one():
             continue
         coeffs = semigroup_polynomial_coeffs(from_generators(gens))
         assert sum(coeffs) == 1, gens
-
-
-def test_from_gaps_round_trip():
-    for gens in [[3, 5], [6, 7, 8], [5, 9, 13, 17, 21], [1]]:
-        S = from_generators(gens)
-        T = from_gaps(list(S.gaps))
-        assert T.gaps == S.gaps
-        assert T.minimal_generators == S.minimal_generators
-
-
-def test_from_gaps_rejects_non_closed_complement():
-    with pytest.raises(NotNumericalSemigroupError):
-        from_gaps([2])  # complement keeps 1 but drops 1 + 1
-    with pytest.raises(NotNumericalSemigroupError):
-        from_gaps([1, 2, 3, 8])  # complement keeps 4 but drops 4 + 4
-    with pytest.raises(NotNumericalSemigroupError):
-        # The gap count fits the table (0, 4, 11), but 4 + 4 = 8 is a gap.
-        from_gaps([1, 2, 5, 8])
-    with pytest.raises(PreconditionError):
-        from_gaps([0, 1])
-    # Duplicates are harmless: the input is read as a set.
-    assert from_gaps([1, 1, 2]) == from_gaps([1, 2])
 
 
 def test_random_agreement_with_sieve_oracle():

@@ -18,7 +18,6 @@ from numsgps.progressions import (
     full_ap_divisor_identity,
     full_ap_quotient,
     full_ap_quotient_generators,
-    open_problem_sweep,
 )
 
 
@@ -215,21 +214,3 @@ def test_full_ap_validation():
     with pytest.raises(PreconditionError):
         full_ap_d_divides_k(FullApSpec(5, 3), 2)  # 2 does not divide 3
 
-
-def test_open_problem_sweep_rows():
-    rows = open_problem_sweep(12, 1, 4, [2, 3, 4, 6])
-    assert [r[0] for r in rows] == [2, 3, 4, 6]
-    base = from_generators([12, 13, 14, 15, 16])
-    for d, frobenius, genus, two_g_minus_f in rows:
-        Q = quotient(base, d)
-        assert (frobenius, genus) == (Q.frobenius, Q.genus), d
-        assert two_g_minus_f == 2 * genus - frobenius, d
-
-
-def test_open_problem_sweep_validation():
-    with pytest.raises(PreconditionError):
-        open_problem_sweep(12, 1, 1, [2])  # ell below the interesting range
-    with pytest.raises(PreconditionError):
-        open_problem_sweep(12, 1, 11, [2])  # ell too close to a
-    with pytest.raises(PreconditionError):
-        open_problem_sweep(10, 2, 4, [2])  # gcd(a, k) = 2

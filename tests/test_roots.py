@@ -18,7 +18,6 @@ from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
     MAX_ROOT_WORK,
-    ROOT_TABLE_MAX,
     ROOT_TABLES,
     _genus_via_roots_residual,
     _pair_quotient_genus,
@@ -27,7 +26,6 @@ from numsgps.roots import (
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
     genus_quotient_via_roots,
-    hilbert_at_root,
     quasipoly_admissible_classes,
     root_of_unity_identity_check,
     sylvester_invariants,
@@ -37,49 +35,54 @@ from oracles import sieve_invariants
 
 def test_hilbert_at_root_frozen_value():
     # For <3, 5> at the primitive square root of unity (-1):
-    # members 0, 3, 5, 6, 7(+) give H(-1) = 1 - 1 - 1 + 1 + 1/2 = 1/2.
+    # members 0, 3, 5, 6, 7(+) give H(-1) = 1 - 1 - 1 + 1 + 1/2 = 1/2,
+    # so g(S/2) = (g(S) + 1/2 - H(-1))/2 = (4 + 1/2 - 1/2)/2 = 2.
     S = from_generators([3, 5])
-    value = hilbert_at_root(S, 2, 1)
-    assert abs(value - 0.5) < 1e-12
-
-
-def test_hilbert_at_root_rejects_pole():
-    S = from_generators([3, 5])
-    with pytest.raises(PreconditionError):
-        hilbert_at_root(S, 4, 0)
-    with pytest.raises(PreconditionError):
-        hilbert_at_root(S, 4, 8)
+    value, residual = _genus_via_roots_residual(S, 2)
+    assert (value, residual < 1e-12) == (2, True)
 
 
 def test_hilbert_partial_sums_converge_to_value():
     """Summing t^s over members up to N approaches H(t) at a root."""
     S = from_generators([4, 7])
-    d, i = 6, 1
-    zeta = cmath.exp(2j * cmath.pi * i / d)
-    reference = hilbert_at_root(S, d, i)
+    d = 6
     # Direct evaluation: sum zeta^x over members below the conductor, then
     # the geometric tail zeta^c / (1 - zeta) for everything above.
     finite = [x for x in range(S.conductor) if x not in S.gaps]
-    direct = sum(zeta ** x for x in finite) + zeta ** S.conductor / (1 - zeta)
-    assert abs(reference - direct) < 1e-9
+    direct = 0
+    for i in range(1, d):
+        zeta = cmath.exp(2j * cmath.pi * i / d)
+        direct += sum(zeta ** x for x in finite) + zeta ** S.conductor / (1 - zeta)
+    value, residual = _genus_via_roots_residual(S, d)
+    assert value == quotient(S, d).genus
+    assert abs((S.genus + (d - 1) / 2 - direct) / d - value) < 1e-9
+    assert residual < 1e-9
 
 
 @pytest.mark.parametrize(
     "gens, d", [((3, 5), 2), ((3, 5), 7), ((4, 7), 6), ((5, 7, 9), 4), ((6, 7, 8), 12), ((2, 9), 30)]
 )
 def test_hilbert_at_root_matches_exact_cyclotomic_value(gens, d):
-    """P_S reduced exactly modulo the cyclotomic polynomial of the root's
-    order, then evaluated at 30 digits, against the float fold."""
+    """H_S(zeta) = P_S(zeta)/(1 - zeta), with P_S reduced exactly modulo the
+    cyclotomic polynomial of each root's order, summed into the genus
+    formula and evaluated at 30 digits, against the brute-force quotient;
+    the float fold must agree.  At <2, 9> and d = 30 > F + 2 the fold reads
+    each root as it goes, with no table."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     S = from_generators(list(gens))
     P = sympy.Poly(list(reversed(semigroup_polynomial_coeffs(S))), x)
+    total = 0
     for i in range(1, d):
         order = d // math.gcd(i, d)
         reduced = P.rem(sympy.Poly(sympy.cyclotomic_poly(order, x), x))
         zeta = sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(i, d))
-        exact = complex((reduced.as_expr().subs(x, zeta) / (1 - zeta)).evalf(30))
-        assert abs(hilbert_at_root(S, d, i) - exact) < 1e-12, (gens, d, i)
+        total += reduced.as_expr().subs(x, zeta) / (1 - zeta)
+    exact = complex(((S.genus + sympy.Rational(d - 1, 2) - total) / d).evalf(30))
+    genus = quotient(S, d).genus
+    assert abs(exact - genus) < 1e-20, (gens, d)
+    value, residual = _genus_via_roots_residual(S, d)
+    assert (value, residual <= 1e-12) == (genus, True), (gens, d, residual)
 
 
 def test_root_identity_small_and_large():
@@ -130,22 +133,22 @@ def test_root_tables_only_up_to_the_folded_size():
     _unit_roots.cache_clear()
     for d in range(2, 20):
         _genus_via_roots_residual(S, d)
-        hilbert_at_root(S, d, 1)
     assert _unit_roots.cache_info().currsize == 18
     for d in range(20, 40):
         _genus_via_roots_residual(S, d)
-        hilbert_at_root(S, d, 1)
         root_of_unity_identity_check(d)
     assert _unit_roots.cache_info().currsize == 18
     big = from_generators([101, 103, 107])
     for d in range(2, 60):
         _genus_via_roots_residual(big, d)
     assert _unit_roots.cache_info().currsize == ROOT_TABLES
+    # a table of d <= F + 2 entries costs d(d - 1) root terms, so the work
+    # cap refuses the first order past 7,071 before any table is built
     huge = from_generators([3001, 4007, 5003])  # F = 772,273
     misses = _unit_roots.cache_info().misses
-    hilbert_at_root(huge, ROOT_TABLE_MAX, 1)
-    hilbert_at_root(huge, ROOT_TABLE_MAX + 1, 1)
-    assert _unit_roots.cache_info().misses == misses + 1
+    with pytest.raises(ResourceLimitError):
+        _genus_via_roots_residual(huge, 7072)
+    assert _unit_roots.cache_info().misses == misses
 
 
 def test_large_order_small_semigroup_allocates_no_root_table():
