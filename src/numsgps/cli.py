@@ -219,15 +219,13 @@ class _Output:
 
     The seed header goes to stdout for tables but to stderr for json/csv
     so that machine-readable streams stay pure.  ``main`` opens it before
-    a command does any work, so a bad --out path fails at once.  Lines
-    are joined and written in blocks of ``BLOCK`` characters; the pending
-    block is also written before every note, at the end of a report and on
-    close, so a sweep that fails part-way leaves the records it finished.  A stream whose reader
-    has gone away (``numsgps ... | head``) is not an error: output to it
-    stops quietly and the command's exit code stands.
+    a command does any work, so a bad --out path fails at once.  Each line
+    and note is written as it is produced, and the stream's own buffer
+    batches them, so a sweep that fails part-way leaves the records it
+    finished.  A stream whose reader has gone away (``numsgps ... | head``)
+    is not an error: output to it stops quietly and the command's exit
+    code stands.
     """
-
-    BLOCK = 1 << 16
 
     def __init__(self, args):
         self.format = args.format
@@ -236,8 +234,6 @@ class _Output:
         self.handle = open(self.path, "w") if self.path else sys.stdout
         # where the seed header and the sweep summary go
         self.notes = self.handle if self.format == "table" and self.path is None else sys.stderr
-        self.pending: list[str] = []
-        self.pending_size = 0
 
     def _write(self, text: str, stream) -> None:
         try:
@@ -245,29 +241,16 @@ class _Output:
         except BrokenPipeError:
             _silence(stream)
 
-    def _flush_block(self) -> None:
-        if self.pending:
-            block = "\n".join(self.pending) + "\n"
-            self.pending, self.pending_size = [], 0
-            self._write(block, self.handle)
-
     def line(self, text: str) -> None:
-        self.pending.append(text)
-        self.pending_size += len(text) + 1
-        if self.pending_size >= self.BLOCK:
-            self._flush_block()
+        self._write(text + "\n", self.handle)
 
     def note(self, text: str) -> None:
-        # written after the pending lines, also on another stream, so that a
-        # terminal shows the two in the order they were produced
-        self._flush_block()
         self._write(text + "\n", self.notes)
 
     def header(self) -> None:
         self.note(f"# seed {self.seed}")
 
     def close(self) -> None:
-        self._flush_block()
         if self.path:
             self.handle.close()
             return
@@ -287,7 +270,6 @@ class _Output:
         else:
             for key in sorted(report):
                 self.line(f"{key}: {_flat(report[key])}")
-        self._flush_block()
 
     def records(self, records: Iterable[dict]) -> None:
         self.header()

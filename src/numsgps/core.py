@@ -52,6 +52,13 @@ class ResourceLimitError(RuntimeError):
     """Instance exceeds the desk-scale size guards."""
 
 
+def _require_positive(name: str, value: int, least: int = 1) -> None:
+    if not isinstance(value, int) or value < least:
+        if least == 1:
+            raise PreconditionError(f"{name} must be a positive integer, got {value}")
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value}")
+
+
 class NumericalSemigroup:
     """Canonical form of a numerical semigroup.
 
@@ -111,14 +118,6 @@ class NumericalSemigroup:
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         return tuple(itertools.compress(itertools.count(), self._gap_mask))
-
-    @cached_property
-    def _polynomial_coeffs(self) -> tuple[int, ...]:
-        # Coefficient k of 1 - (1 - x) * sum_gaps x^s is [k = 0] - gap(k) + gap(k - 1).
-        mask = self._gap_mask
-        coeffs = list(map(operator.sub, b"\x00" + mask, mask + b"\x00"))
-        coeffs[0] = 1
-        return tuple(coeffs)
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(g) for g in self.minimal_generators) + ">"
@@ -200,6 +199,10 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
             f"multiplicity {mult} makes the Frobenius number at least {mult - 1}, "
             f"more than {MAX_FROBENIUS}"
         )
+    if len(values) == 2:  # F(<a, b>) = ab - a - b is known before any work
+        frobenius = mult * values[1] - mult - values[1]
+        if frobenius > MAX_FROBENIUS:
+            raise ResourceLimitError(f"Frobenius number {frobenius} exceeds {MAX_FROBENIUS}")
     apery, kept = _round_robin(values, mult)
     frobenius = max(apery) - mult
     if frobenius > MAX_FROBENIUS:
@@ -235,8 +238,7 @@ def contains(S: NumericalSemigroup, x: int) -> bool:
 def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
     """Ap(S, n) = {s in S : s - n not in S}, as per-residue least members:
     entry r is the least member congruent to r mod n."""
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"Apery modulus must be a positive integer, got {n}")
+    _require_positive("Apery modulus", n)
     if not contains(S, n):
         raise PreconditionError(f"Apery modulus {n} is not a member of {S}")
     if n == S.multiplicity:
@@ -271,8 +273,7 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     The gap mask read at d, 2d, ... and at F - d, F - 2d, ... pairs each
     n with F - n, so one AND of the two strides finds any pair of gaps.
     """
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError(f"d must be a positive integer, got {d}")
+    _require_positive("d", d)
     mask, F = S._gap_mask, S.frobenius  # for d > F, mask[d::d] is empty: d-symmetric
     return not int.from_bytes(mask[d::d], "big") & int.from_bytes(mask[F - d :: -d], "big")
 
@@ -281,8 +282,7 @@ def gap_residue_counts(S: NumericalSemigroup, d: int) -> list[int]:
     """Number of gaps of S in each residue class j mod d, for the
     min(d, F(S) + 1) classes that can hold one; each is one C-level count
     over a stride of the gap mask."""
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError(f"d must be a positive integer, got {d}")
+    _require_positive("d", d)
     mask = S._gap_mask
     return [mask[j::d].count(1) for j in range(min(d, S.frobenius + 1))]
 
@@ -292,5 +292,9 @@ def semigroup_polynomial_coeffs(S: NumericalSemigroup) -> tuple[int, ...]:
 
     P_S is (1 - x) times the member generating function sum_{s in S} x^s,
     cleared of its pole at x = 1; it has degree F(S) + 1 and P_S(1) = 1.
+    Coefficient k is [k = 0] - gap(k) + gap(k - 1).
     """
-    return S._polynomial_coeffs
+    mask = S._gap_mask
+    coeffs = list(map(operator.sub, b"\x00" + mask, mask + b"\x00"))
+    coeffs[0] = 1
+    return tuple(coeffs)

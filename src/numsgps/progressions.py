@@ -23,6 +23,7 @@ from .core import (
     NumericalSemigroup,
     PreconditionError,
     TheoremViolationError,
+    _require_positive,
     from_generators,
 )
 
@@ -30,8 +31,7 @@ from .core import (
 def _validated(spec):
     """``spec`` once its fields are positive integers and gcd(a, k) = 1."""
     for name, v in zip(spec._fields, spec):
-        if not isinstance(v, int) or v < 1:
-            raise PreconditionError(f"{name} must be a positive integer, got {v}")
+        _require_positive(name, v)
     if math.gcd(spec.a, spec.k) != 1:
         raise PreconditionError(
             f"a and k must be coprime, got gcd({spec.a}, {spec.k}) = {math.gcd(spec.a, spec.k)}"
@@ -78,8 +78,7 @@ def ap3_symmetric_iff_even(a: int, k: int) -> bool:
     Needs a >= 2; a = 1 collapses the semigroup to all of N, which is
     vacuously symmetric regardless of parity.
     """
-    if not isinstance(a, int) or a < 2:
-        raise PreconditionError(f"a must be an integer >= 2, got {a}")
+    _require_positive("a", a, 2)
     if math.gcd(a, k) != 1:
         raise PreconditionError(f"a and k must be coprime, got gcd({a}, {k})")
     return a % 2 == 0

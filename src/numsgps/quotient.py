@@ -17,6 +17,7 @@ from .core import (
     NumericalSemigroup,
     PreconditionError,
     _complement,
+    _require_positive,
     contains,
     is_d_symmetric,
 )
@@ -28,8 +29,7 @@ def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
     Every x > floor(F(S)/d) is a member, so the complement is read off the
     bounded prefix.
     """
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError(f"divisor must be a positive integer, got {d}")
+    _require_positive("divisor", d)
     if d == 1:
         return S
     if contains(S, d):
@@ -49,8 +49,7 @@ def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
     A return value of -1 means the quotient is all of the nonnegative
     integers.
     """
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"divisor must be an integer >= 2, got {d}")
+    _require_positive("divisor", d, 2)
     F = S.frobenius
     if F < 0:
         raise PreconditionError(

@@ -17,7 +17,7 @@ used last are kept.  A table is used only while d <= F(S) + 2, so that it
 is never larger than the folded P_S; the genus formula's work cap,
 d(d - 1) <= MAX_ROOT_WORK there, then holds d to 7,071.  Each entry is the
 float exp(2 pi i t / d) of the direct evaluation; above the bound each
-term's root is evaluated that way as it is read.
+term's root is evaluated that way where the sum reads it.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
@@ -39,6 +39,7 @@ from .core import (
     PreconditionError,
     ResourceLimitError,
     TheoremViolationError,
+    _require_positive,
     gap_residue_counts,
 )
 
@@ -66,11 +67,6 @@ class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_co
     __slots__ = ()
 
 
-def _require_positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise PreconditionError(f"{name} must be a positive integer, got {value}")
-
-
 def _fold_mod(S: NumericalSemigroup, d: int) -> list[tuple[int, int]]:
     """P_S modulo x^d - 1 as its nonzero terms (j, Q_j), 0 <= j < d.
 
@@ -90,27 +86,13 @@ def _unit_roots(d: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * t / d) for t in range(d))
 
 
-class _RootsAsRead:
-    """zeta_d^t computed anew at each read of index t, for an order whose
-    table would outgrow the folded P_S."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def __getitem__(self, t: int) -> complex:
-        return cmath.exp(2j * cmath.pi * t / self.d)
-
-
 def root_of_unity_identity_check(d: int) -> float:
     """Deviation of sum 1/(1 - zeta_d^n), n = 1..d-1, from (d-1)/2.
 
     Returns max(|real - (d-1)/2|, |imag|); exact pairing of conjugate
     roots makes the true value (d-1)/2, so this measures float error only.
     """
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"d must be an integer >= 2, got {d}")
+    _require_positive("d", d, 2)
     total = sum(1 / (1 - cmath.exp(2j * cmath.pi * n / d)) for n in range(1, d))
     return max(abs(total.real - (d - 1) / 2), abs(total.imag))
 
@@ -134,8 +116,7 @@ def genus_quotient_via_roots(
 
 def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float]:
     """(rounded genus, distance of the complex value from that integer)."""
-    if not isinstance(d, int) or d < 1:
-        raise PreconditionError(f"d must be a positive integer, got {d}")
+    _require_positive("d", d)
     if d == 1:
         return S.genus, 0.0
     work = min(d, S.frobenius + 2) * (d - 1)
@@ -144,14 +125,20 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
             f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
     folded = _fold_mod(S, d)
-    # a table only while it is no larger than the folded P_S
-    zeta = _unit_roots(d) if d <= S.frobenius + 2 else _RootsAsRead(d)
     # the member series diverges on the unit circle, so H_S(zeta^i) is read as
     # P_S(zeta^i)/(1 - zeta^i), for i = 1..d - 1 from one fold; exponents are
     # reduced mod d exactly before they reach floating point
-    total = sum(
-        sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i]) for i in range(1, d)
-    )
+    if d <= S.frobenius + 2:  # a table only while it is no larger than the folded P_S
+        zeta = _unit_roots(d)
+        total = sum(
+            sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i]) for i in range(1, d)
+        )
+    else:
+        total = sum(
+            sum(q * cmath.exp(2j * cmath.pi * (i * j % d) / d) for j, q in folded)
+            / (1 - cmath.exp(2j * cmath.pi * i / d))
+            for i in range(1, d)
+        )
     value = (S.genus + (d - 1) / 2 - total) / d
     rounded = round(value.real)
     return rounded, abs(value - rounded)
@@ -189,8 +176,7 @@ def genus_quotient_ed2_closed_form(a: int, b: int, d: int) -> int:
     """
     _require_positive("a", a)
     _require_positive("b", b)
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"d must be an integer >= 2, got {d}")
+    _require_positive("d", d, 2)
     _require_pairwise_coprime(a, b, d)
     astar = pow(a, -1, d)
     q = (a - 1) // d

@@ -29,7 +29,7 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .core import (
@@ -209,12 +209,14 @@ def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
 
 
 def _ed2_cost(cfg: SweepConfig) -> int:
-    """A step per case plus the quotient scans: <a, b>/d scans fewer than ab/d
-    values, and 1/d summed over 2 <= d <= d_max is at most floor(log2 d_max),
-    one per block [2^i, 2^(i+1)).  The closed form's O(a) sum is not counted."""
+    """A step per case, the closed form's floor sum of a terms per case, and
+    the quotient scans: <a, b>/d scans fewer than ab/d values, and 1/d summed
+    over 2 <= d <= d_max is at most floor(log2 d_max), one per block
+    [2^i, 2^(i+1))."""
     m = cfg.max_value
     products = ((m * (m + 1) // 2) ** 2 - m * (m + 1) * (2 * m + 1) // 6) // 2  # ab over a < b
-    return (cfg.d_max - 1) * m * (m - 1) // 2 + products * (cfg.d_max.bit_length() - 1)
+    sums = (m + 1) * m * (m - 1) // 6  # a over a < b <= m
+    return (cfg.d_max - 1) * (m * (m - 1) // 2 + sums) + products * (cfg.d_max.bit_length() - 1)
 
 
 def _ed2_skip(a: int, b: int, d: int) -> str | None:
@@ -632,11 +634,13 @@ def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool)
     return _identity(theorem).check(case, tolerance, inject)
 
 
-def _check_case_caught(args: tuple) -> list[dict] | Exception:
+def _check_case_caught(
+    theorem: str, tolerance: float | None, inject: bool, case: tuple
+) -> list[dict] | Exception:
     """``check_case`` in a pool worker: a case that raises returns its exception,
     so the records of the cases before it in its chunk still come back."""
     try:
-        return check_case(*args)
+        return check_case(theorem, case, tolerance, inject)
     except Exception as exc:
         return exc
 
@@ -652,22 +656,21 @@ def sweep(cfg: SweepConfig) -> Iterator[dict]:
     parallelism degree.
     """
     cfg = cfg.resolved()
-    cases = build_cases(cfg)
-    packed = [(cfg.theorem, case, cfg.tolerance, cfg.inject_offby1) for case in cases]
-    return _records(packed, cfg.parallel)
+    return _records(cfg, build_cases(cfg))
 
 
-def _records(packed: list[tuple], parallel: int) -> Iterator[dict]:
-    if parallel == 1 or len(packed) < 2:
-        for args in packed:
-            yield from check_case(*args)
+def _records(cfg: SweepConfig, cases: list[tuple]) -> Iterator[dict]:
+    if cfg.parallel == 1 or len(cases) < 2:
+        for case in cases:
+            yield from check_case(cfg.theorem, case, cfg.tolerance, cfg.inject_offby1)
         return
     # imported here, so that a serial run never loads multiprocessing
     from multiprocessing import Pool
 
-    chunk = max(1, len(packed) // (4 * parallel))
-    with Pool(parallel) as pool:
-        for batch in pool.imap(_check_case_caught, packed, chunksize=chunk):
+    chunk = max(1, len(cases) // (4 * cfg.parallel))
+    caught = partial(_check_case_caught, cfg.theorem, cfg.tolerance, cfg.inject_offby1)
+    with Pool(cfg.parallel) as pool:
+        for batch in pool.imap(caught, cases, chunksize=chunk):
             if isinstance(batch, Exception):
                 raise batch
             yield from batch

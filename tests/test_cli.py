@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 from numsgps import cli, verify
 from numsgps.core import NumericalSemigroup, TheoremViolationError, from_generators
 from numsgps.quotient import quotient
+from test_golden import GOLDEN_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -357,27 +359,32 @@ def test_verify_out_file(tmp_path, capsys):
     assert "# seed 0" in err
 
 
-class CountingStdout(io.StringIO):
-    """A stdout that counts the writes made to it."""
+class CountingRaw(io.RawIOBase):
+    """A raw byte sink that counts the writes reaching it."""
 
-    writes = 0
+    def __init__(self):
+        self.writes = 0
+        self.size = 0
 
-    def write(self, text):
+    def writable(self):
+        return True
+
+    def write(self, data):
         self.writes += 1
-        return super().write(text)
+        self.size += len(data)
+        return len(data)
 
 
-def test_verify_writes_records_in_64k_blocks(monkeypatch):
+def test_verify_output_reaches_a_buffered_stream_in_buffer_sized_writes(monkeypatch):
     for argv in (
         ["verify", "sylvester", "--max", "100"],  # table: header and summary on stdout
         ["verify", "sylvester", "--max", "60", "--format", "csv"],
     ):
-        stdout = CountingStdout()
-        monkeypatch.setattr(sys, "stdout", stdout)
+        raw = CountingRaw()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw, 8192)))
         assert cli.main(argv) == 0
-        size = len(stdout.getvalue().encode())
-        assert size > 65536, argv
-        assert stdout.writes <= -(-size // 65536) + 2, (argv, stdout.writes)
+        assert raw.size > 4 * 8192, argv
+        assert raw.writes <= -(-raw.size // 8192) + 2, (argv, raw.writes)
 
 
 def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatch):
@@ -525,3 +532,35 @@ def test_closed_pipe_ends_the_process_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def _cli_process(*argv, **kwargs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **kwargs.pop("env", {}))
+    return subprocess.Popen(
+        [sys.executable, "-c", "from numsgps.cli import entry; entry()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
+    )
+
+
+def test_a_reader_that_stops_after_one_line_ends_the_sweep_quietly():
+    # the records outgrow the pipe, so the sweep writes into a closed pipe
+    proc = _cli_process("verify", "sylvester", "--max", "100", "--format", "json")
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert json.loads(first)["params"] == {"a": 1, "b": 1}
+    assert b"error" not in err and b"Broken pipe" not in err
+
+
+def test_unbuffered_stdout_writes_the_same_bytes():
+    outputs = []
+    for env in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = _cli_process("verify", "sylvester", "--max", "100", "--format", "json", env=env)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, env
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[1]).hexdigest() == GOLDEN_SHA256["sylvester"]

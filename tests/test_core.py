@@ -96,6 +96,18 @@ def test_a_huge_multiplicity_is_refused_before_the_round_robin(round_robin_calls
     assert round_robin_calls == []
 
 
+def test_two_generators_are_refused_by_their_frobenius_before_the_round_robin(
+    round_robin_calls,
+):
+    # F(<a, b>) = ab - a - b = 6,250,004,999,999, far above MAX_FROBENIUS
+    with pytest.raises(ResourceLimitError, match="Frobenius number 6250004999999 exceeds"):
+        from_generators([2_500_001, 2_500_003])
+    with pytest.raises(ResourceLimitError):
+        from_generators([2, MAX_FROBENIUS + 3])  # F = MAX_FROBENIUS + 1
+    assert round_robin_calls == []
+    assert from_generators([2, MAX_FROBENIUS + 1]).frobenius == MAX_FROBENIUS - 1
+
+
 def test_apery_of_two_generators_is_multiples():
     """Ap(<a, b>, a) is exactly {0, b, 2b, ..., (a-1)b}."""
     for a, b in [(3, 5), (5, 7), (7, 11), (4, 9), (9, 10)]:

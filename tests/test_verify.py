@@ -173,12 +173,15 @@ def test_sylvester_and_ed2_work_is_bounded():
     # sylvester builds <a, b> in O(a) steps for every a <= b <= max_value
     largest = max(m for m in range(660, 680) if m * (m + 1) * (m + 2) // 6 <= MAX_ROOT_WORK)
     assert SweepConfig(theorem="sylvester", max_value=largest).resolved()
-    # ed2 adds one step per case to the quotient scans, fewer than ab/d values each
+    # ed2 adds one step per case, and a floor sum of a terms, to the quotient
+    # scans, fewer than ab/d values each; at max 60 that accepts d_max <= 934
     assert SweepConfig(theorem="ed2-closed-form", max_value=100).resolved()
+    assert SweepConfig(theorem="ed2-closed-form", d_max=934).resolved()
     for theorem, grid in (
         ("sylvester", dict(max_value=largest + 1)),
         ("sylvester", dict(max_value=10**9)),
         ("ed2-closed-form", dict(max_value=120)),
+        ("ed2-closed-form", dict(d_max=935)),
         ("ed2-closed-form", dict(d_max=10**6)),
     ):
         with pytest.raises(ResourceLimitError):
@@ -219,8 +222,11 @@ def test_root_identity_d_max_is_bounded():
     for d_max in (largest + 1, 10**12):
         with pytest.raises(ResourceLimitError):
             SweepConfig(theorem="root-identity", d_max=d_max).resolved()
-    # d_max of the other sweeps does not drive root evaluations.
-    assert SweepConfig(theorem="ed2-closed-form", d_max=largest + 1).resolved()
+    # d_max of the other sweeps does not drive root evaluations; ed2 pays
+    # for its cases, their floor sums and their quotient scans instead.
+    assert SweepConfig(theorem="ed2-closed-form", max_value=12, d_max=largest + 1).resolved()
+    with pytest.raises(ResourceLimitError):
+        SweepConfig(theorem="ed2-closed-form", max_value=60, d_max=largest + 1).resolved()
 
 
 # The quotient report entries each identity about S/d fills, by divisor, and
