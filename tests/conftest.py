@@ -10,14 +10,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def round_robin_calls(monkeypatch):
-    """The modulus of every ``core._round_robin`` call made during the test."""
-    calls = []
-    round_robin = core._round_robin
+def table_builds(monkeypatch):
+    """Every Apery table construction during the test, in order:
+    ("round robin", n) for a ``core._round_robin`` call at modulus n, and
+    ("sieve", m) for a ``core._sieve`` pass that built the table of
+    multiplicity m, or ("sieve", None) when it found its mask too short."""
+    builds = []
+    round_robin, sieve = core._round_robin, core._sieve
 
-    def counting(generators, n):
-        calls.append(n)
+    def counting_round_robin(generators, n):
+        builds.append(("round robin", n))
         return round_robin(generators, n)
 
-    monkeypatch.setattr(core, "_round_robin", counting)
-    return calls
+    def counting_sieve(values, nbits):
+        built = sieve(values, nbits)
+        builds.append(("sieve", None if built is None else values[0]))
+        return built
+
+    monkeypatch.setattr(core, "_round_robin", counting_round_robin)
+    monkeypatch.setattr(core, "_sieve", counting_sieve)
+    return builds

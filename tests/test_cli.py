@@ -51,6 +51,9 @@ def test_invariants_rejects_bad_generators(capsys):
     assert "error" in err.lower()
     code, _, _ = run_cli(capsys, "invariants", "--gens", "nonsense")
     assert code == 2
+    code, out, err = run_cli(capsys, "invariants", "--gens", "2500001,2500003,2500005")
+    assert (code, out) == (2, "")
+    assert err == "error: Frobenius number at least 5585006704 exceeds 5000000\n"
 
 
 def test_quotient_reports_formulas(capsys):

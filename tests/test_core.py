@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -89,23 +90,67 @@ def test_apery_table_size_is_bounded():
         apery_set(S, MAX_FROBENIUS + 1)  # a member, refused before any work
 
 
-def test_a_huge_multiplicity_is_refused_before_the_round_robin(round_robin_calls):
+def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds):
     # 1, ..., m - 1 are gaps, so m = MAX_FROBENIUS + 2 forces F > MAX_FROBENIUS
     with pytest.raises(ResourceLimitError):
         from_generators([5_000_002, 5_000_003])
-    assert round_robin_calls == []
+    assert table_builds == []
 
 
 def test_two_generators_are_refused_by_their_frobenius_before_the_round_robin(
-    round_robin_calls,
+    table_builds,
 ):
     # F(<a, b>) = ab - a - b = 6,250,004,999,999, far above MAX_FROBENIUS
     with pytest.raises(ResourceLimitError, match="Frobenius number 6250004999999 exceeds"):
         from_generators([2_500_001, 2_500_003])
     with pytest.raises(ResourceLimitError):
         from_generators([2, MAX_FROBENIUS + 3])  # F = MAX_FROBENIUS + 1
-    assert round_robin_calls == []
+    assert table_builds == []
     assert from_generators([2, MAX_FROBENIUS + 1]).frobenius == MAX_FROBENIUS - 1
+
+
+def test_three_generators_are_refused_by_a_frobenius_lower_bound_before_any_table(
+    table_builds,
+):
+    # Some Apery element at m = 2,500,001 is a sum of j* = 2235 generators
+    # >= 2,500,003, the least j with C(2 + j, j) >= m, so F >= 5,585,006,704.
+    with pytest.raises(ResourceLimitError, match="Frobenius number at least 5585006704 exceeds"):
+        from_generators([2_500_001, 2_500_003, 2_500_005])
+    assert table_builds == []
+
+
+def test_the_sieve_refuses_a_large_frobenius_at_its_length_bound(table_builds):
+    # Twelve consecutive generators from 200,000: F is about 3.6e9, but the
+    # lower bound (1,800,010) lets it through, and the sieve is cheaper at
+    # every length up to MAX_FROBENIUS + m + 1 bits, where it stops.
+    gens = list(range(200_000, 200_012))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="at least 5000001 exceeds 5000000"):
+            from_generators(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_builds and set(table_builds) == {("sieve", None)}
+    # a few masks of MAX_FROBENIUS + m bits, (MAX_FROBENIUS + m) / 8 bytes each
+    assert peak < MAX_FROBENIUS + gens[0]
+
+
+def test_many_generators_on_a_short_range_match_the_oracles(table_builds):
+    # 8 to 30 generators in [m, 3m): the inputs where the sieve is cheaper
+    rng = random.Random(6007)
+    draws = 0
+    while draws < 40:
+        m = rng.randint(8, 40)
+        gens = sorted({m, *rng.sample(range(m + 1, 3 * m), rng.randint(7, min(29, 2 * m - 1)))})
+        if math.gcd(*gens) != 1:
+            continue
+        draws += 1
+        S = from_generators(gens)
+        frobenius, genus, gaps = sieve_invariants(gens)
+        assert (S.frobenius, S.genus, S.gaps) == (frobenius, genus, tuple(gaps)), gens
+        assert list(S.minimal_generators) == minimal_generators_by_enumeration(gens), gens
+    assert sum(path == "sieve" for path, _ in table_builds) >= 30
 
 
 def test_apery_of_two_generators_is_multiples():

@@ -7,6 +7,9 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from numsgps.core import (
+    _frobenius_lower_bound,
+    _round_robin,
+    _sieve,
     from_generators,
     gap_residue_counts,
     is_d_symmetric,
@@ -28,6 +31,29 @@ fixed = settings(derandomize=True, deadline=None, database=None)
 generator_sets = st.lists(
     st.integers(min_value=2, max_value=60), min_size=1, max_size=6
 ).filter(lambda gens: math.gcd(*gens) == 1)
+
+# 2 to 40 generators up to 300; the last is the sum of two others, so
+# every set has at least one redundant generator.
+many_generator_sets = (
+    st.lists(st.integers(min_value=2, max_value=150), min_size=1, max_size=39)
+    .map(lambda gens: [*gens, gens[0] + gens[-1]])
+    .filter(lambda gens: math.gcd(*gens) == 1)
+)
+
+
+@fixed
+@given(many_generator_sets)
+def test_sieve_and_round_robin_build_the_same_table(gens):
+    values = sorted(set(gens))
+    m = values[0]
+    apery, kept = _round_robin(values, m)
+    frobenius = max(apery) - m
+    assert _frobenius_lower_bound(values) <= frobenius
+    nbits = 2 * values[-1] + m
+    while (built := _sieve(values, nbits)) is None:
+        assert nbits <= frobenius + m  # a gap among the top m bits
+        nbits *= 2
+    assert built == (apery, kept)
 
 
 @fixed

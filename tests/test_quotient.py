@@ -32,8 +32,8 @@ def test_golden_quotients():
         assert Q.genus == genus, (gens, d)
 
 
-def test_minimal_generators_cost_one_round_robin_when_first_read(round_robin_calls):
-    calls = round_robin_calls
+def test_minimal_generators_cost_one_round_robin_when_first_read(table_builds):
+    calls = table_builds
     S = from_generators([15, 17, 19])
     assert len(calls) == 1
     assert S.minimal_generators == (15, 17, 19)  # kept by the construction
@@ -43,13 +43,13 @@ def test_minimal_generators_cost_one_round_robin_when_first_read(round_robin_cal
         Q = quotient(S, d)
         assert calls == []
         gens = Q.minimal_generators
-        assert calls == [Q.multiplicity]
+        assert calls == [("round robin", Q.multiplicity)]
         assert list(gens) == minimal_generators_from_gaps(list(Q.gaps))
         assert Q.minimal_generators == gens
         assert len(calls) == 1
     calls.clear()
     assert quotient(S, 15).minimal_generators == (1,)
-    assert calls == [1]
+    assert calls == [("round robin", 1)]
 
 
 def test_quotient_defining_predicate():

@@ -193,25 +193,25 @@ def test_sylvester_and_ed2_work_is_bounded():
     assert SweepConfig(theorem="sylvester", max_value=15).resolved()
 
 
-def test_full_ap_dk_sweep_builds_each_semigroup_once(round_robin_calls):
-    """The quotients of a sweep run no round robin; only the construction
-    of each progression does."""
+def test_full_ap_dk_sweep_builds_each_semigroup_once(table_builds):
+    """The quotients of a sweep build no table; only the construction of
+    each progression does, by either path."""
     _sg.cache_clear()
     records = run_sweep(small_config("full-ap-dk"))
     assert len(records) == 120
-    assert len(round_robin_calls) == len({(r["params"]["a"], r["params"]["k"]) for r in records}) == 65
+    assert len(table_builds) == len({(r["params"]["a"], r["params"]["k"]) for r in records}) == 65
 
 
-def test_full_ap_sweep_takes_the_closed_form_generators_as_they_are(round_robin_calls):
-    """One round robin builds each progression and one finds the minimal
-    generators of each brute-force quotient by d >= 2 (by 1 it is S); the
-    predicted generators of the closed form need none."""
+def test_full_ap_sweep_takes_the_closed_form_generators_as_they_are(table_builds):
+    """One table builds each progression and one round robin finds the
+    minimal generators of each brute-force quotient by d >= 2 (by 1 it is
+    S); the predicted generators of the closed form need none."""
     _sg.cache_clear()
     records = run_sweep(small_config("full-ap"))
     built = {(r["params"]["a"], r["params"]["k"]) for r in records}
     divided = [r for r in records if r["status"] != SKIPPED and r["params"]["d"] >= 2]
     assert (len(records), len(built), len(divided)) == (196, 65, 66)
-    assert len(round_robin_calls) == len(built) + len(divided) == 131
+    assert len(table_builds) == len(built) + len(divided) == 131
 
 
 def test_root_identity_d_max_is_bounded():
