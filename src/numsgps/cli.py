@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+# one encoder for every record, as json.dumps(obj, sort_keys=True) would build
+_dump = json.JSONEncoder(sort_keys=True).encode
 
 
 def _cell(value) -> str:

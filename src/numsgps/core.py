@@ -15,11 +15,14 @@ or from a shift-or sieve on one Python int, whichever is estimated to
 cost less; the sieve wins on many generators over a short range, such as
 a full progression.  Taking generators in ascending order, either pass
 tells which are minimal: ``from_generators`` keeps the ones it found, and
-any other semigroup computes them only when first read, by the round
-robin over the table's own entries.  A complement known to be a
-semigroup (a quotient, say) is built from its gaps in one pass, with no
-closure check.  Brute-force sieves appear only in the test suite, as
-independent oracles.
+any other semigroup computes them only when first read, over the table's
+own entries, by whichever pass costs less.  A complement known to be a
+semigroup (a quotient, whose mask is every d-th byte of the mask of S)
+is built from its gap mask in one pass of C-level counts, with no closure
+check, and keeps that mask.  So the oracle of every quotient is still the
+membership test of d*x, read in C; theorem-main's fold reads the same
+mask of S, while g(S) comes from the Apery sum, and the test suite pins
+the mask to an independent dynamic-programming sieve.
 """
 
 from __future__ import annotations
@@ -91,8 +94,17 @@ class NumericalSemigroup:
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
         # Every minimal generator other than m is the least member of its
-        # class, so the round robin over the table's entries keeps exactly them.
-        return (self.multiplicity, *_round_robin(self.apery, self.multiplicity)[1])
+        # class, so either pass over the table's entries keeps exactly them.
+        # Per kept generator the round robin costs about 6m word operations,
+        # and a sieve of F + m + 1 bits (every x > F is a member) at most
+        # the shifts of m; the table is known, so the sieve skips its read.
+        m, table = self.multiplicity, self.apery
+        nbits = self.frobenius + m + 1
+        if _sieve_cost([m], nbits) < 6 * m:
+            kept = _sieve([m, *sorted(table[1:])], nbits)[1]
+        else:
+            kept = _round_robin(table, m)[1]
+        return (m, *kept)
 
     @property
     def genus(self) -> int:
@@ -179,13 +191,14 @@ def _round_robin(
     return tuple(dist), kept
 
 
-def _sieve(values: list[int], nbits: int) -> tuple[tuple[int, ...], list[int]] | None:
-    """``_round_robin(values, values[0])`` from a member mask of the first
-    ``nbits`` > max(values) integers, or None if the top m bits hold a gap.
+def _sieve(values: list[int], nbits: int) -> tuple[int, list[int]] | None:
+    """The members below ``nbits`` > max(values) of <values> (ascending,
+    with m = values[0]), as the bits of one int, and the values other than
+    m that were not yet members when reached; or None if the top m bits
+    hold a gap, so that the mask cannot fix the Apery set.
 
     A generator whose bit is set is skipped; any other is added to the mask
-    by shifts g, 2g, 4g, ... below nbits.  The Apery elements are the
-    members x with x - m not a member.
+    by shifts g, 2g, 4g, ... below nbits.
     """
     mult = values[0]
     full = (1 << nbits) - 1
@@ -201,48 +214,62 @@ def _sieve(values: list[int], nbits: int) -> tuple[tuple[int, ...], list[int]] |
             shift *= 2
     if members >> (nbits - mult) != (1 << mult) - 1:
         return None
+    return members, kept
+
+
+def _sieve_apery(members: int, mult: int) -> tuple[int, ...]:
+    """Ap(S, m) read off a member mask of S whose top m bits are members:
+    the Apery elements are the members x with x - m not a member."""
     table = [0] * mult
     bits = bin(members & ~(members << mult))[:1:-1]  # bits[x] == "1": x is an Apery element
     x = bits.find("1")
     while x >= 0:
         table[x % mult] = x
         x = bits.find("1", x + 1)
-    return tuple(table), kept
+    return tuple(table)
 
 
-def _sieve_is_cheaper(values: list[int], nbits: int) -> bool:
-    """Whether a sieve pass of ``nbits`` bits costs less than the round
-    robin's m*e steps.
+def _sieve_cost(values: list[int], nbits: int) -> int:
+    """Estimated word operations of a sieve pass of ``nbits`` bits.
 
-    In word operations: each shift by g, 2g, ... below nbits costs
-    nbits/64 plus a fixed 8, and one round-robin step 6, while reading the
-    sieve's table costs about 4 steps per class (measured with CPython
-    3.11 on x86-64).
+    Each shift by g, 2g, ... below nbits costs nbits/64 plus a fixed 8,
+    against 6 for one round-robin step, while reading the sieve's table
+    costs about 4 steps per class (measured with CPython 3.11 on x86-64).
     """
     shifts = sum(((nbits - 1) // g).bit_length() for g in values)
-    return shifts * (nbits // 64 + 8) < 6 * values[0] * (len(values) - 4)
+    return shifts * (nbits // 64 + 8)
 
 
 def _apery_and_kept(values: list[int], lower: int) -> tuple[tuple[int, ...], list[int]]:
     """``_round_robin(values, values[0])``, by the cheaper construction.
 
     The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
-    F <= 2 max(values) or F = ``lower``, and doubles while a pass still
-    costs less.  Its last length is MAX_FROBENIUS + m + 1 bits: a gap in
-    the top m of them shows F > MAX_FROBENIUS.
+    F <= 2 max(values) or F = ``lower``, and doubles while the passes so
+    far and the next one cost less than the round robin's m*e steps less
+    the sieve's table read, so that failed passes never cost more than
+    the round robin they fall back to.  Its last length is
+    MAX_FROBENIUS + m + 1 bits, where a pass either builds the table or,
+    with a gap in the top m bits, shows F > MAX_FROBENIUS: it ends the
+    construction either way, so only its own cost is compared.
     """
     mult = values[0]
+    budget = 6 * mult * (len(values) - 4)
     nbits = max(2 * values[-1], lower + 1) + mult
-    while _sieve_is_cheaper(values, nbits):
+    spent = 0
+    while True:
+        cost = _sieve_cost(values, nbits)
+        spent += cost
+        last = nbits > MAX_FROBENIUS + mult
+        if (cost if last else spent) >= budget:
+            return _round_robin(values, mult)
         built = _sieve(values, nbits)
         if built is not None:
-            return built
-        if nbits > MAX_FROBENIUS + mult:
+            return _sieve_apery(built[0], mult), built[1]
+        if last:
             raise ResourceLimitError(
                 f"Frobenius number at least {nbits - mult} exceeds {MAX_FROBENIUS}"
             )
         nbits = min(2 * nbits, MAX_FROBENIUS + mult + 1)
-    return _round_robin(values, mult)
 
 
 def _frobenius_lower_bound(values: list[int]) -> int:
@@ -304,19 +331,25 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
     return S
 
 
-def _complement(gaps: list[int]) -> NumericalSemigroup:
-    """The candidate semigroup N minus ``gaps`` (distinct, positive,
-    ascending), unchecked.
+def _from_gap_mask(mask: bytes) -> NumericalSemigroup:
+    """The candidate semigroup whose gaps are the set bytes of ``mask``
+    (mask[x] = 1 exactly when x is a gap, last byte set; empty for N),
+    unchecked, keeping ``mask`` as its own gap mask.
 
-    The multiplicity m is the least non-gap and each class mod m starts
-    just above its largest gap.  When the complement is a semigroup this
-    is its canonical form, with no more work than one pass over the gaps.
+    The multiplicity m is the first unset byte after 0, and class r mod m
+    holds the gaps r, r + m, ..., so its least member is r plus m per set
+    byte of mask[r::m].  When the complement is a semigroup (a quotient,
+    say) this is its canonical form, with one C-level count per class.
     """
-    mult = next((i for i, x in enumerate(gaps, 1) if x != i), len(gaps) + 1)
-    table = list(range(mult))
-    for x in gaps:  # ascending, so the largest gap of each class wins
-        table[x % mult] = x + mult
-    return NumericalSemigroup(mult, gaps[-1] if gaps else -1, tuple(table))
+    mult = mask.find(0, 1)
+    if mult < 0:  # 1, ..., F are all gaps, or the mask is empty (N)
+        mult = len(mask) or 1
+    # built from a list, whose length is known; tuple() of a generator raised
+    # the peak RSS of a default theorem-main sweep by 0.4 MiB (CPython 3.11)
+    table = tuple([r + mult * mask[r::mult].count(1) for r in range(mult)])
+    S = NumericalSemigroup(mult, len(mask) - 1, table)
+    S.__dict__["_gap_mask"] = mask
+    return S
 
 
 def contains(S: NumericalSemigroup, x: int) -> bool:

@@ -1,14 +1,18 @@
 """Quotients of numerical semigroups by a positive integer.
 
-S/d = {x >= 0 : d*x in S} is again a numerical semigroup; its Frobenius
-number is at most floor(F(S)/d), so the whole quotient is determined by
-membership checks up to that bound; that scan, shared with no closed
-form, is the oracle of every sweep.  Its gaps give the canonical form
+S/d = {x >= 0 : d*x in S} is again a numerical semigroup, and x is a gap
+of it exactly when d*x is a gap of S.  So its gap mask is every d-th byte
+of the gap mask of S, one C-level strided slice that is still the
+definitional membership test of d*x, and that read, shared with no closed
+form, is the oracle of every sweep.  The mask gives the canonical form
 directly (each class modulo the least non-gap starts just above its
 largest gap) with no closure check, since S/d is a semigroup by
-definition, and the minimal generators are left until they are read.
-The module also carries the Frobenius shortcut for d-symmetric
-semigroups.
+definition; the quotient keeps the mask for its gaps, its d-symmetry and
+the root layer, and its minimal generators are left until they are read.
+theorem-main's fold reads the same mask of S, while g(S) comes from the
+Apery sum, and the test suite pins the mask to an independent
+dynamic-programming sieve.  The module also carries the Frobenius
+shortcut for d-symmetric semigroups.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from .core import (
     NumericalSemigroup,
     PreconditionError,
-    _complement,
+    _from_gap_mask,
     _require_positive,
     contains,
     is_d_symmetric,
@@ -26,16 +30,14 @@ from .core import (
 def quotient(S: NumericalSemigroup, d: int) -> NumericalSemigroup:
     """The quotient S/d = {x : d*x in S} in canonical form.
 
-    Every x > floor(F(S)/d) is a member, so the complement is read off the
-    bounded prefix.
+    Byte x of the gap mask of S/d is byte d*x of the gap mask of S, cut
+    after its last gap: every x > floor(F(S)/d) is a member.
     """
     _require_positive("divisor", d)
     if d == 1:
         return S
-    if contains(S, d):
-        return _complement([])  # 1 in S/d, so the quotient is all of N
-    ap, m = S.apery, S.multiplicity
-    return _complement([x for x in range(1, S.frobenius // d + 1) if d * x < ap[d * x % m]])
+    mask = S._gap_mask[::d]
+    return _from_gap_mask(mask[: mask.rfind(1) + 1])
 
 
 def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:

@@ -185,6 +185,7 @@ def _ap3(a: int, k: int) -> tuple[int, ...]:
     return (a, a + k, a + 2 * k)
 
 
+@lru_cache(maxsize=64)  # a sweep reads the same progression for each d in turn
 def _full_ap(a: int, k: int) -> tuple[int, ...]:
     return tuple(a + i * k for i in range(a))
 

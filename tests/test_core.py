@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
+from numsgps import core
 from numsgps.core import (
     MAX_FROBENIUS,
     NotNumericalSemigroupError,
+    NumericalSemigroup,
     PreconditionError,
     ResourceLimitError,
     apery_set,
@@ -151,6 +153,30 @@ def test_many_generators_on_a_short_range_match_the_oracles(table_builds):
         assert (S.frobenius, S.genus, S.gaps) == (frobenius, genus, tuple(gaps)), gens
         assert list(S.minimal_generators) == minimal_generators_by_enumeration(gens), gens
     assert sum(path == "sieve" for path, _ in table_builds) >= 30
+
+
+def test_failed_sieve_passes_cost_less_than_the_round_robin(table_builds, monkeypatch):
+    # <600 + 7i : i < e> has F near 600 * 599 / (e - 1), far above both 2 max
+    # and the lower bound, so the first passes fail; they are charged
+    # against the round robin's 6 m (e - 4) before the next one runs.
+    lengths = []
+    sieve = core._sieve
+
+    def measured_sieve(values, nbits):
+        lengths.append(nbits)
+        return sieve(values, nbits)
+
+    monkeypatch.setattr(core, "_sieve", measured_sieve)
+    for e, failed in ((12, 3), (16, 4)):
+        gens = [600 + 7 * i for i in range(e)]
+        lengths.clear()
+        table_builds.clear()
+        S = from_generators(gens)
+        assert table_builds == [("sieve", None)] * failed + [("round robin", 600)], e
+        spent = sum(core._sieve_cost(gens, nbits) for nbits in lengths)
+        budget = 6 * 600 * (e - 4)
+        assert spent < budget <= spent + core._sieve_cost(gens, 2 * lengths[-1]), e
+        assert S == NumericalSemigroup(600, S.frobenius, core._round_robin(gens, 600)[0])
 
 
 def test_apery_of_two_generators_is_multiples():

@@ -7,9 +7,11 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from numsgps.core import (
+    NumericalSemigroup,
     _frobenius_lower_bound,
     _round_robin,
     _sieve,
+    _sieve_apery,
     from_generators,
     gap_residue_counts,
     is_d_symmetric,
@@ -53,7 +55,8 @@ def test_sieve_and_round_robin_build_the_same_table(gens):
     while (built := _sieve(values, nbits)) is None:
         assert nbits <= frobenius + m  # a gap among the top m bits
         nbits *= 2
-    assert built == (apery, kept)
+    members, sieve_kept = built
+    assert (_sieve_apery(members, m), sieve_kept) == (apery, kept)
 
 
 @fixed
@@ -90,6 +93,17 @@ def test_quotient_is_the_semigroup_of_its_brute_force_gaps(gens, d):
     Q = quotient(from_generators(gens), d)
     assert Q.gaps == tuple(gaps)
     assert list(Q.minimal_generators) == minimal_generators_from_gaps(gaps)
+
+
+@fixed
+@given(generator_sets, st.integers(min_value=1, max_value=80))
+def test_quotient_keeps_the_gap_mask_its_table_gives(gens, d):
+    S = from_generators(gens)
+    Q = quotient(S, d)
+    rebuilt = NumericalSemigroup(Q.multiplicity, Q.frobenius, Q.apery)
+    assert Q is S if d == 1 else "_gap_mask" in vars(Q)
+    assert Q._gap_mask == rebuilt._gap_mask
+    assert Q.minimal_generators == rebuilt.minimal_generators
 
 
 @fixed

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from numsgps import core
 from numsgps.core import (
+    NumericalSemigroup,
     PreconditionError,
     contains,
     from_generators,
@@ -13,7 +15,12 @@ from numsgps.core import (
     is_d_symmetric,
 )
 from numsgps.quotient import frobenius_quotient_dsymmetric, quotient
-from oracles import minimal_generators_from_gaps, quotient_gaps, sieve_invariants
+from oracles import (
+    minimal_generators_from_gaps,
+    quotient_gaps,
+    sieve_invariants,
+    sieve_members,
+)
 
 
 def test_golden_quotients():
@@ -33,23 +40,79 @@ def test_golden_quotients():
 
 
 def test_minimal_generators_cost_one_round_robin_when_first_read(table_builds):
+    """Reading the minimal generators of a quotient builds one table, by
+    the round robin or by the sieve, whichever is estimated to cost less;
+    the quotient itself builds none."""
     calls = table_builds
     S = from_generators([15, 17, 19])
-    assert len(calls) == 1
+    assert calls == [("round robin", 15)]
     assert S.minimal_generators == (15, 17, 19)  # kept by the construction
     assert len(calls) == 1
-    for d in (2, 3, 5, 17):
+    for d, build in (
+        (2, ("sieve", 15)),
+        (3, ("sieve", 5)),
+        (5, ("round robin", 3)),
+        (17, ("sieve", 1)),
+    ):
         calls.clear()
         Q = quotient(S, d)
         assert calls == []
         gens = Q.minimal_generators
-        assert calls == [("round robin", Q.multiplicity)]
+        assert calls == [build], d
         assert list(gens) == minimal_generators_from_gaps(list(Q.gaps))
         assert Q.minimal_generators == gens
         assert len(calls) == 1
     calls.clear()
     assert quotient(S, 15).minimal_generators == (1,)
-    assert calls == [("round robin", 1)]
+    assert calls == [("sieve", 1)]
+
+
+def _expected_mask(Q: NumericalSemigroup) -> bytes:
+    # a fresh semigroup with the same table builds its mask from the table
+    return NumericalSemigroup(Q.multiplicity, Q.frobenius, Q.apery)._gap_mask
+
+
+def test_quotient_keeps_the_gap_mask_its_table_gives():
+    rng = random.Random(3119)
+    S = from_generators([15, 17, 19])  # F = 118
+    N = from_generators([1])
+    cases = [(S, 1), (S, 119), (S, 1000), (S, 17), (S, 34), (N, 1), (N, 2), (N, 7)]
+    while len(cases) < 120:
+        gens = sorted(rng.sample(range(2, 60), rng.randint(2, 5)))
+        if math.gcd(*gens) == 1:
+            cases.append((from_generators(gens), rng.randint(1, 20)))
+    for S, d in cases:
+        Q = quotient(S, d)
+        # S/1 is S; any other quotient keeps the mask it was read from
+        assert Q is S if d == 1 else "_gap_mask" in vars(Q), (S, d)
+        assert Q._gap_mask == _expected_mask(Q), (S, d)
+        assert type(Q._gap_mask) is bytes
+        if d > S.frobenius or contains(S, d):
+            assert (Q.multiplicity, Q.frobenius, Q._gap_mask) == (1, -1, b""), (S, d)
+        # the definitional read of d*x, byte by byte, up to floor(F(S)/d)
+        member = sieve_members(list(S.minimal_generators), max(S.frobenius, 0))
+        defined = bytes(not member[d * x] for x in range(S.frobenius // d + 1))
+        assert Q._gap_mask == defined.rstrip(b"\x00"), (S, d)
+
+
+def test_both_minimal_generator_paths_agree_on_random_quotients(table_builds):
+    rng = random.Random(7741)
+    paths = set()
+    for _ in range(150):
+        gens = sorted(rng.sample(range(2, 90), rng.randint(2, 6)))
+        if math.gcd(*gens) != 1:
+            continue
+        Q = quotient(from_generators(gens), rng.randint(2, 9))
+        m, nbits = Q.multiplicity, Q.frobenius + Q.multiplicity + 1
+        by_round_robin = (m, *core._round_robin(Q.apery, m)[1])
+        by_sieve = (m, *core._sieve([m, *sorted(Q.apery[1:])], nbits)[1])
+        assert by_round_robin == by_sieve, (gens, Q)
+        table_builds.clear()
+        assert Q.minimal_generators == by_sieve, (gens, Q)
+        assert len(table_builds) == 1
+        paths.add(table_builds[0][0])
+        assert list(by_sieve) == minimal_generators_from_gaps(list(Q.gaps)), (gens, Q)
+    assert paths == {"round robin", "sieve"}
 
 
 def test_quotient_defining_predicate():
