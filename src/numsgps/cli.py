@@ -29,7 +29,7 @@ from .core import (
     is_d_symmetric,
 )
 from .quotient import quotient
-from .roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
+from .roots import DEFAULT_TOLERANCE, fit_quasipolynomial
 from .verify import (
     IDENTITIES,
     MATCH,
@@ -75,14 +75,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_parallel() -> int:
-    raw = os.environ.get("NSG_PARALLEL", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -101,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--parallel",
         type=_positive_int,
-        default=_default_parallel(),
-        help="worker processes for sweeps (default: NSG_PARALLEL or 1)",
+        default=1,
+        help="worker processes for sweeps (default: 1)",
     )
     common.add_argument(
         "--out", default=None, metavar="PATH", help="write records to a file"
@@ -339,12 +331,6 @@ def cmd_quotient(args, out: _Output) -> int:
 def cmd_apery(args, out: _Output) -> int:
     S = from_generators(args.gens)
     n = args.n if args.n is not None else S.multiplicity
-    # any other n runs the round robin, which relaxes n entries per generator
-    work = n * S.embedding_dimension
-    if n != S.multiplicity and work > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"the Apery set of {S} at n = {n} takes {work} steps, more than {MAX_ROOT_WORK}"
-        )
     ap = apery_set(S, n)
     frobenius, genus = invariants_from_apery(ap)
     report = {

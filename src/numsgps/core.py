@@ -17,12 +17,14 @@ a full progression.  Taking generators in ascending order, either pass
 tells which are minimal: ``from_generators`` keeps the ones it found, and
 any other semigroup computes them only when first read, over the table's
 own entries, by whichever pass costs less.  A complement known to be a
-semigroup (a quotient, whose mask is every d-th byte of the mask of S)
-is built from its gap mask in one pass of C-level counts, with no closure
-check, and keeps that mask.  So the oracle of every quotient is still the
-membership test of d*x, read in C; theorem-main's fold reads the same
-mask of S, while g(S) comes from the Apery sum, and the test suite pins
-the mask to an independent dynamic-programming sieve.
+semigroup (the members a sieve pass closed, turned into bytes, or a
+quotient, whose mask is every d-th byte of the mask of S) is built from
+its gap mask in one pass of C-level counts, with no closure check, and
+keeps that mask; Ap[r] = r + m * #{gaps congruent to r mod m} reads every
+mask.  So the oracle of every quotient is still the membership test of
+d*x, read in C; theorem-main's fold reads the same mask of S, while g(S)
+comes from the Apery sum, and the test suite pins the mask to an
+independent dynamic-programming sieve.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ from typing import Iterable
 # Desk-scale guard: refuse instances whose gap list would thrash memory,
 # instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
+# Desk-scale guard on the steps one command may take: the round robin of an
+# Apery set at n relaxes n entries per minimal generator, the d - 1 roots
+# each sum at most min(d, F(S) + 2) nonzero terms of the folded P_S, and a
+# quasipolynomial fit counts gaps in O(a) steps per sample a.  Every verify
+# sweep whose grid drives such work is refused above it too.
+MAX_ROOT_WORK = 50_000_000
 
 
 class PreconditionError(ValueError):
@@ -217,18 +225,6 @@ def _sieve(values: list[int], nbits: int) -> tuple[int, list[int]] | None:
     return members, kept
 
 
-def _sieve_apery(members: int, mult: int) -> tuple[int, ...]:
-    """Ap(S, m) read off a member mask of S whose top m bits are members:
-    the Apery elements are the members x with x - m not a member."""
-    table = [0] * mult
-    bits = bin(members & ~(members << mult))[:1:-1]  # bits[x] == "1": x is an Apery element
-    x = bits.find("1")
-    while x >= 0:
-        table[x % mult] = x
-        x = bits.find("1", x + 1)
-    return tuple(table)
-
-
 def _sieve_cost(values: list[int], nbits: int) -> int:
     """Estimated word operations of a sieve pass of ``nbits`` bits.
 
@@ -240,8 +236,9 @@ def _sieve_cost(values: list[int], nbits: int) -> int:
     return shifts * (nbits // 64 + 8)
 
 
-def _apery_and_kept(values: list[int], lower: int) -> tuple[tuple[int, ...], list[int]]:
-    """``_round_robin(values, values[0])``, by the cheaper construction.
+def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, list[int]]:
+    """<values> (ascending) and the values that ``_round_robin(values,
+    values[0])`` keeps, by the cheaper construction.
 
     The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
     F <= 2 max(values) or F = ``lower``, and doubles while the passes so
@@ -250,7 +247,8 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[tuple[int, ...], lis
     the round robin they fall back to.  Its last length is
     MAX_FROBENIUS + m + 1 bits, where a pass either builds the table or,
     with a gap in the top m bits, shows F > MAX_FROBENIUS: it ends the
-    construction either way, so only its own cost is compared.
+    construction either way, so only its own cost is compared.  A pass
+    that builds the table is read as a gap mask, which the semigroup keeps.
     """
     mult = values[0]
     budget = 6 * mult * (len(values) - 4)
@@ -261,10 +259,14 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[tuple[int, ...], lis
         spent += cost
         last = nbits > MAX_FROBENIUS + mult
         if (cost if last else spent) >= budget:
-            return _round_robin(values, mult)
+            apery, kept = _round_robin(values, mult)
+            return NumericalSemigroup(mult, max(apery) - mult, apery), kept
         built = _sieve(values, nbits)
         if built is not None:
-            return _sieve_apery(built[0], mult), built[1]
+            bits = bin(built[0])[:1:-1]  # bits[x] == "1": x is a member
+            # cut after the last gap, then a gap is byte 1 and a member byte 0
+            mask = bits[: bits.rfind("0") + 1].encode().translate(bytes.maketrans(b"01", b"\1\0"))
+            return _from_gap_mask(mask), built[1]
         if last:
             raise ResourceLimitError(
                 f"Frobenius number at least {nbits - mult} exceeds {MAX_FROBENIUS}"
@@ -321,11 +323,9 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
     if lower > MAX_FROBENIUS:
         at_least = "" if len(values) == 2 else "at least "  # exact for two generators
         raise ResourceLimitError(f"Frobenius number {at_least}{lower} exceeds {MAX_FROBENIUS}")
-    apery, kept = _apery_and_kept(values, lower)
-    frobenius = max(apery) - mult
-    if frobenius > MAX_FROBENIUS:
-        raise ResourceLimitError(f"Frobenius number {frobenius} exceeds {MAX_FROBENIUS}")
-    S = NumericalSemigroup(mult, frobenius, apery)
+    S, kept = _apery_and_kept(values, lower)
+    if S.frobenius > MAX_FROBENIUS:
+        raise ResourceLimitError(f"Frobenius number {S.frobenius} exceeds {MAX_FROBENIUS}")
     # the minimal generators this pass found, so that reading them does not run it again
     S.__dict__["minimal_generators"] = (mult, *kept)
     return S
@@ -338,8 +338,9 @@ def _from_gap_mask(mask: bytes) -> NumericalSemigroup:
 
     The multiplicity m is the first unset byte after 0, and class r mod m
     holds the gaps r, r + m, ..., so its least member is r plus m per set
-    byte of mask[r::m].  When the complement is a semigroup (a quotient,
-    say) this is its canonical form, with one C-level count per class.
+    byte of mask[r::m].  When the complement is a semigroup (a quotient, or
+    the members a sieve pass closed under its generators) this is its
+    canonical form, with one C-level count per class.
     """
     mult = mask.find(0, 1)
     if mult < 0:  # 1, ..., F are all gaps, or the mask is empty (N)
@@ -363,6 +364,12 @@ def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
     """Ap(S, n) = {s in S : s - n not in S}, as per-residue least members:
     entry r is the least member congruent to r mod n."""
     _require_positive("Apery modulus", n)
+    # any n but m runs the round robin, which relaxes n entries per generator
+    work = n * S.embedding_dimension if n != S.multiplicity else 0
+    if work > MAX_ROOT_WORK:
+        raise ResourceLimitError(
+            f"the Apery set of {S} at n = {n} takes {work} steps, more than {MAX_ROOT_WORK}"
+        )
     if not contains(S, n):
         raise PreconditionError(f"Apery modulus {n} is not a member of {S}")
     if n == S.multiplicity:

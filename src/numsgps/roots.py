@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
+    MAX_ROOT_WORK,
     NumericalSemigroup,
     PrecisionLossError,
     PreconditionError,
@@ -45,11 +46,6 @@ from .core import (
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-# Desk-scale guard on the steps one command may take in this module: the
-# d - 1 roots each sum at most min(d, F(S) + 2) nonzero terms of the folded
-# P_S, and a quasipolynomial fit counts gaps in O(a) steps per sample a.
-# Every verify sweep whose grid drives such work is refused above it too.
-MAX_ROOT_WORK = 50_000_000
 # Tables of d-th roots kept at once, each of d <= F(S) + 2 entries; the
 # genus formula's work cap holds such a d to 7,071.
 ROOT_TABLES = 32

@@ -33,6 +33,7 @@ from functools import lru_cache, partial
 from typing import Iterator
 
 from .core import (
+    MAX_ROOT_WORK,
     NumericalSemigroup,
     PreconditionError,
     ResourceLimitError,
@@ -55,7 +56,6 @@ from .quotient import frobenius_quotient_dsymmetric, quotient
 from .roots import (
     DEFAULT_TOLERANCE,
     IDENTITY_TOLERANCE,
-    MAX_ROOT_WORK,
     _fit_work,
     _genus_via_roots_residual,
     extract_cabd_constant,

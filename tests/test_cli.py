@@ -302,6 +302,19 @@ def test_every_command_and_name_has_a_use(capsys):
     assert unread == []
 
 
+def test_no_module_reads_the_environment():
+    # every setting is a command-line flag, so one invocation means one thing
+    root = Path(__file__).resolve().parents[1]
+    reads = []
+    for path in sorted((root / "src" / "numsgps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
 def test_verify_json_round_trips_byte_identical(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "theorem-main", "--cases", "8", "--max-gen", "20",

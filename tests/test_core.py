@@ -21,6 +21,7 @@ from numsgps.core import (
     is_d_symmetric,
     semigroup_polynomial_coeffs,
 )
+from numsgps.quotient import quotient
 from oracles import (
     minimal_generators_by_enumeration,
     representable,
@@ -90,6 +91,15 @@ def test_apery_table_size_is_bounded():
     S = from_generators([3, 5])
     with pytest.raises(ResourceLimitError):
         apery_set(S, MAX_FROBENIUS + 1)  # a member, refused before any work
+
+
+def test_apery_set_is_refused_above_the_round_robin_work_cap(table_builds):
+    # 100 minimal generators relax 4,999,000 classes each: 10 times the cap
+    S = from_generators(range(1000, 1100))
+    table_builds.clear()
+    with pytest.raises(ResourceLimitError, match="takes 499900000 steps, more than 50000000"):
+        apery_set(S, 4_999_000)
+    assert table_builds == []
 
 
 def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds):
@@ -326,3 +336,48 @@ def test_gap_mask_is_built_once_and_immutable():
     assert S._gap_mask is mask
     with pytest.raises(TypeError):
         mask[1] = 0
+
+
+def test_construction_passes_are_pinned(table_builds):
+    # the passes each input ran before the sieve's table was read as a gap mask
+    pinned = {
+        tuple(120 + 7 * i for i in range(120)): [("sieve", 120)],
+        tuple(range(1000, 1100)): [("sieve", None)] * 2 + [("sieve", 1000)],
+        tuple(600 + 7 * i for i in range(12)): [("sieve", None)] * 3 + [("round robin", 600)],
+        tuple(600 + 7 * i for i in range(16)): [("sieve", None)] * 4 + [("round robin", 600)],
+        (3001, 4007, 5003): [("round robin", 3001)],
+    }
+    for gens, builds in pinned.items():
+        table_builds.clear()
+        from_generators(gens)
+        assert table_builds == builds, gens
+
+
+def test_a_sieve_built_semigroup_keeps_the_gap_mask_of_its_table(table_builds):
+    # the progressions of the default full-ap grids, then one input whose
+    # third sieve pass builds the table and one that falls back to the round robin
+    inputs = [
+        [a + i * k for i in range(a)]
+        for a in range(2, 121)
+        for k in range(1, 21)
+        if math.gcd(a, k) == 1
+    ]
+    assert len(inputs) == 1478
+    inputs += [list(range(1000, 1100)), [600 + 7 * i for i in range(12)]]
+    paths = []
+    for gens in inputs:
+        table_builds.clear()
+        S = from_generators(gens)
+        paths.append(table_builds[-1][0])
+        if paths[-1] == "round robin":
+            assert "_gap_mask" not in S.__dict__, gens  # built when first read
+            continue
+        m, apery = S.multiplicity, core._round_robin(gens, S.multiplicity)[0]
+        built_from_table = NumericalSemigroup(m, max(apery) - m, apery)
+        assert S == built_from_table, gens
+        assert S.__dict__["_gap_mask"] == built_from_table._gap_mask, gens
+        for d in range(1, 13):
+            Q, expected = quotient(S, d), quotient(built_from_table, d)
+            assert (Q, Q._gap_mask) == (expected, expected._gap_mask), (gens, d)
+    assert paths[-2:] == ["sieve", "round robin"]
+    assert paths.count("sieve") > 1000

@@ -3,15 +3,17 @@ genus against the brute-force oracles and independent paths on generated
 inputs."""
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from numsgps import core
 from numsgps.core import (
     NumericalSemigroup,
+    _apery_and_kept,
     _frobenius_lower_bound,
     _round_robin,
     _sieve,
-    _sieve_apery,
     from_generators,
     gap_residue_counts,
     is_d_symmetric,
@@ -50,13 +52,25 @@ def test_sieve_and_round_robin_build_the_same_table(gens):
     m = values[0]
     apery, kept = _round_robin(values, m)
     frobenius = max(apery) - m
-    assert _frobenius_lower_bound(values) <= frobenius
-    nbits = 2 * values[-1] + m
-    while (built := _sieve(values, nbits)) is None:
-        assert nbits <= frobenius + m  # a gap among the top m bits
-        nbits *= 2
-    members, sieve_kept = built
-    assert (_sieve_apery(members, m), sieve_kept) == (apery, kept)
+    lower = _frobenius_lower_bound(values)
+    assert lower <= frobenius
+    failed = []
+
+    def sieve(values, nbits):
+        built = _sieve(values, nbits)
+        if built is None:
+            failed.append(nbits)
+        return built
+
+    # every pass priced at -inf: the sieve runs at each length until one
+    # builds the table, which is read through the gap mask it keeps
+    with mock.patch.object(core, "_sieve_cost", return_value=-math.inf), mock.patch.object(
+        core, "_sieve", sieve
+    ):
+        S, sieve_kept = _apery_and_kept(values, lower)
+    assert all(nbits <= frobenius + m for nbits in failed)  # a gap among the top m bits
+    assert "_gap_mask" in S.__dict__
+    assert (S.apery, S.frobenius, sieve_kept) == (apery, frobenius, kept)
 
 
 @fixed

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from numsgps.core import (
+    MAX_ROOT_WORK,
     PreconditionError,
     ResourceLimitError,
     from_generators,
@@ -17,7 +18,6 @@ from numsgps.core import (
 from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
-    MAX_ROOT_WORK,
     ROOT_TABLES,
     _genus_via_roots_residual,
     _pair_quotient_genus,

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from numsgps import cli, verify
-from numsgps.core import PreconditionError, ResourceLimitError, from_generators
+from numsgps.core import MAX_ROOT_WORK, PreconditionError, ResourceLimitError, from_generators
 from numsgps.quotient import quotient
 from numsgps.verify import (
     IDENTITIES,
@@ -22,7 +22,7 @@ from numsgps.verify import (
     run_sweep,
     sweep,
 )
-from numsgps.roots import DEFAULT_TOLERANCE, MAX_ROOT_WORK, fit_quasipolynomial
+from numsgps.roots import DEFAULT_TOLERANCE, fit_quasipolynomial
 
 SMALL_GRIDS = {
     "theorem-main": dict(cases=15, max_gen=25, d_max=4),
