@@ -39,10 +39,12 @@ from typing import Iterable
 # instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
 # Desk-scale guard on the steps one command may take: the round robin of an
-# Apery set at n relaxes n entries per minimal generator, the d - 1 roots
-# each sum at most min(d, F(S) + 2) nonzero terms of the folded P_S, and a
-# quasipolynomial fit counts gaps in O(a) steps per sample a.  Every verify
-# sweep whose grid drives such work is refused above it too.
+# Apery set at n relaxes n entries per minimal generator, construction from
+# generators takes an estimated number of word operations (6 per round-robin
+# step), the d - 1 roots each take min(d, F(S) + 2) Horner steps over the
+# folded P_S, and a quasipolynomial fit counts gaps in O(a) steps per
+# sample a.  Every verify sweep whose grid drives such work is refused above
+# it too.
 MAX_ROOT_WORK = 50_000_000
 
 
@@ -229,8 +231,8 @@ def _sieve_cost(values: list[int], nbits: int) -> int:
     """Estimated word operations of a sieve pass of ``nbits`` bits.
 
     Each shift by g, 2g, ... below nbits costs nbits/64 plus a fixed 8,
-    against 6 for one round-robin step, while reading the sieve's table
-    costs about 4 steps per class (measured with CPython 3.11 on x86-64).
+    against 6 for one round-robin step (measured with CPython 3.11 on
+    x86-64).
     """
     shifts = sum(((nbits - 1) // g).bit_length() for g in values)
     return shifts * (nbits // 64 + 8)
@@ -242,13 +244,17 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
 
     The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
     F <= 2 max(values) or F = ``lower``, and doubles while the passes so
-    far and the next one cost less than the round robin's m*e steps less
-    the sieve's table read, so that failed passes never cost more than
-    the round robin they fall back to.  Its last length is
+    far and the next one cost less than 6m(e - 4), the round robin's m*e
+    steps less 4 per class, so that failed passes never cost more than the
+    round robin they fall back to; the -4 keeps every input of at most four
+    generators on the round robin.  Its last length is
     MAX_FROBENIUS + m + 1 bits, where a pass either builds the table or,
     with a gap in the top m bits, shows F > MAX_FROBENIUS: it ends the
     construction either way, so only its own cost is compared.  A pass
     that builds the table is read as a gap mask, which the semigroup keeps.
+    Before each pass, and before the round robin (6m*e), the estimated
+    word operations of the passes run so far and of that step are held to
+    MAX_ROOT_WORK.
     """
     mult = values[0]
     budget = 6 * mult * (len(values) - 4)
@@ -256,11 +262,18 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
     spent = 0
     while True:
         cost = _sieve_cost(values, nbits)
-        spent += cost
         last = nbits > MAX_FROBENIUS + mult
-        if (cost if last else spent) >= budget:
+        fall_back = (cost if last else spent + cost) >= budget
+        work = spent + (6 * mult * len(values) if fall_back else cost)
+        if work > MAX_ROOT_WORK:
+            raise ResourceLimitError(
+                f"building <{mult}, ...> from {len(values)} generators takes an estimated "
+                f"{work} word operations, more than {MAX_ROOT_WORK}"
+            )
+        if fall_back:
             apery, kept = _round_robin(values, mult)
             return NumericalSemigroup(mult, max(apery) - mult, apery), kept
+        spent += cost
         built = _sieve(values, nbits)
         if built is not None:
             bits = bin(built[0])[:1:-1]  # bits[x] == "1": x is a member

@@ -10,14 +10,11 @@ The (d - 1)/2 term is the elementary identity
 sum_{n=1}^{d-1} 1/(1 - zeta_d^n) = (d - 1)/2, conjugate roots pairing to 1.
 Since zeta_d^d = 1, P_S is first folded modulo x^d - 1 in exact integers:
 with G_j the number of gaps in class j mod d, the folded coefficient of
-x^j is [j = 0] - G_j + G_{j-1 mod d}, and only the nonzero ones, at most
-min(d, F(S) + 2), are evaluated at each root.  The d values zeta_d^t are
-computed once per order into a table, and the tables of the 32 orders
-used last are kept.  A table is used only while d <= F(S) + 2, so that it
-is never larger than the folded P_S; the genus formula's work cap,
-d(d - 1) <= MAX_ROOT_WORK there, then holds d to 7,071.  Each entry is the
-float exp(2 pi i t / d) of the direct evaluation; above the bound each
-term's root is evaluated that way where the sum reads it.
+x^j is [j = 0] - G_j + G_{j-1 mod d}, zero from j = F(S) + 2 on.  The
+min(d, F(S) + 2) coefficients are evaluated at each root by Horner's rule,
+one float exp(2 pi i t / d) per root, so the genus formula's work cap
+counts min(d, F(S) + 2)(d - 1) Horner steps and holds d to 7,071 once
+F(S) + 2 >= d.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
@@ -31,7 +28,6 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import (
     MAX_ROOT_WORK,
@@ -46,9 +42,6 @@ from .core import (
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
-# Tables of d-th roots kept at once, each of d <= F(S) + 2 entries; the
-# genus formula's work cap holds such a d to 7,071.
-ROOT_TABLES = 32
 
 
 class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_constant")):
@@ -63,23 +56,16 @@ class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_co
     __slots__ = ()
 
 
-def _fold_mod(S: NumericalSemigroup, d: int) -> list[tuple[int, int]]:
-    """P_S modulo x^d - 1 as its nonzero terms (j, Q_j), 0 <= j < d.
+def _fold_mod(S: NumericalSemigroup, d: int) -> list[int]:
+    """P_S modulo x^d - 1 as its coefficients Q_j, 0 <= j < min(d, F(S) + 2).
 
     Coefficient k of P_S is [k = 0] - gap(k) + gap(k - 1), so summing over
     each class j gives Q_j = [j = 0] - G_j + G_{j-1 mod d}; classes at or
-    above F(S) + 2 hold no gap and no gap's successor.
+    above F(S) + 2 hold no gap and no gap's successor, so their Q_j is 0.
     """
     G = gap_residue_counts(S, d)
     G += [0] * (min(d, S.frobenius + 2) - len(G))
-    folded = [(j, (j == 0) - g + G[j - 1]) for j, g in enumerate(G)]
-    return [(j, q) for j, q in folded if q]
-
-
-@lru_cache(maxsize=ROOT_TABLES)
-def _unit_roots(d: int) -> tuple[complex, ...]:
-    """zeta_d^t for 0 <= t < d, each the float of exp(2 pi i t / d)."""
-    return tuple(cmath.exp(2j * cmath.pi * t / d) for t in range(d))
+    return [(j == 0) - g + G[j - 1] for j, g in enumerate(G)]
 
 
 def root_of_unity_identity_check(d: int) -> float:
@@ -120,21 +106,16 @@ def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float
         raise ResourceLimitError(
             f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
         )
-    folded = _fold_mod(S, d)
+    folded = _fold_mod(S, d)[::-1]  # Horner reads the highest coefficient first
     # the member series diverges on the unit circle, so H_S(zeta^i) is read as
-    # P_S(zeta^i)/(1 - zeta^i), for i = 1..d - 1 from one fold; exponents are
-    # reduced mod d exactly before they reach floating point
-    if d <= S.frobenius + 2:  # a table only while it is no larger than the folded P_S
-        zeta = _unit_roots(d)
-        total = sum(
-            sum(q * zeta[i * j % d] for j, q in folded) / (1 - zeta[i]) for i in range(1, d)
-        )
-    else:
-        total = sum(
-            sum(q * cmath.exp(2j * cmath.pi * (i * j % d) / d) for j, q in folded)
-            / (1 - cmath.exp(2j * cmath.pi * i / d))
-            for i in range(1, d)
-        )
+    # P_S(zeta^i)/(1 - zeta^i), for i = 1..d - 1 from one fold
+    total = 0
+    for i in range(1, d):
+        root = cmath.exp(2j * cmath.pi * i / d)
+        value = 0
+        for q in folded:
+            value = value * root + q
+        total += value / (1 - root)
     value = (S.genus + (d - 1) / 2 - total) / d
     rounded = round(value.real)
     return rounded, abs(value - rounded)

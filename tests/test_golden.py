@@ -3,8 +3,9 @@ its default grid is pinned byte for byte.
 
 Any change to a record's value, key order or formatting changes a digest.
 Update a digest only together with a deliberate change to the records.
-The theorem-main stream is also pinned with its float ``residual`` removed,
-so a change to the root evaluation can move the residuals but nothing else.
+The theorem-main stream and the json ``quotient`` reports are also pinned
+with every float ``residual`` removed, so a change to the root evaluation
+can move the residuals but nothing else.
 ``numsgps quotient`` is pinned the same way, in json and in table form (the
 table shows the order of the formula entries), on inputs that together
 fill every formula entry of its report, and in csv on the same inputs;
@@ -27,7 +28,7 @@ from numsgps.verify import THEOREM_IDS
 from test_verify import SMALL_GRIDS
 
 GOLDEN_SHA256 = {
-    "theorem-main": "ace815dcbfaf1ca39ef86dd112c9092126863027b952cd788527116823a7fd5d",
+    "theorem-main": "df5b8d76536258d06a0a6083af277b91e184e9e9c2985665a0dcaa281cfdcb9e",
     "ed2-closed-form": "6833673ccb76655c33c6f3c269a45a00e65bb907452f6683751948441b011aa4",
     "sylvester": "8ae3551840ff8a5372572764785e928ed2f860b3d4810ef9d7318fca3bf360f8",
     "d2-constant": "63a7e5cfbaca76de0b7fb83c84f49acba841f68ba3cbf969a63ea22ad6f5b065",
@@ -45,16 +46,20 @@ THEOREM_MAIN_WITHOUT_RESIDUAL_SHA256 = (
     "4df5b834b285f1c8c01da37c6ad023543e3b5b9c1013378fd210ef20ace74bae"
 )
 
-QUOTIENT_SHA256 = "20f90c48c12a9819c74fa0d504261a7c7f21a36ff63c34e02ba1510470d63f63"
+QUOTIENT_SHA256 = "4ee1240e80aee17550ff5d2e89522504953b7f7c528e762bd424c7ab33768202"
+
+QUOTIENT_WITHOUT_RESIDUAL_SHA256 = (
+    "09fd0d8d4d13e781ac52a33670606427f834fa3db36e5e49b95c9299fee0b35c"
+)
 
 REPORT_SHA256 = {
-    "quotient": "d3fe642871a5ad21305d56f2142563c9048631b5d584edacbf6b3d19fb3a4ef0",
+    "quotient": "aada4756c89fcca7515d63b31db864528277122dea913c8d04c26d97d3ab710e",
     "invariants": "49b8fac55fbaf41e147e4ec372ee2e7a6c81d977d81466b4fdbd68ee438e07a2",
     "apery": "31e235f45620cde02ce130828d941239f0a1042c0e59296d2a4045efa1c1995f",
 }
 
 SMALL_GRID_SHA256 = {
-    "theorem-main": "eb3bb3612003398b507cb123cde5cb00460cd4ff5bf12da95dabc3b75dec8edb",
+    "theorem-main": "d5d7e76568b707a81b0bd26ee4a7c05105823e7469a8c694114a93ec058d8bce",
     "ed2-closed-form": "52ada863fa7eb3a1449a4cfee8015370ee43f9a9bcbd91c9c816cf47ce13367c",
     "sylvester": "b00719c47f247d1454b41417911d905605b7f0cb13be3f4b2def33511c8e1e0e",
     "d2-constant": "f21d213a3b3e70cc893cb0facaf368d50f34520941ae6f77b1df8d42e9e59857",
@@ -152,6 +157,25 @@ def test_quotient_reports_match_golden_hash():
                     code = cli.main(argv + ["--format", fmt])
                 digest.update(f"{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == QUOTIENT_SHA256
+
+
+def _without_residual(value):
+    if isinstance(value, dict):
+        return {k: _without_residual(v) for k, v in value.items() if k != "residual"}
+    return value
+
+
+def test_quotient_json_without_residual_matches_golden_hash():
+    digest = hashlib.sha256()
+    for gens in QUOTIENT_INPUTS:
+        for d in range(1, 13):
+            argv = ["quotient", "--gens", ",".join(map(str, gens)), "--d", str(d)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + ["--format", "json"])
+            report = _without_residual(json.loads(out.getvalue()))
+            digest.update(f"{code}\n{json.dumps(report, sort_keys=True)}\n".encode())
+    assert digest.hexdigest() == QUOTIENT_WITHOUT_RESIDUAL_SHA256
 
 
 def _report_forms_digest(command: str, runs, formats) -> str:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from numsgps import roots
 from numsgps.core import (
     MAX_ROOT_WORK,
     PreconditionError,
@@ -18,10 +19,8 @@ from numsgps.core import (
 from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
-    ROOT_TABLES,
     _genus_via_roots_residual,
     _pair_quotient_genus,
-    _unit_roots,
     extract_cabd_constant,
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
@@ -115,44 +114,28 @@ def test_root_evaluation_work_is_bounded():
 
 def test_root_work_counts_folded_terms_only():
     # F = 772,273, so (F + 2)(d - 1) is past the cap at d = 70, but the
-    # 69 roots each sum at most 70 folded terms.
+    # 69 roots each take 70 Horner steps; at d = 2,000 each takes 2,000.
     S = from_generators([3001, 4007, 5003])
     assert (S.frobenius + 2) * 69 > MAX_ROOT_WORK
-    value, residual = _genus_via_roots_residual(S, 70)
-    assert value == quotient(S, 70).genus
-    assert residual < 1e-9
+    for d in (70, 2000):
+        value, residual = _genus_via_roots_residual(S, d)
+        assert value == quotient(S, d).genus
+        assert residual < 1e-9
 
 
-def test_unit_root_tables_hold_the_direct_floats():
-    for d in range(1, 65):
-        assert _unit_roots(d) == tuple(cmath.exp(2j * cmath.pi * t / d) for t in range(d))
-
-
-def test_root_tables_only_up_to_the_folded_size():
-    S = from_generators([6, 7, 8])  # F = 17: the folded P_S has at most 19 terms
-    _unit_roots.cache_clear()
-    for d in range(2, 20):
-        _genus_via_roots_residual(S, d)
-    assert _unit_roots.cache_info().currsize == 18
-    for d in range(20, 40):
-        _genus_via_roots_residual(S, d)
-        root_of_unity_identity_check(d)
-    assert _unit_roots.cache_info().currsize == 18
-    big = from_generators([101, 103, 107])
-    for d in range(2, 60):
-        _genus_via_roots_residual(big, d)
-    assert _unit_roots.cache_info().currsize == ROOT_TABLES
-    # a table of d <= F + 2 entries costs d(d - 1) root terms, so the work
-    # cap refuses the first order past 7,071 before any table is built
-    huge = from_generators([3001, 4007, 5003])  # F = 772,273
-    misses = _unit_roots.cache_info().misses
+def test_root_work_cap_refuses_before_the_fold(monkeypatch):
+    # F = 772,273, so at d = 7,072 the d(d - 1) Horner steps pass the cap
+    huge = from_generators([3001, 4007, 5003])
+    calls = []
+    monkeypatch.setattr(roots, "gap_residue_counts", lambda *args: calls.append(args))
     with pytest.raises(ResourceLimitError):
         _genus_via_roots_residual(huge, 7072)
-    assert _unit_roots.cache_info().misses == misses
+    assert calls == []
 
 
 def test_large_order_small_semigroup_allocates_no_root_table():
-    S = from_generators([6, 7, 8])  # a table at d = 20,000 would take about 800 KB
+    # the fold has F + 2 = 19 terms; a list of the 20,000 roots would take about 800 KB
+    S = from_generators([6, 7, 8])
     tracemalloc.start()
     try:
         value, residual = _genus_via_roots_residual(S, 20_000)
