@@ -39,13 +39,17 @@ from typing import Iterable
 # instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
 # Desk-scale guard on the steps one command may take: the round robin of an
-# Apery set at n relaxes n entries per minimal generator, construction from
-# generators takes an estimated number of word operations (6 per round-robin
-# step), the d - 1 roots each take min(d, F(S) + 2) Horner steps over the
-# folded P_S, and a quasipolynomial fit counts gaps in O(a) steps per
-# sample a.  Every verify sweep whose grid drives such work is refused above
-# it too.
+# Apery set at n relaxes n entries per minimal generator, the d - 1 roots
+# each take min(d, F(S) + 2) Horner steps over the folded P_S, and a
+# quasipolynomial fit counts gaps in O(a) steps per sample a.  Every verify
+# sweep whose grid drives such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
+# The same guard on construction from generators, in the estimated word
+# operations of its sieve passes and round robin (6 per round-robin step):
+# under 1 s of sieve passes, or 2.5e7 round-robin steps in about 3 s
+# (CPython 3.11, x86-64).  It admits <m, ..., 2m - 1> up to m = 29,162, and refuses 2,000
+# generators from 10^6, whose first sieve pass alone is estimated at 1.9e8.
+MAX_BUILD_WORK = 3 * MAX_ROOT_WORK
 
 
 class PreconditionError(ValueError):
@@ -254,7 +258,7 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
     that builds the table is read as a gap mask, which the semigroup keeps.
     Before each pass, and before the round robin (6m*e), the estimated
     word operations of the passes run so far and of that step are held to
-    MAX_ROOT_WORK.
+    MAX_BUILD_WORK.
     """
     mult = values[0]
     budget = 6 * mult * (len(values) - 4)
@@ -265,10 +269,10 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
         last = nbits > MAX_FROBENIUS + mult
         fall_back = (cost if last else spent + cost) >= budget
         work = spent + (6 * mult * len(values) if fall_back else cost)
-        if work > MAX_ROOT_WORK:
+        if work > MAX_BUILD_WORK:
             raise ResourceLimitError(
                 f"building <{mult}, ...> from {len(values)} generators takes an estimated "
-                f"{work} word operations, more than {MAX_ROOT_WORK}"
+                f"{work} word operations, more than {MAX_BUILD_WORK}"
             )
         if fall_back:
             apery, kept = _round_robin(values, mult)

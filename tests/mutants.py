@@ -4,14 +4,16 @@ Each row of ``MUTANTS`` is (file, old text, new text, what it breaks); the
 old text occurs exactly once in its file, which ``test_mutants.py`` checks
 on every run.  Run the checks with
 
-    python tests/mutants.py [ROW ...]
+    python tests/mutants.py
 
 Each row is applied to a fresh copy of ``src/``, ``tests/`` and
 ``perfbench/`` (whose imports one test reads) in a temporary directory,
-where ``pytest -x -q`` must report a failing test.  The unmutated copy
-must pass first, so that a failure is the row's doing.  The rows whose
-suite still passes are listed as survivors, and the exit code is 1 if any
-survived.  ROW numbers select rows (from 0); by default all run.
+where ``pytest -x -q`` must report a failing test.  ``test_mutants.py``
+is left out there: in the copy it reads the mutated file, where the old
+text no longer occurs, so it would fail for every row.  The unmutated
+copy must pass first, so that a failure is the row's doing.  The rows
+whose suite still passes are listed as survivors, and the exit code is 1
+if any survived.
 """
 
 import os
@@ -76,9 +78,9 @@ MUTANTS = (
 )
 
 
-def run(row: int | None) -> tuple[bool, float]:
-    """(killed, seconds) for one row, or for none, applied to a copy of the
-    repository."""
+def run(row: int | None) -> tuple[str | None, float]:
+    """(the first failing test or None, seconds) for one row, or for none,
+    applied to a copy of the repository."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, Path(tmp) / part)
@@ -91,7 +93,8 @@ def run(row: int | None) -> tuple[bool, float]:
             target.write_text(text.replace(old, new))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--ignore", "tests/test_mutants.py", "tests"],
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
             stdout=subprocess.PIPE,
@@ -100,24 +103,29 @@ def run(row: int | None) -> tuple[bool, float]:
         )
         if proc.returncode not in (0, 1):  # 1: a test failed; anything else: the run broke
             raise SystemExit(f"row {row}: pytest exited {proc.returncode}\n{proc.stdout}")
-        return proc.returncode == 1, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        if proc.returncode == 0:
+            return None, seconds
+        lines = proc.stdout.splitlines()
+        failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+        return (failed[0] if failed else "pytest exit 1"), seconds
 
 
-def main(argv: list[str]) -> int:
-    rows = [int(a) for a in argv] or range(len(MUTANTS))
+def main() -> int:
     failed, seconds = run(None)
     if failed:
         raise SystemExit("the unmutated suite fails; no row can be judged")
     print(f"unmutated suite passes in {seconds:.1f} s")
     survivors = []
-    for row in rows:
+    for row in range(len(MUTANTS)):
         killed, seconds = run(row)
-        print(f"{row}: {'killed' if killed else 'SURVIVED'} in {seconds:.1f} s: {MUTANTS[row][3]}")
+        verdict = f"killed by {killed}" if killed else "SURVIVED"
+        print(f"{row}: {verdict} in {seconds:.1f} s: {MUTANTS[row][3]}")
         if not killed:
             survivors.append(row)
-    print(f"{len(rows) - len(survivors)} of {len(rows)} killed; survivors: {survivors or 'none'}")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; survivors: {survivors or 'none'}")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

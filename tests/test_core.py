@@ -148,6 +148,19 @@ def test_the_sieve_refuses_a_large_frobenius_at_its_length_bound(table_builds):
     assert peak < MAX_FROBENIUS + gens[0]
 
 
+def test_large_ordinary_semigroups_build_up_to_the_construction_cap(table_builds):
+    # <m, ..., 2m - 1> has F = m - 1 and one sieve pass of 2(2m - 1) + m bits,
+    # estimated at 7.1e7 word operations for m = 20,000 (a third of a second)
+    S = from_generators(range(20_000, 40_000))
+    assert (S.frobenius, S.genus) == (19_999, 19_999)
+    assert table_builds == [("sieve", 20_000)]
+    # the least m whose single pass is estimated above the cap
+    table_builds.clear()
+    with pytest.raises(ResourceLimitError, match="more than 150000000"):
+        from_generators(range(29_163, 2 * 29_163))
+    assert table_builds == []
+
+
 def test_many_generators_on_a_short_range_match_the_oracles(table_builds):
     # 8 to 30 generators in [m, 3m): the inputs where the sieve is cheaper
     rng = random.Random(6007)
