@@ -18,6 +18,10 @@ F(S) + 2 >= d.
 For S = <a, b> the genus of the quotient also has a purely arithmetic
 closed form in floor sums of a^{-1} b j / d, and as a function of a on a
 fixed residue class it is a quadratic with leading coefficient 1/(2d).
+The closed form and the exact gap count behind the fits are Euclid-style
+floor sums (Graham, Knuth & Patashnik, Concrete Mathematics, 3.5), by
+floor((floor(x/a) + c)/n) = floor((x + ac)/(an)) for integers x, c, and
+take O(log d) and O(d log a) steps.
 All rational arithmetic is exact (fractions.Fraction); floating point
 enters only through the root evaluations, with explicit residual checks.
 """
@@ -157,7 +161,8 @@ def genus_quotient_ed2_closed_form(a: int, b: int, d: int) -> int:
     _require_pairwise_coprime(a, b, d)
     astar = pow(a, -1, d)
     q = (a - 1) // d
-    tail = sum((astar * b * j) // d for j in range(1, a) if j % d)
+    # all j < a, less the q terms j = dt, each floor(a*b dt/d) = a*b t
+    tail = _floor_sum(a, d, astar * b, 0) - astar * b * (q * (q + 1) // 2)
     scaled = (
         (a - 1) * (b + d - astar * a * b)
         + d * q * (astar * b * q + astar * b - 2)
@@ -175,31 +180,52 @@ def genus_quotient_ed2_closed_form(a: int, b: int, d: int) -> int:
     return genus
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i < n} floor((a i + b)/m) for n >= 0, m >= 1 and a, b >= 0,
+    in O(log m) steps: reduce a and b below m, then swap the roles of the
+    modulus and the slope, as in Euclid's algorithm."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
 def _pair_quotient_genus(a: int, b: int, d: int) -> int:
     """g(<a, b>/d) by counting gaps of <a, b> divisible by d, per residue
-    class modulo a; O(a) time and exact.
+    class modulo a; exact, in at most d floor sums of O(log a) steps.
 
     Ap(<a,b>, a) = {0, b, 2b, ..., (a-1)b}, so class r = bi mod a holds
     the gaps bi - ja for 1 <= j <= floor(bi/a); those divisible by d
-    solve ja = bi (mod d), an arithmetic progression in j.
+    solve ja = bi (mod d).  With e = gcd(a, d), prime to b, and d' = d/e
+    that needs i = et, 1 <= t <= top = floor((a-1)/e), and then
+    j = jmin (mod d') for one jmin in [1, d'] fixed by t mod d'.  There are
+    floor((floor(bi/a) + d' - jmin)/d') = floor((bi + a(d' - jmin))/(ad'))
+    such j, so each class of t mod d' that meets 1..top, from its least
+    member t0, is one floor sum: min(d', top) of them in all.
     """
     if math.gcd(a, b) != 1:
         raise PreconditionError(f"a and b must be coprime, got gcd = {math.gcd(a, b)}")
     if a == 1 or b == 1:
         return 0
-    total = 0
     e = math.gcd(a, d)
-    d_red = d // e
-    a_inv = pow(a // e, -1, d_red) if d_red > 1 else 0
-    for i in range(1, a):
-        w = b * i
-        count = w // a
-        if count == 0 or w % e:
-            continue
-        j0 = ((w // e) * a_inv) % d_red if d_red > 1 else 0
-        jmin = j0 or d_red
-        if jmin <= count:
-            total += (count - jmin) // d_red + 1
+    dr = d // e
+    a_inv = pow(a // e, -1, dr)
+    top = (a - 1) // e
+    total = 0
+    for t0 in range(1, min(dr, top) + 1):
+        jmin = (b * t0 * a_inv) % dr or dr
+        total += _floor_sum(
+            (top - t0) // dr + 1, a * dr, b * e * dr, b * e * t0 + a * (dr - jmin)
+        )
     return total
 
 
@@ -210,7 +236,7 @@ def extract_cabd_constant(
     class (a_class, b_class) modulo d.
 
     Each sample pair must be pairwise coprime with d and lie on the class;
-    the constant is computed per sample from brute-force genus counts and
+    the constant is computed per sample from exact per-class gap counts and
     must agree across all of them, else a :class:`TheoremViolationError`
     names two disagreeing witnesses.
     """
@@ -267,7 +293,10 @@ def quasipoly_admissible_classes(k: int, d: int) -> list[int]:
 
 
 def _fit_work(a_min: int, a_max: int) -> int:
-    """Steps of a fit on a_min..a_max: at most one O(a) gap count per a."""
+    """Steps charged to a fit on a_min..a_max: a for each a.  A gap count
+    takes at most a - 1 floor sums of O(log a) steps, so this over-counts;
+    it is kept so that the grids it admits, and the largest a_max, do not
+    change."""
     return (a_max * (a_max + 1) - (a_min - 1) * a_min) // 2
 
 
@@ -316,9 +345,12 @@ def fit_quasipolynomial(
             raise TheoremViolationError(
                 f"leading coefficient on class {r} (mod {d}) is {c2}, expected 1/{2 * d}"
             )
+        # the held-out samples in integers: den * (c2 a^2 + c1 a + c0)
+        den = math.lcm(c2.denominator, c1.denominator, c0.denominator)
+        n2, n1, n0 = (c.numerator * (den // c.denominator) for c in (c2, c1, c0))
         for a in samples[3:]:
-            predicted = c2 * a * a + c1 * a + c0
-            if predicted != values[a]:
+            if (n2 * a + n1) * a + n0 != den * values[a]:
+                predicted = c2 * a * a + c1 * a + c0
                 raise TheoremViolationError(
                     f"fit on class {r} (mod {d}) predicts {predicted} at a = {a}, "
                     f"brute force gives {values[a]}"

@@ -210,10 +210,13 @@ def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
 
 
 def _ed2_cost(cfg: SweepConfig) -> int:
-    """A step per case, the closed form's floor sum of a terms per case, and
-    the quotient scans: <a, b>/d scans fewer than ab/d values, and 1/d summed
-    over 2 <= d <= d_max is at most floor(log2 d_max), one per block
-    [2^i, 2^(i+1))."""
+    """A step per case, a per case for the closed form, and the quotient
+    scans: <a, b>/d scans fewer than ab/d values, and 1/d summed over
+    2 <= d <= d_max is at most floor(log2 d_max), one per block
+    [2^i, 2^(i+1)).  The closed form is an O(log d) floor sum, so its a
+    per case over-counts; it stays because it also bounds the case list,
+    which build_cases holds whole (without it, --max 60 would accept
+    --d-max 16222, 16.9 M cases)."""
     m = cfg.max_value
     products = ((m * (m + 1) // 2) ** 2 - m * (m + 1) * (2 * m + 1) // 6) // 2  # ab over a < b
     sums = (m + 1) * m * (m - 1) // 6  # a over a < b <= m

@@ -75,6 +75,36 @@ MUTANTS = (
         "folded = _fold_mod(S, d)",
         "Horner's rule reads the fold lowest coefficient first",
     ),
+    (
+        "src/numsgps/roots.py",
+        "for t0 in range(1, min(dr, top) + 1):",
+        "for t0 in range(1, min(dr, top)):",
+        "the pair gap count drops the last class of t mod d'",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "% dr or dr",
+        "% dr",
+        "the pair gap count lets j start at 0 where it should start at d'",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "q * (q + 1) // 2",
+        "q * (q - 1) // 2",
+        "the ed2 tail takes off the terms j = dt for t < q only",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "den * values[a]",
+        "values[a]",
+        "the fit compares den times its prediction with the unscaled count",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "n * (n - 1) // 2 * (a // m)",
+        "n * (n + 1) // 2 * (a // m)",
+        "the floor sum adds the whole part of the slope once too often",
+    ),
 )
 
 

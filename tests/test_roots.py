@@ -13,12 +13,14 @@ from numsgps.core import (
     MAX_ROOT_WORK,
     PreconditionError,
     ResourceLimitError,
+    TheoremViolationError,
     from_generators,
     semigroup_polynomial_coeffs,
 )
 from numsgps.quotient import quotient
 from numsgps.roots import (
     IDENTITY_TOLERANCE,
+    _floor_sum,
     _genus_via_roots_residual,
     _pair_quotient_genus,
     extract_cabd_constant,
@@ -29,7 +31,7 @@ from numsgps.roots import (
     root_of_unity_identity_check,
     sylvester_invariants,
 )
-from oracles import sieve_invariants
+from oracles import quotient_gaps, sieve_invariants
 
 
 def test_hilbert_at_root_frozen_value():
@@ -210,6 +212,65 @@ def test_pair_quotient_genus_needs_no_coprime_divisor():
         d = rng.randint(1, 10)
         S = from_generators([a, b])
         assert _pair_quotient_genus(a, b, d) == quotient(S, d).genus, (a, b, d)
+
+
+def test_floor_sum_matches_the_direct_sum():
+    rng = random.Random(2718)
+    grid = [(0, 7, 3, 5), (5, 7, 0, 3), (5, 7, 0, 30), (9, 1, 1000, 1000), (200, 50, 1000, 999)]
+    grid += [
+        (rng.randint(0, 200), rng.randint(1, 50), rng.randint(0, 1000), rng.randint(0, 1000))
+        for _ in range(400)
+    ]
+    for n, m, a, b in grid:
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+def test_pair_quotient_genus_against_the_sieve():
+    """Every coprime a, b <= 25 and d <= 30: gcd(a, d) > 1, d > a, d = 1 and
+    a = 1 all occur."""
+    for a in range(1, 26):
+        for b in range(a, 26):
+            if math.gcd(a, b) != 1:
+                continue
+            for d in range(1, 31):
+                expected = len(quotient_gaps([a, b], d))
+                assert _pair_quotient_genus(a, b, d) == expected, (a, b, d)
+                assert _pair_quotient_genus(b, a, d) == expected, (b, a, d)
+
+
+def test_pair_count_and_ed2_closed_form_agree_at_scale(monkeypatch):
+    """Two independent formulas at a near 10^6, where the per-class loop
+    took O(a); each pair count runs at most d floor sums."""
+    calls = []
+    floor_sum = roots._floor_sum
+
+    def counting(n, m, a, b):
+        calls.append(m)
+        return floor_sum(n, m, a, b)
+
+    monkeypatch.setattr(roots, "_floor_sum", counting)
+    for a, b, d, genus in ((1000003, 1000033, 1013, 493600199), (999983, 1000003, 7, 71427428569)):
+        assert genus_quotient_ed2_closed_form(a, b, d) == genus
+        calls.clear()
+        assert _pair_quotient_genus(a, b, d) == genus
+        assert 0 < len(calls) <= d
+
+
+def test_fit_reports_a_held_out_sample_off_by_one(monkeypatch):
+    pair_genus = roots._pair_quotient_genus
+
+    def off_at_ten(a, b, d):
+        return pair_genus(a, b, d) + (a == 10)
+
+    monkeypatch.setattr(roots, "_pair_quotient_genus", off_at_ten)
+    # class 0 mod 2 is fitted at a = 4, 6, 8; a = 10 is held out
+    with pytest.raises(TheoremViolationError) as err:
+        fit_quasipolynomial(1, 2, (3, 41))
+    predicted = Fraction(1, 4) * 100 - Fraction(1, 2) * 10
+    assert predicted == pair_genus(10, 11, 2) == 20
+    assert str(err.value) == (
+        f"fit on class 0 (mod 2) predicts {predicted} at a = 10, brute force gives 21"
+    )
 
 
 def _class_pairs(ra: int, rb: int, d: int, count: int) -> list[tuple[int, int]]:

@@ -157,7 +157,8 @@ def test_corpus_sweeps_need_max_gen_three():
 
 
 def test_quasipoly_work_is_bounded():
-    # each of the len(k_list) * d_max fits counts gaps in O(a) steps per a <= a_max
+    # each of the len(k_list) * d_max fits is charged a steps per a <= a_max, a
+    # conservative bound on its floor-sum gap counts (at most a - 1 floor sums)
     assert SweepConfig(theorem="quasipoly").resolved().a_max == 300
     largest = max(a for a in range(1_760, 1_780) if 32 * a * (a + 1) // 2 <= MAX_ROOT_WORK)
     assert SweepConfig(theorem="quasipoly", a_max=largest).resolved()
@@ -173,8 +174,9 @@ def test_sylvester_and_ed2_work_is_bounded():
     # sylvester builds <a, b> in O(a) steps for every a <= b <= max_value
     largest = max(m for m in range(660, 680) if m * (m + 1) * (m + 2) // 6 <= MAX_ROOT_WORK)
     assert SweepConfig(theorem="sylvester", max_value=largest).resolved()
-    # ed2 adds one step per case, and a floor sum of a terms, to the quotient
-    # scans, fewer than ab/d values each; at max 60 that accepts d_max <= 934
+    # ed2 adds one step per case, and a per case for its O(log d) closed form
+    # (an over-count that also bounds the case list), to the quotient scans,
+    # fewer than ab/d values each; at max 60 that accepts d_max <= 934
     assert SweepConfig(theorem="ed2-closed-form", max_value=100).resolved()
     assert SweepConfig(theorem="ed2-closed-form", d_max=934).resolved()
     for theorem, grid in (
@@ -223,7 +225,7 @@ def test_root_identity_d_max_is_bounded():
         with pytest.raises(ResourceLimitError):
             SweepConfig(theorem="root-identity", d_max=d_max).resolved()
     # d_max of the other sweeps does not drive root evaluations; ed2 pays
-    # for its cases, their floor sums and their quotient scans instead.
+    # for its cases, a per case for its closed form and its quotient scans.
     assert SweepConfig(theorem="ed2-closed-form", max_value=12, d_max=largest + 1).resolved()
     with pytest.raises(ResourceLimitError):
         SweepConfig(theorem="ed2-closed-form", max_value=60, d_max=largest + 1).resolved()
