@@ -48,7 +48,7 @@ DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
 
 
-class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "d k per_class cabd_constant")):
+class QuasipolynomialFit(namedtuple("QuasipolynomialFit", "per_class cabd_constant")):
     """Exact quadratic fits of a -> g(<a, a+k>/d) on residue classes mod d.
 
     ``per_class`` maps a residue r to coefficients (c2, c1, c0) with
@@ -243,7 +243,6 @@ def extract_cabd_constant(
     _require_positive("d", d)
     if len(samples) < 2:
         raise PreconditionError(f"need at least 2 samples, got {len(samples)}")
-    witnessed: list[tuple[tuple[int, int], Fraction]] = []
     for a, b in samples:
         _require_positive("a", a)
         _require_positive("b", b)
@@ -251,20 +250,29 @@ def extract_cabd_constant(
             raise PreconditionError(
                 f"sample ({a}, {b}) is not on class ({a_class}, {b_class}) mod {d}"
             )
-        if d > 1:
-            _require_pairwise_coprime(a, b, d)
-        elif math.gcd(a, b) != 1:
-            raise PreconditionError(f"a and b must be coprime in sample ({a}, {b})")
-        genus = _pair_quotient_genus(a, b, d)
-        witnessed.append(((a, b), Fraction(genus) - Fraction((a - 1) * (b - 1), 2 * d)))
-    first_pair, constant = witnessed[0]
-    for pair, value in witnessed[1:]:
-        if value != constant:
+        _require_pairwise_coprime(a, b, d)
+    return _class_constant(
+        a_class, b_class, d, [(a, b, _pair_quotient_genus(a, b, d)) for a, b in samples]
+    )
+
+
+def _class_constant(
+    a_class: int, b_class: int, d: int, witnesses: list[tuple[int, int, int]]
+) -> Fraction:
+    """C = g - (a-1)(b-1)/(2d) from witnesses (a, b, g) of one class:
+    2d C = 2d g - (a-1)(b-1) must be one integer for all of them, else a
+    :class:`TheoremViolationError` names the first and a disagreeing one."""
+    (a0, b0, g0), *rest = witnesses
+    first = 2 * d * g0 - (a0 - 1) * (b0 - 1)
+    for a, b, genus in rest:
+        scaled = 2 * d * genus - (a - 1) * (b - 1)
+        if scaled != first:
             raise TheoremViolationError(
                 f"constant differs on class ({a_class}, {b_class}) mod {d}: "
-                f"{first_pair} gives {constant} but {pair} gives {value}"
+                f"{(a0, b0)} gives {Fraction(first, 2 * d)} but {(a, b)} gives "
+                f"{Fraction(scaled, 2 * d)}"
             )
-    return constant
+    return Fraction(first, 2 * d)
 
 
 def _lagrange3(
@@ -281,17 +289,6 @@ def _lagrange3(
     return c2, c1, c0
 
 
-def quasipoly_admissible_classes(k: int, d: int) -> list[int]:
-    """Residues r mod d whose class contains infinitely many a with
-    gcd(a, k) = 1, so that <a, a+k> is a numerical semigroup for
-    arbitrarily large a in the class.
-
-    A class fails only when some prime of k divides both d and r, which
-    forces every member to share that prime with k.
-    """
-    return [r for r in range(d) if math.gcd(k, math.gcd(r, d)) == 1]
-
-
 def _fit_work(a_min: int, a_max: int) -> int:
     """Steps charged to a fit on a_min..a_max: a for each a.  A gap count
     takes at most a - 1 floor sums of O(log a) steps, so this over-counts;
@@ -305,15 +302,18 @@ def fit_quasipolynomial(
 ) -> QuasipolynomialFit:
     """Fit a -> g(<a, a+k>/d) per residue class of a mod d and verify it.
 
-    On each admissible class the first three brute-force samples determine
-    a quadratic by exact rational interpolation; its leading coefficient
-    must be 1/(2d) and it must reproduce every remaining sample in the
-    range exactly, else a :class:`TheoremViolationError` is raised.  At
-    least four admissible samples per fitted class are required.
+    The classes are walked one at a time, each by steps of d through the
+    range.  On each admissible class the first three brute-force samples
+    determine a quadratic by exact rational interpolation; its leading
+    coefficient must be 1/(2d) and it must reproduce every remaining
+    sample in the range exactly, else a :class:`TheoremViolationError` is
+    raised.  At least four admissible samples per fitted class are
+    required, and a class with fewer is refused when the walk reaches it.
 
     The genus-minus-Sylvester constant is recorded only for classes whose
-    residues are coprime to d; elsewhere the difference grows linearly in
-    a and no single constant exists.
+    residues are coprime to d, and must be the same on every sample there;
+    elsewhere the difference grows linearly in a and no single constant
+    exists.
     """
     _require_positive("k", k)
     _require_positive("d", d)
@@ -327,11 +327,14 @@ def fit_quasipolynomial(
         )
     per_class: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     constants: dict[tuple[int, int], Fraction] = {}
-    for r in quasipoly_admissible_classes(k, d):
+    for r in range(d):
+        # a prime of k dividing both d and r divides every member of the
+        # class, so no a on it has gcd(a, k) = 1; every other class holds
+        # infinitely many such a, and <a, a+k> is then a numerical semigroup
+        if math.gcd(k, math.gcd(r, d)) > 1:
+            continue
         samples = [
-            a
-            for a in range(a_min, a_max + 1)
-            if a % d == r and math.gcd(a, k) == 1
+            a for a in range(a_min + (r - a_min) % d, a_max + 1, d) if math.gcd(a, k) == 1
         ]
         if len(samples) < 4:
             raise PreconditionError(
@@ -356,14 +359,9 @@ def fit_quasipolynomial(
                     f"brute force gives {values[a]}"
                 )
         per_class[r] = (c2, c1, c0)
-        if math.gcd(r, d) == 1 and math.gcd((r + k) % d, d) == 1:
-            # On fully coprime classes the genus differs from the
-            # Sylvester term (a-1)(b-1)/(2d) by a constant of the class
-            # alone, so one sample pins it down.
-            a0 = pts[0]
-            constants[(r, (r + k) % d)] = Fraction(values[a0]) - Fraction(
-                (a0 - 1) * (a0 + k - 1), 2 * d
+        b_class = (r + k) % d
+        if math.gcd(r, d) == 1 and math.gcd(b_class, d) == 1:
+            constants[(r, b_class)] = _class_constant(
+                r, b_class, d, [(a, a + k, values[a]) for a in samples]
             )
-    if not per_class:
-        raise PreconditionError(f"no admissible residue class for k = {k}, d = {d}")
-    return QuasipolynomialFit(d=d, k=k, per_class=per_class, cabd_constant=constants)
+    return QuasipolynomialFit(per_class, constants)

@@ -273,6 +273,17 @@ def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
     return cases
 
 
+def _d2_constant_cost(cfg: SweepConfig) -> int:
+    """Each modulus d has at most (d - 1)^2 unit class pairs, each with
+    ``samples`` pair counts of at most d floor sums; summed over d <= d_max
+    that is samples * sum of m^2 (m + 1) over m < d_max.  A floor sum is
+    charged 3 steps, fitted to measured time: the cap then admits d_max up
+    to 60 at the default max_value and samples, a sweep about as long as
+    the largest accepted fit (about 6 s each on CPython 3.11, x86-64)."""
+    n = cfg.d_max - 1
+    return 3 * cfg.samples * ((n * (n + 1) // 2) ** 2 + n * (n + 1) * (2 * n + 1) // 6)
+
+
 def _class_sample_pairs(
     a_class: int, b_class: int, d: int, count: int, max_value: int
 ) -> list[tuple[int, int]]:
@@ -567,7 +578,8 @@ IDENTITIES: dict[str, Identity] = {
         cost=lambda cfg: cfg.max_value * (cfg.max_value + 1) * (cfg.max_value + 2) // 6,
     ),
     "d2-constant": Identity(
-        {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant
+        {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant,
+        cost=_d2_constant_cost,
     ),
     "quasipoly": Identity(
         {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly,

@@ -105,6 +105,24 @@ MUTANTS = (
         "n * (n + 1) // 2 * (a // m)",
         "the floor sum adds the whole part of the slope once too often",
     ),
+    (
+        "src/numsgps/roots.py",
+        "a_min + (r - a_min) % d",
+        "a_min + r % d",
+        "the fit walks class a_min + r where it should walk class r",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "math.gcd(k, math.gcd(r, d)) > 1",
+        "math.gcd(k, r) > 1",
+        "the fit skips a class whose residue shares a prime with k that d does not have",
+    ),
+    (
+        "src/numsgps/roots.py",
+        "if scaled != first:",
+        "if scaled < first:",
+        "the class constant check misses samples whose constant is above the first's",
+    ),
 )
 
 

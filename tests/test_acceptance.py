@@ -19,7 +19,6 @@ from numsgps.roots import (
     extract_cabd_constant,
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
-    quasipoly_admissible_classes,
     root_of_unity_identity_check,
     sylvester_invariants,
 )
@@ -156,7 +155,11 @@ def test_criterion_06_quasipolynomial_fits():
     for k in (1, 2, 3, 5):
         for d in range(1, 9):
             fit = fit_quasipolynomial(k, d, (2, 300))
-            if sorted(fit.per_class) != quasipoly_admissible_classes(k, d):
+            # class r holds an a prime to k iff one of r + d, ..., r + kd is
+            admissible = [
+                r for r in range(d) if any(math.gcd(r + d * j, k) == 1 for j in range(1, k + 1))
+            ]
+            if sorted(fit.per_class) != admissible:
                 bad.append((k, d, "classes"))
             for residue, (c2, _, _) in fit.per_class.items():
                 if c2 != Fraction(1, 2 * d):

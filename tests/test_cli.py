@@ -70,6 +70,22 @@ def test_quotient_reports_formulas(capsys):
     assert formulas["ap3-quotient-generators"]["match"] is True
 
 
+def test_quotient_mismatch_exits_one_after_the_full_report(capsys, monkeypatch):
+    argv = ("quotient", "--gens", "3,5", "--d", "2", "--format", "json")
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0
+    closed_form = verify.genus_quotient_ed2_closed_form
+    monkeypatch.setattr(
+        verify, "genus_quotient_ed2_closed_form", lambda a, b, d: closed_form(a, b, d) + 1
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.splitlines()[-1] == "formula mismatch: ed2-genus"
+    expected = json.loads(clean)
+    expected["formulas"]["ed2-genus"].update(formula=3, match=False)
+    assert json.loads(out) == expected
+
+
 def test_quotient_golden_fixture(capsys):
     code, out, _ = run_cli(
         capsys, "quotient", "--gens", "15,17,19", "--d", "5", "--format", "json"
@@ -216,6 +232,13 @@ def test_verify_huge_d_max_exits_two_promptly(capsys):
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
     assert time.perf_counter() - start < 5
+
+
+def test_verify_d2_constant_huge_d_max_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "d2-constant", "--d-max", "1000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the d2-constant grid takes ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_apery_subcommand(capsys):

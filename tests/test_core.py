@@ -131,6 +131,15 @@ def test_three_generators_are_refused_by_a_frobenius_lower_bound_before_any_tabl
     assert table_builds == []
 
 
+def test_the_round_robin_refuses_a_frobenius_its_lower_bound_let_through(table_builds):
+    # the lower bound for <5000, 5001, 5002> is 490,099, so the table is
+    # built, and its F = 12,499,999 is refused after the round robin
+    with pytest.raises(ResourceLimitError) as err:
+        from_generators([5000, 5001, 5002])
+    assert str(err.value) == "Frobenius number 12499999 exceeds 5000000"
+    assert table_builds == [("round robin", 5000)]
+
+
 def test_the_sieve_refuses_a_large_frobenius_at_its_length_bound(table_builds):
     # Twelve consecutive generators from 200,000: F is about 3.6e9, but the
     # lower bound (1,800,010) lets it through, and the sieve is cheaper at

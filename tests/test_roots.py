@@ -27,7 +27,6 @@ from numsgps.roots import (
     fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
     genus_quotient_via_roots,
-    quasipoly_admissible_classes,
     root_of_unity_identity_check,
     sylvester_invariants,
 )
@@ -322,12 +321,69 @@ def test_extract_cabd_constant_validation():
 
 
 def test_admissible_classes():
-    assert quasipoly_admissible_classes(1, 2) == [0, 1]
-    assert quasipoly_admissible_classes(2, 2) == [1]
-    assert quasipoly_admissible_classes(2, 4) == [1, 3]
-    assert quasipoly_admissible_classes(6, 4) == [1, 3]
-    assert quasipoly_admissible_classes(3, 6) == [1, 2, 4, 5]
-    assert quasipoly_admissible_classes(1, 1) == [0]
+    # a class is fitted unless a prime of k divides both r and d
+    for k, d, classes in (
+        (1, 2, [0, 1]),
+        (2, 2, [1]),
+        (2, 3, [0, 1, 2]),
+        (2, 4, [1, 3]),
+        (6, 4, [1, 3]),
+        (3, 6, [1, 2, 4, 5]),
+        (1, 1, [0]),
+    ):
+        assert sorted(fit_quasipolynomial(k, d, (1, 100)).per_class) == classes, (k, d)
+
+
+def test_fit_refuses_a_short_range_before_walking_every_class():
+    # class 0 mod d has no member in 1..10; the walk stops there, so d does
+    # not scale the memory of the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as err:
+            fit_quasipolynomial(1, 2_000_000, (1, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "class 0 (mod 2000000) has 0 admissible samples in [1, 10]; "
+        "at least 4 are needed (3 to fit, 1 to verify)"
+    )
+    assert peak < 2**20
+
+
+def test_fit_constants_match_extract_cabd_constant():
+    checked = 0
+    for k in (1, 2, 3, 5):
+        for d in range(1, 9):
+            fit = fit_quasipolynomial(k, d, (1, 120))
+            for (ra, rb), constant in fit.cabd_constant.items():
+                pairs = [(a, a + k) for a in range(ra or d, 60, d) if math.gcd(a, k) == 1]
+                assert constant == extract_cabd_constant(ra, rb, d, pairs), (k, d, ra)
+                checked += 1
+    assert checked == 50
+
+
+def test_fit_checks_the_class_constant_on_every_sample(monkeypatch):
+    pair_genus = roots._pair_quotient_genus
+
+    def drifting(a, b, d):
+        # + (a - r)/d on class r is linear in a: the quadratic is kept, but
+        # the genus minus the Sylvester term is no longer constant
+        return pair_genus(a, b, d) + a // d
+
+    monkeypatch.setattr(roots, "_pair_quotient_genus", drifting)
+    # d = 2 has no class with both residues prime to d, so no constant
+    fit = fit_quasipolynomial(1, 2, (3, 41))
+    assert fit.cabd_constant == {}
+    assert fit.per_class[0] == (Fraction(1, 4), Fraction(0), Fraction(0))
+    assert fit.per_class[1] == (Fraction(1, 4), Fraction(0), Fraction(-1, 4))
+    # d = 3: class 0 fits; on class (1, 2) the held-out samples still match
+    # and a = 1, 4 give the constants 0 and 1
+    with pytest.raises(TheoremViolationError) as err:
+        fit_quasipolynomial(1, 3, (1, 40))
+    assert str(err.value) == (
+        "constant differs on class (1, 2) mod 3: (1, 2) gives 0 but (4, 5) gives 1"
+    )
 
 
 def test_fit_quasipolynomial_frozen_k1_d2():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from numsgps import cli, verify
+from numsgps import cli, roots, verify
 from numsgps.core import MAX_ROOT_WORK, PreconditionError, ResourceLimitError, from_generators
 from numsgps.quotient import quotient
 from numsgps.verify import (
@@ -193,6 +193,57 @@ def test_sylvester_and_ed2_work_is_bounded():
         assert SweepConfig(theorem=theorem).resolved()
     assert SweepConfig(theorem="ed2-closed-form", max_value=12, d_max=5).resolved()
     assert SweepConfig(theorem="sylvester", max_value=15).resolved()
+
+
+def test_d2_constant_work_is_bounded():
+    # samples pair counts of at most d floor sums, 3 steps each, for each of
+    # at most (d - 1)^2 class pairs of each d <= d_max
+    def charge(d_max, samples=5):
+        return 3 * samples * sum(m * m * (m + 1) for m in range(1, d_max))
+
+    largest = max(d for d in range(2, 100) if charge(d) <= MAX_ROOT_WORK)
+    assert largest == 60
+    assert SweepConfig(theorem="d2-constant", d_max=largest).resolved().d_max == largest
+    for grid in (dict(d_max=largest + 1), dict(d_max=10**6), dict(samples=10**9)):
+        with pytest.raises(ResourceLimitError):
+            sweep(SweepConfig(theorem="d2-constant", **grid))
+    # the default grid and the one the benchmark passes stay accepted
+    assert SweepConfig(theorem="d2-constant", d_max=4, max_value=40, samples=3).resolved()
+
+
+@pytest.mark.parametrize(
+    "theorem, off, error, flags",
+    [
+        (
+            "d2-constant",
+            (3, 1, 2),
+            "constant differs on class (1, 1) mod 2: (1, 3) gives 0 but (3, 1) gives 1",
+            ["--d-max", "4", "--max", "60", "--samples", "3"],
+        ),
+        (
+            "quasipoly",
+            (10, 11, 2),
+            "fit on class 0 (mod 2) predicts 20 at a = 10, brute force gives 21",
+            ["--k-list", "1,2", "--d-max", "3", "--a-max", "80"],
+        ),
+    ],
+)
+def test_a_pair_count_off_by_one_is_an_error_record(
+    theorem, off, error, flags, monkeypatch, capsys
+):
+    pair_genus = roots._pair_quotient_genus
+    monkeypatch.setattr(
+        roots, "_pair_quotient_genus", lambda a, b, d: pair_genus(a, b, d) + ((a, b, d) == off)
+    )
+    records = run_sweep(small_config(theorem))
+    bad = [r for r in records if r["status"] != MATCH]
+    assert len(bad) == 1 and len(records) > 1
+    assert bad[0]["status"] == MISMATCH
+    assert bad[0]["params"]["error"] == error
+    assert (bad[0]["formula"], bad[0]["oracle"]) == (None, None)
+    assert cli.main(["verify", theorem, "--format", "json", *flags]) == 1
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed == records
 
 
 def test_full_ap_dk_sweep_builds_each_semigroup_once(table_builds):
