@@ -20,11 +20,12 @@ own entries, by whichever pass costs less.  A complement known to be a
 semigroup (the members a sieve pass closed, turned into bytes, or a
 quotient, whose mask is every d-th byte of the mask of S) is built from
 its gap mask in one pass of C-level counts, with no closure check, and
-keeps that mask; Ap[r] = r + m * #{gaps congruent to r mod m} reads every
-mask.  So the oracle of every quotient is still the membership test of
-d*x, read in C; theorem-main's fold reads the same mask of S, while g(S)
-comes from the Apery sum, and the test suite pins the mask to an
-independent dynamic-programming sieve.
+keeps that mask; Ap[r] = r + n * #{gaps congruent to r mod n} reads the
+Apery table at m, or at any other member n, off every mask.  So the
+oracle of every quotient is still the membership test of d*x, read in C;
+theorem-main's fold reads the same mask of S, while g(S) comes from the
+Apery sum, and the test suite pins the mask to an independent
+dynamic-programming sieve.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from typing import Iterable
 # Desk-scale guard: refuse instances whose gap list would thrash memory,
 # instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
-# Desk-scale guard on the steps one command may take: the round robin of an
-# Apery set at n relaxes n entries per minimal generator, the d - 1 roots
+# Desk-scale guard on the steps one command may take: the d - 1 roots
 # each take min(d, F(S) + 2) Horner steps over the folded P_S, and a
 # quasipolynomial fit counts gaps in O(a) steps per sample a.  Every verify
 # sweep whose grid drives such work is refused above it too.
@@ -112,12 +112,13 @@ class NumericalSemigroup:
         # Per kept generator the round robin costs about 6m word operations,
         # and a sieve of F + m + 1 bits (every x > F is a member) at most
         # the shifts of m; the table is known, so the sieve skips its read.
-        m, table = self.multiplicity, self.apery
+        m = self.multiplicity
+        values = [m, *sorted(self.apery[1:])]
         nbits = self.frobenius + m + 1
         if _sieve_cost([m], nbits) < 6 * m:
-            kept = _sieve([m, *sorted(table[1:])], nbits)[1]
+            kept = _sieve(values, nbits)[1]
         else:
-            kept = _round_robin(table, m)[1]
+            kept = _round_robin(values)[1]
         return (m, *kept)
 
     @property
@@ -158,24 +159,23 @@ class NumericalSemigroup:
         )
 
 
-def _round_robin(
-    generators: Iterable[int], n: int
-) -> tuple[tuple[int, ...], list[int]]:
-    """Least element of <generators, n> in each residue class mod n, and the
-    generators that changed the table (with n the least generator, n and
-    these are the minimal generators).
+def _round_robin(values: list[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Apery table of <values> (ascending, with n = values[0] the
+    multiplicity): the least member in each residue class mod n, and the
+    values other than n that changed the table (with n, the minimal
+    generators).
 
     In ascending order, g is already a member, and is skipped, exactly when
     dist[g mod n] <= g.  Otherwise every addition cycle r -> r + g (mod n)
     is relaxed once starting from its current minimum, which is exact
     because earlier classes only improve by whole cycles.
     """
-    generators = sorted(generators)
-    infinity = n * generators[-1] + 1  # strictly above any reachable value
+    n = values[0]
+    infinity = n * values[-1] + 1  # strictly above any reachable value
     dist = [infinity] * n
     dist[0] = 0
     kept = []
-    for g in generators:
+    for g in values:
         step = g % n
         if step == 0 or dist[step] <= g:
             continue
@@ -243,8 +243,8 @@ def _sieve_cost(values: list[int], nbits: int) -> int:
 
 
 def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, list[int]]:
-    """<values> (ascending) and the values that ``_round_robin(values,
-    values[0])`` keeps, by the cheaper construction.
+    """<values> (ascending) and the values that ``_round_robin(values)``
+    keeps, by the cheaper construction.
 
     The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
     F <= 2 max(values) or F = ``lower``, and doubles while the passes so
@@ -275,7 +275,7 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
                 f"{work} word operations, more than {MAX_BUILD_WORK}"
             )
         if fall_back:
-            apery, kept = _round_robin(values, mult)
+            apery, kept = _round_robin(values)
             return NumericalSemigroup(mult, max(apery) - mult, apery), kept
         spent += cost
         built = _sieve(values, nbits)
@@ -348,24 +348,28 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
     return S
 
 
+def _apery_from_mask(mask: bytes, n: int) -> tuple[int, ...]:
+    """Ap(S, n) at a member n of S, whose gap mask is ``mask``: class r mod
+    n holds the gaps r, r + n, ... below its least member, one C-level count
+    per class (an empty stride for r > F(S), which gives r)."""
+    # built from a list, whose length is known; tuple() of a generator raised
+    # the peak RSS of a default theorem-main sweep by 0.4 MiB (CPython 3.11)
+    return tuple([r + n * mask[r::n].count(1) for r in range(n)])
+
+
 def _from_gap_mask(mask: bytes) -> NumericalSemigroup:
     """The candidate semigroup whose gaps are the set bytes of ``mask``
     (mask[x] = 1 exactly when x is a gap, last byte set; empty for N),
     unchecked, keeping ``mask`` as its own gap mask.
 
-    The multiplicity m is the first unset byte after 0, and class r mod m
-    holds the gaps r, r + m, ..., so its least member is r plus m per set
-    byte of mask[r::m].  When the complement is a semigroup (a quotient, or
-    the members a sieve pass closed under its generators) this is its
-    canonical form, with one C-level count per class.
+    The multiplicity m is the first unset byte after 0.  When the
+    complement is a semigroup (a quotient, or the members a sieve pass
+    closed under its generators) its Apery table at m is its canonical form.
     """
     mult = mask.find(0, 1)
     if mult < 0:  # 1, ..., F are all gaps, or the mask is empty (N)
         mult = len(mask) or 1
-    # built from a list, whose length is known; tuple() of a generator raised
-    # the peak RSS of a default theorem-main sweep by 0.4 MiB (CPython 3.11)
-    table = tuple([r + mult * mask[r::mult].count(1) for r in range(mult)])
-    S = NumericalSemigroup(mult, len(mask) - 1, table)
+    S = NumericalSemigroup(mult, len(mask) - 1, _apery_from_mask(mask, mult))
     S.__dict__["_gap_mask"] = mask
     return S
 
@@ -379,21 +383,16 @@ def contains(S: NumericalSemigroup, x: int) -> bool:
 
 def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
     """Ap(S, n) = {s in S : s - n not in S}, as per-residue least members:
-    entry r is the least member congruent to r mod n."""
+    entry r is the least member congruent to r mod n, read off the gap mask
+    in O(F(S) + n)."""
     _require_positive("Apery modulus", n)
-    # any n but m runs the round robin, which relaxes n entries per generator
-    work = n * S.embedding_dimension if n != S.multiplicity else 0
-    if work > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"the Apery set of {S} at n = {n} takes {work} steps, more than {MAX_ROOT_WORK}"
-        )
     if not contains(S, n):
         raise PreconditionError(f"Apery modulus {n} is not a member of {S}")
     if n == S.multiplicity:
         return S.apery
     if n > MAX_FROBENIUS:  # the table holds an int per class, as a gap list does per gap
         raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_FROBENIUS}")
-    return _round_robin(S.minimal_generators, n)[0]
+    return _apery_from_mask(S._gap_mask, n)
 
 
 def invariants_from_apery(elements: tuple[int, ...]) -> tuple[int, int]:

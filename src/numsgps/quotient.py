@@ -9,10 +9,8 @@ directly (each class modulo the least non-gap starts just above its
 largest gap) with no closure check, since S/d is a semigroup by
 definition; the quotient keeps the mask for its gaps, its d-symmetry and
 the root layer, and its minimal generators are left until they are read.
-theorem-main's fold reads the same mask of S, while g(S) comes from the
-Apery sum, and the test suite pins the mask to an independent
-dynamic-programming sieve.  The module also carries the Frobenius
-shortcut for d-symmetric semigroups.
+The module also carries the Frobenius shortcut for d-symmetric
+semigroups.
 """
 
 from __future__ import annotations
@@ -67,8 +65,3 @@ def frobenius_quotient_dsymmetric(S: NumericalSemigroup, d: int) -> int:
         x += d
     return (F - x) // d
 
-
-__all__ = [
-    "quotient",
-    "frobenius_quotient_dsymmetric",
-]

@@ -666,13 +666,16 @@ def sweep(cfg: SweepConfig) -> Iterator[dict]:
     regardless of the parallelism degree.
 
     The config is resolved and the case list built before this returns,
-    so a refused grid raises here, before any record exists.  Each record
-    is yielded as soon as its case and every earlier one are checked; an
-    exception inside a case ends the stream at that case, at any
-    parallelism degree.
+    so a refused grid, or one that holds no case, raises here, before any
+    record exists.  Each record is yielded as soon as its case and every
+    earlier one are checked; an exception inside a case ends the stream at
+    that case, at any parallelism degree.
     """
     cfg = cfg.resolved()
-    return _records(cfg, build_cases(cfg))
+    cases = build_cases(cfg)
+    if not cases:
+        raise PreconditionError(f"the {cfg.theorem} grid holds no case")
+    return _records(cfg, cases)
 
 
 def _records(cfg: SweepConfig, cases: list[tuple]) -> Iterator[dict]:
@@ -696,18 +699,3 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     """All records of ``sweep(cfg)``, as a list."""
     return list(sweep(cfg))
 
-
-__all__ = [
-    "IDENTITIES",
-    "Identity",
-    "MATCH",
-    "MISMATCH",
-    "SKIPPED",
-    "SweepConfig",
-    "THEOREM_IDS",
-    "build_cases",
-    "check_case",
-    "random_corpus",
-    "run_sweep",
-    "sweep",
-]

@@ -12,15 +12,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def table_builds(monkeypatch):
     """Every Apery table construction during the test, in order:
-    ("round robin", n) for a ``core._round_robin`` call at modulus n, and
+    ("round robin", m) for a ``core._round_robin`` call whose values are
+    headed by the multiplicity m, and
     ("sieve", m) for a ``core._sieve`` pass that built the table of
     multiplicity m, or ("sieve", None) when it found its mask too short."""
     builds = []
     round_robin, sieve = core._round_robin, core._sieve
 
-    def counting_round_robin(generators, n):
-        builds.append(("round robin", n))
-        return round_robin(generators, n)
+    def counting_round_robin(values):
+        builds.append(("round robin", values[0]))
+        return round_robin(values)
 
     def counting_sieve(values, nbits):
         built = sieve(values, nbits)

@@ -123,6 +123,18 @@ MUTANTS = (
         "if scaled < first:",
         "the class constant check misses samples whose constant is above the first's",
     ),
+    (
+        "src/numsgps/core.py",
+        "r + n * mask[r::n].count(1)",
+        "r + n * mask[r + 1::n].count(1)",
+        "the Apery read charges class r with the gaps of class r + 1",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "if not cases:",
+        "if cases is None:",
+        "a grid that holds no case sweeps nothing and exits 0",
+    ),
 )
 
 

@@ -160,11 +160,15 @@ def test_apery_n_is_bounded(capsys):
     code, out, err = run_cli(capsys, "apery", "--gens", "3,5", "--n", "10000000")
     assert (code, out) == (2, "")
     assert err == "error: Apery modulus 10000000 exceeds 5000000\n"
-    # 11 minimal generators relax 4,545,455 entries each: past the work cap
-    gens = ",".join(map(str, range(11, 22)))
-    code, out, err = run_cli(capsys, "apery", "--gens", gens, "--n", "4545455")
-    assert (code, out) == (2, "")
-    assert "more than 50000000" in err
+    # 100 minimal generators at n = 500,001, where a round robin at n would
+    # take 50,000,100 steps, are answered by one gap count per class
+    gens = ",".join(map(str, range(1000, 1100)))
+    code, out, err = run_cli(capsys, "apery", "--gens", gens, "--n", "500001", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    S = from_generators(range(1000, 1100))
+    assert (report["n"], len(report["apery"])) == (500_001, 500_001)
+    assert (report["frobenius"], report["genus"]) == (S.frobenius, S.genus)
     assert time.perf_counter() - start < 5
     code, out, err = run_cli(capsys, "apery", "--gens", "3,5", "--n", "4")
     assert (code, out) == (2, "")
@@ -239,6 +243,13 @@ def test_verify_d2_constant_huge_d_max_exits_two(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: the d2-constant grid takes ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_a_grid_that_holds_no_case_exits_two(capsys):
+    for theorem, flags in (("d2-constant", ["--samples", "1"]), ("full-ap", ["--a-max", "1"])):
+        code, out, err = run_cli(capsys, "verify", theorem, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: the {theorem} grid holds no case\n"
 
 
 def test_apery_subcommand(capsys):

@@ -93,13 +93,19 @@ def test_apery_table_size_is_bounded():
         apery_set(S, MAX_FROBENIUS + 1)  # a member, refused before any work
 
 
-def test_apery_set_is_refused_above_the_round_robin_work_cap(table_builds):
-    # 100 minimal generators relax 4,999,000 classes each: 10 times the cap
+def test_apery_set_at_a_large_member_is_read_off_the_gap_mask(table_builds):
+    # a round robin at n = 500,001 over 100 minimal generators would relax
+    # 50,000,100 entries, above MAX_ROOT_WORK; the mask read counts per class
+    n = 500_001
     S = from_generators(range(1000, 1100))
+    F = S.frobenius
     table_builds.clear()
-    with pytest.raises(ResourceLimitError, match="takes 499900000 steps, more than 50000000"):
-        apery_set(S, 4_999_000)
+    ap = apery_set(S, n)
     assert table_builds == []
+    # n > F, so class r holds r alone up to F: r if a member, else r + n
+    assert ap[: F + 1] == tuple(r + n * (not contains(S, r)) for r in range(F + 1))
+    assert ap[F + 1 :] == tuple(range(F + 1, n))
+    assert invariants_from_apery(ap) == (F, S.genus)
 
 
 def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds):
@@ -208,7 +214,7 @@ def test_failed_sieve_passes_cost_less_than_the_round_robin(table_builds, monkey
         spent = sum(core._sieve_cost(gens, nbits) for nbits in lengths)
         budget = 6 * 600 * (e - 4)
         assert spent < budget <= spent + core._sieve_cost(gens, 2 * lengths[-1]), e
-        assert S == NumericalSemigroup(600, S.frobenius, core._round_robin(gens, 600)[0])
+        assert S == NumericalSemigroup(600, S.frobenius, core._round_robin(gens)[0])
 
 
 def test_apery_of_two_generators_is_multiples():
@@ -247,16 +253,17 @@ def test_polynomial_at_one_is_one():
         assert sum(coeffs) == 1, gens
 
 
-def test_random_agreement_with_sieve_oracle():
-    """Invariants from the round-robin Apery pass match a direct sieve."""
+def test_random_agreement_with_sieve_oracle(table_builds):
+    """Invariants, and Apery sets at generators and at other members, match
+    a direct sieve, for semigroups built by either pass and for quotients,
+    which are built from a mask; a table at n != m builds no other table."""
     rng = random.Random(91522)
-    checked = 0
-    while checked < 100:
+    semigroups = []
+    while len(semigroups) < 100:
         count = rng.randint(2, 4)
         gens = sorted(rng.sample(range(2, 61), count))
         if math.gcd(*gens) != 1:
             continue
-        checked += 1
         S = from_generators(gens)
         frobenius, genus, gaps = sieve_invariants(gens)
         assert S.frobenius == frobenius, gens
@@ -264,6 +271,19 @@ def test_random_agreement_with_sieve_oracle():
         assert list(S.gaps) == gaps, gens
         n = rng.choice(gens)
         assert list(apery_set(S, n)) == sieve_apery(gens, n), (gens, n)
+        semigroups += [S, quotient(S, rng.randint(2, 6))]
+    table_builds.clear()
+    for a, k in ((20, 1), (31, 3), (47, 5), (60, 7)):  # full progressions
+        semigroups.append(from_generators(a + i * k for i in range(a)))
+    assert ("sieve", 20) in table_builds
+    for S in semigroups:
+        gens = list(S.minimal_generators)  # built here, not in the reads below
+        F, m = S.frobenius, S.multiplicity
+        others = [x for x in range(m + 1, F + 2 * m) if contains(S, x) and x not in gens]
+        for n in [*rng.sample(others, min(3, len(others))), rng.randint(max(F, 0) + 1, F + 40)]:
+            table_builds.clear()
+            assert list(apery_set(S, n)) == sieve_apery(gens, n), (gens, n)
+            assert n == m or table_builds == [], (gens, n)
 
 
 def test_generator_order_does_not_matter():
@@ -394,7 +414,7 @@ def test_a_sieve_built_semigroup_keeps_the_gap_mask_of_its_table(table_builds):
         if paths[-1] == "round robin":
             assert "_gap_mask" not in S.__dict__, gens  # built when first read
             continue
-        m, apery = S.multiplicity, core._round_robin(gens, S.multiplicity)[0]
+        m, apery = S.multiplicity, core._round_robin(gens)[0]
         built_from_table = NumericalSemigroup(m, max(apery) - m, apery)
         assert S == built_from_table, gens
         assert S.__dict__["_gap_mask"] == built_from_table._gap_mask, gens

@@ -50,7 +50,7 @@ many_generator_sets = (
 def test_sieve_and_round_robin_build_the_same_table(gens):
     values = sorted(set(gens))
     m = values[0]
-    apery, kept = _round_robin(values, m)
+    apery, kept = _round_robin(values)
     frobenius = max(apery) - m
     lower = _frobenius_lower_bound(values)
     assert lower <= frobenius

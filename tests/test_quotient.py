@@ -104,8 +104,9 @@ def test_both_minimal_generator_paths_agree_on_random_quotients(table_builds):
             continue
         Q = quotient(from_generators(gens), rng.randint(2, 9))
         m, nbits = Q.multiplicity, Q.frobenius + Q.multiplicity + 1
-        by_round_robin = (m, *core._round_robin(Q.apery, m)[1])
-        by_sieve = (m, *core._sieve([m, *sorted(Q.apery[1:])], nbits)[1])
+        values = [m, *sorted(Q.apery[1:])]
+        by_round_robin = (m, *core._round_robin(values)[1])
+        by_sieve = (m, *core._sieve(values, nbits)[1])
         assert by_round_robin == by_sieve, (gens, Q)
         table_builds.clear()
         assert Q.minimal_generators == by_sieve, (gens, Q)

@@ -212,6 +212,18 @@ def test_d2_constant_work_is_bounded():
 
 
 @pytest.mark.parametrize(
+    "theorem, grid",
+    # d2-constant needs 2 sample pairs per class pair; full-ap starts at a = 2
+    [("d2-constant", dict(samples=1)), ("full-ap", dict(a_max=1))],
+)
+def test_a_grid_that_holds_no_case_is_refused(theorem, grid):
+    cfg = SweepConfig(theorem=theorem, **grid)
+    assert build_cases(cfg.resolved()) == []
+    with pytest.raises(PreconditionError, match=f"^the {theorem} grid holds no case$"):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize(
     "theorem, off, error, flags",
     [
         (
