@@ -84,7 +84,7 @@ class NumericalSemigroup:
 
     Instances are immutable and fully determined by ``apery``, where
     ``apery[r]`` is the least member congruent to r mod ``multiplicity``;
-    equality and hashing read only these fields.  Use
+    equality and hashing read only it, as m = len(apery) and F = max(apery) - m.  Use
     :func:`from_generators` to construct one.
     ``frobenius`` is -1 when the semigroup is all of the nonnegative
     integers (empty complement).
@@ -96,14 +96,11 @@ class NumericalSemigroup:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: NumericalSemigroup is immutable")
 
-    def _key(self) -> tuple:
-        return self.multiplicity, self.frobenius, self.apery
-
     def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self.apery == other.apery if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.apery)
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -177,7 +174,7 @@ def _round_robin(values: list[int]) -> tuple[tuple[int, ...], list[int]]:
     kept = []
     for g in values:
         step = g % n
-        if step == 0 or dist[step] <= g:
+        if dist[step] <= g:
             continue
         kept.append(g)
         c = math.gcd(step, n)
@@ -351,10 +348,12 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
 def _apery_from_mask(mask: bytes, n: int) -> tuple[int, ...]:
     """Ap(S, n) at a member n of S, whose gap mask is ``mask``: class r mod
     n holds the gaps r, r + n, ... below its least member, one C-level count
-    per class (an empty stride for r > F(S), which gives r)."""
+    for each of the min(n, F(S) + 1) classes that can hold a gap; a class
+    r > F(S) holds none, so its entry is r."""
     # built from a list, whose length is known; tuple() of a generator raised
     # the peak RSS of a default theorem-main sweep by 0.4 MiB (CPython 3.11)
-    return tuple([r + n * mask[r::n].count(1) for r in range(n)])
+    table = [r + n * mask[r::n].count(1) for r in range(min(n, len(mask)))]
+    return (*table, *range(len(mask), n))
 
 
 def _from_gap_mask(mask: bytes) -> NumericalSemigroup:

@@ -103,8 +103,6 @@ def genus_quotient_via_roots(
 def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float]:
     """(rounded genus, distance of the complex value from that integer)."""
     _require_positive("d", d)
-    if d == 1:
-        return S.genus, 0.0
     work = min(d, S.frobenius + 2) * (d - 1)
     if work > MAX_ROOT_WORK:
         raise ResourceLimitError(
@@ -214,8 +212,6 @@ def _pair_quotient_genus(a: int, b: int, d: int) -> int:
     """
     if math.gcd(a, b) != 1:
         raise PreconditionError(f"a and b must be coprime, got gcd = {math.gcd(a, b)}")
-    if a == 1 or b == 1:
-        return 0
     e = math.gcd(a, d)
     dr = d // e
     a_inv = pow(a // e, -1, dr)

@@ -141,16 +141,10 @@ def _frac(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _record(
-    theorem: str,
-    params: dict,
-    formula,
-    oracle,
-    status: str,
-    residual: float | None = None,
-) -> dict:
+def _record(params: dict, formula, oracle, status: str, residual: float | None = None) -> dict:
+    """A record without its ``theorem``, which ``check_case`` sets."""
     return {
-        "theorem": theorem,
+        "theorem": None,
         "params": params,
         "formula": formula,
         "oracle": oracle,
@@ -159,9 +153,9 @@ def _record(
     }
 
 
-def _compared(theorem: str, params: dict, formula, oracle) -> list[dict]:
+def _compared(params: dict, formula, oracle) -> list[dict]:
     status = MATCH if formula == oracle else MISMATCH
-    return [_record(theorem, params, formula, oracle, status)]
+    return [_record(params, formula, oracle, status)]
 
 
 def _corpus_cases(cfg: SweepConfig) -> list[tuple]:
@@ -256,12 +250,18 @@ def _check_sylvester(case, tolerance, inject):
     bump = 1 if inject else 0
     f, g = sylvester_invariants(a, b)
     S = _sg((a, b))
-    return _compared("sylvester", {"a": a, "b": b}, [f + bump, g + bump], [S.frobenius, S.genus])
+    return _compared({"a": a, "b": b}, [f + bump, g + bump], [S.frobenius, S.genus])
+
+
+def _d2_moduli(cfg: SweepConfig) -> range:
+    """The moduli of the grid: for d >= max_value a class holds one a and one
+    b up to max_value, never two sample pairs, so d stops at max_value - 1."""
+    return range(2, min(cfg.d_max, cfg.max_value - 1) + 1)
 
 
 def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
     cases = []
-    for d in range(2, cfg.d_max + 1):
+    for d in _d2_moduli(cfg):
         units = [r for r in range(1, d) if math.gcd(r, d) == 1]
         for a_class in units:
             for b_class in units:
@@ -275,12 +275,12 @@ def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
 
 def _d2_constant_cost(cfg: SweepConfig) -> int:
     """Each modulus d has at most (d - 1)^2 unit class pairs, each with
-    ``samples`` pair counts of at most d floor sums; summed over d <= d_max
-    that is samples * sum of m^2 (m + 1) over m < d_max.  A floor sum is
-    charged 3 steps, fitted to measured time: the cap then admits d_max up
-    to 60 at the default max_value and samples, a sweep about as long as
-    the largest accepted fit (about 6 s each on CPython 3.11, x86-64)."""
-    n = cfg.d_max - 1
+    ``samples`` pair counts of at most d floor sums; over the n moduli
+    2..n + 1 of ``_d2_moduli`` that is samples * sum of m^2 (m + 1), m <= n.
+    A floor sum is charged 3 steps, fitted to measured time: the cap then
+    admits d_max up to 60 at the default max_value and samples, a sweep about
+    as long as the largest accepted fit (about 6 s each on CPython 3.11, x86-64)."""
+    n = len(_d2_moduli(cfg))
     return 3 * cfg.samples * ((n * (n + 1) // 2) ** 2 + n * (n + 1) * (2 * n + 1) // 6)
 
 
@@ -308,9 +308,9 @@ def _check_d2_constant(case, tolerance, inject):
         constant = extract_cabd_constant(a_class, b_class, d, list(pairs))
     except TheoremViolationError as exc:
         params["error"] = str(exc)
-        return [_record("d2-constant", params, None, None, MISMATCH)]
+        return [_record(params, None, None, MISMATCH)]
     formula = _frac(constant + (1 if inject else 0))
-    return _compared("d2-constant", params, formula, _frac(constant))
+    return _compared(params, formula, _frac(constant))
 
 
 def _quasipoly_cases(cfg: SweepConfig) -> list[tuple]:
@@ -322,7 +322,7 @@ def _check_quasipoly(case, tolerance, inject):
     try:
         fit = fit_quasipolynomial(k, d, (1, a_max))
     except TheoremViolationError as exc:
-        return [_record("quasipoly", {"k": k, "d": d, "error": str(exc)}, None, None, MISMATCH)]
+        return [_record({"k": k, "d": d, "error": str(exc)}, None, None, MISMATCH)]
     expected = Fraction(1, 2 * d)
     records = []
     for residue in sorted(fit.per_class):
@@ -330,7 +330,6 @@ def _check_quasipoly(case, tolerance, inject):
         shown = c2 + (1 if inject else 0)
         records.append(
             _record(
-                "quasipoly",
                 {"k": k, "d": d, "residue": residue},
                 {"c2": _frac(shown), "c1": _frac(c1), "c0": _frac(c0)},
                 {"c2": _frac(expected)},
@@ -354,7 +353,7 @@ def _check_ap3_symmetric(case, tolerance, inject):
     a, k = case
     formula = ap3_symmetric_iff_even(a, k) != inject
     oracle = is_d_symmetric(_sg(_ap3(a, k)), 1)
-    return _compared("ap3-symmetric", {"a": a, "k": k}, formula, oracle)
+    return _compared({"a": a, "k": k}, formula, oracle)
 
 
 def _invariants(Q: NumericalSemigroup) -> dict:
@@ -416,7 +415,7 @@ def _check_root_identity(case, tolerance, inject):
     (d,) = case
     deviation = root_of_unity_identity_check(d) + (1.0 if inject else 0.0)
     status = MATCH if deviation <= tolerance else MISMATCH
-    return [_record("root-identity", {"d": d}, deviation, 0.0, status, deviation)]
+    return [_record({"d": d}, deviation, 0.0, status, deviation)]
 
 
 def _no_case(S: NumericalSemigroup, d: int) -> None:
@@ -464,7 +463,7 @@ def _shown(side, keys: tuple[str, ...]):
 
 
 def _about_quotient(
-    theorem, sides, shown, *, defaults, cases, case_of, generators, params,
+    sides, shown, *, defaults, cases, case_of, generators, params,
     skip=None, recognised_only=False, cost=None,
 ) -> Identity:
     """An identity about S/d whose sweep records and report entries both
@@ -489,7 +488,7 @@ def _about_quotient(
     def check(case, tolerance, inject):
         reason = skip(*case) if skip else None
         if reason:
-            return [_record(theorem, {**params(*case), "reason": reason}, None, None, SKIPPED)]
+            return [_record({**params(*case), "reason": reason}, None, None, SKIPPED)]
         S, d = _sg(generators(case)), case[-1]
         if recognised_only and case_of(S, d) is None:
             return []
@@ -497,7 +496,7 @@ def _about_quotient(
         if inject:
             formula = _perturbed(formula)
         status = MATCH if formula == oracle and within(residual, tolerance) else MISMATCH
-        return [_record(theorem, params(*case), formula, oracle, status, residual)]
+        return [_record(params(*case), formula, oracle, status, residual)]
 
     def entries(case, S, Q, tolerance) -> dict:
         formula, oracle, residual = sides(case, S, Q)
@@ -526,7 +525,7 @@ def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
 _AK_GRID = {"a_max": 120, "k_max": 20}
 
 
-def _progression(theorem, family, applies, sides, shown, skip=None) -> Identity:
+def _progression(family, applies, sides, shown, skip=None) -> Identity:
     """An identity about S = family(a, k) with gcd(a, k) = 1, divided by d.
 
     Its grid and the case read off (S, d) share the hypothesis
@@ -553,7 +552,7 @@ def _progression(theorem, family, applies, sides, shown, skip=None) -> Identity:
         return a, k, d
 
     return _about_quotient(
-        theorem, sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
+        sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
         generators=lambda case: family(case[0], case[1]),
         params=lambda a, k, d: {"a": a, "k": k, "d": d},
         skip=skip,
@@ -562,12 +561,12 @@ def _progression(theorem, family, applies, sides, shown, skip=None) -> Identity:
 
 IDENTITIES: dict[str, Identity] = {
     "theorem-main": _about_quotient(
-        "theorem-main", _theorem_main_sides, {"genus-via-roots": ()},
+        _theorem_main_sides, {"genus-via-roots": ()},
         defaults={"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
         cases=_corpus_cases, case_of=_any_case, generators=_corpus_gens, params=_corpus_params,
     ),
     "ed2-closed-form": _about_quotient(
-        "ed2-closed-form", _ed2_sides, {"ed2-genus": ()},
+        _ed2_sides, {"ed2-genus": ()},
         defaults={"max_value": 60, "d_max": 12}, cases=_ed2_cases, case_of=_ed2_case,
         generators=lambda case: case[:2], params=lambda a, b, d: {"a": a, "b": b, "d": d},
         skip=_ed2_skip, cost=_ed2_cost,
@@ -586,7 +585,7 @@ IDENTITIES: dict[str, Identity] = {
         cost=lambda cfg: len(cfg.k_list) * cfg.d_max * _fit_work(1, cfg.a_max),
     ),
     "strazzanti": _about_quotient(
-        "strazzanti", _strazzanti_sides, {"dsymmetric-frobenius": ()},
+        _strazzanti_sides, {"dsymmetric-frobenius": ()},
         defaults={"cases": 500, "max_gen": 60, "d_max": 10}, cases=_corpus_cases,
         case_of=_dsymmetric_case, generators=_corpus_gens, params=_corpus_params,
         recognised_only=True,
@@ -597,23 +596,23 @@ IDENTITIES: dict[str, Identity] = {
         _check_ap3_symmetric,
     ),
     "ap3-even-d": _progression(
-        "ap3-even-d", _ap3,
+        _ap3,
         lambda a, k, d: a % d == 0 and d >= 3 and (d % 2 == 0 or a % 2 == 0),
         _ap3_even_d_sides,
         {"ap3-quotient-generators": ("generators",),
          "ap3-even-divisor-invariants": ("frobenius", "genus")},
     ),
     "ap3-odd-a": _progression(
-        "ap3-odd-a", _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0,
+        _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0,
         _ap3_odd_a_sides, {"ap3-odd-a-invariants": ("frobenius", "genus")},
     ),
     "full-ap": _progression(
-        "full-ap", _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_sides,
+        _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_sides,
         {"full-ap-generators": ("generators",), "full-ap-invariants": ("frobenius", "genus")},
         skip=_full_ap_skip,
     ),
     "full-ap-dk": _progression(
-        "full-ap-dk", _full_ap, lambda a, k, d: a >= 2 and k % d == 0,
+        _full_ap, lambda a, k, d: a >= 2 and k % d == 0,
         _full_ap_dk_sides, {"full-ap-dk-invariants": ("frobenius", "genus")},
     ),
     "root-identity": Identity(
@@ -647,7 +646,10 @@ def build_cases(cfg: SweepConfig) -> list[tuple]:
 
 def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool) -> list[dict]:
     """Records for one case; pure, safe to run in any process."""
-    return _identity(theorem).check(case, tolerance, inject)
+    records = _identity(theorem).check(case, tolerance, inject)
+    for record in records:
+        record["theorem"] = theorem
+    return records
 
 
 def _check_case_caught(

@@ -135,6 +135,24 @@ MUTANTS = (
         "if cases is None:",
         "a grid that holds no case sweeps nothing and exits 0",
     ),
+    (
+        "src/numsgps/verify.py",
+        'record["theorem"] = theorem',
+        'record["theorem"] = None',
+        "check_case leaves every record without its theorem id",
+    ),
+    (
+        "src/numsgps/core.py",
+        "*range(len(mask), n)",
+        "*range(len(mask) + 1, n)",
+        "the Apery table above F(S) starts one class late, dropping entry F + 1",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "cfg.max_value - 1",
+        "cfg.max_value - 2",
+        "the d2-constant grid drops the modulus max - 1, whose classes can hold two pairs",
+    ),
 )
 
 

@@ -245,6 +245,18 @@ def test_verify_d2_constant_huge_d_max_exits_two(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_verify_d2_constant_takes_no_modulus_at_or_above_max(capsys):
+    # for d >= 10 no class holds two sample pairs up to 10, so --d-max 61
+    # costs and checks what --d-max 9 does
+    flags = ("verify", "d2-constant", "--max", "10", "--format", "json")
+    code, out, err = run_cli(capsys, *flags, "--d-max", "61")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 49
+    assert {record["status"] for record in records} == {"match"}
+    assert run_cli(capsys, *flags, "--d-max", "9") == (0, out, err)
+
+
 def test_verify_a_grid_that_holds_no_case_exits_two(capsys):
     for theorem, flags in (("d2-constant", ["--samples", "1"]), ("full-ap", ["--a-max", "1"])):
         code, out, err = run_cli(capsys, "verify", theorem, *flags)

@@ -108,6 +108,27 @@ def test_apery_set_at_a_large_member_is_read_off_the_gap_mask(table_builds):
     assert invariants_from_apery(ap) == (F, S.genus)
 
 
+def test_apery_set_above_the_frobenius_number_slices_at_most_f_plus_one_strides():
+    slices = []
+
+    class CountedMask(bytes):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                slices.append(key)
+            return super().__getitem__(key)
+
+    S = from_generators([7, 11, 13])
+    F = S.frobenius
+    S.__dict__["_gap_mask"] = CountedMask(S._gap_mask)
+    for n in (F + 1, F + 2, 3 * F, 10**5):
+        slices.clear()
+        ap = apery_set(S, n)
+        assert len(slices) <= F + 1, n
+        # n > F, so class r holds r alone up to F: r if a member, else r + n
+        head = tuple(r + n * (not contains(S, r)) for r in range(F + 1))
+        assert ap == head + tuple(range(F + 1, n)), n
+
+
 def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds):
     # 1, ..., m - 1 are gaps, so m = MAX_FROBENIUS + 2 forces F > MAX_FROBENIUS
     with pytest.raises(ResourceLimitError):

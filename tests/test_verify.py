@@ -1,9 +1,11 @@
 """Sweep machinery: grids, record schema, fault injection, parallelism."""
 
 import json
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from numsgps import cli, roots, verify
 from numsgps.core import MAX_ROOT_WORK, PreconditionError, ResourceLimitError, from_generators
@@ -212,6 +214,23 @@ def test_d2_constant_work_is_bounded():
 
 
 @pytest.mark.parametrize(
+    "max_value, d_max", [(10, 60), (10, 9), (12, 5), (30, 60), (30, 29), (3, 8), (2, 8), (40, 61)]
+)
+def test_the_d2_constant_grid_is_the_walk_over_every_d_up_to_d_max(max_value, d_max):
+    # every d in 2..d_max, keeping each unit class pair that holds two sample pairs
+    walked = [
+        (d, a, b, tuple(pairs))
+        for d in range(2, d_max + 1)
+        for a in range(1, d) if math.gcd(a, d) == 1
+        for b in range(1, d) if math.gcd(b, d) == 1
+        for pairs in [verify._class_sample_pairs(a, b, d, 5, max_value)]
+        if len(pairs) >= 2
+    ]
+    cfg = SweepConfig(theorem="d2-constant", max_value=max_value, d_max=d_max, samples=5)
+    assert build_cases(cfg.resolved()) == walked
+
+
+@pytest.mark.parametrize(
     "theorem, grid",
     # d2-constant needs 2 sample pairs per class pair; full-ap starts at a = 2
     [("d2-constant", dict(samples=1)), ("full-ap", dict(a_max=1))],
@@ -370,3 +389,51 @@ def test_quotient_reports_recognise_every_live_sweep_case(capsys):
                     assert entry[side] == shown, (theorem, case, name, side)
                 assert entry.get("residual") == record["residual"], (theorem, case, name)
         assert live > 0, theorem
+
+
+_corpus_grid = dict(
+    seed=st.integers(0, 10**6),
+    cases=st.integers(1, 12),
+    max_gen=st.integers(3, 30),
+    d_max=st.integers(2, 6),
+)
+_ak_grid = dict(a_max=st.integers(1, 24), k_max=st.integers(1, 6))
+RANDOM_GRIDS = {
+    "theorem-main": _corpus_grid,
+    "ed2-closed-form": dict(max_value=st.integers(2, 16), d_max=st.integers(2, 6)),
+    "sylvester": dict(max_value=st.integers(1, 25)),
+    "d2-constant": dict(
+        max_value=st.integers(2, 40), d_max=st.integers(2, 70), samples=st.integers(2, 4)
+    ),
+    "quasipoly": dict(
+        k_list=st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+        d_max=st.integers(1, 3),
+        a_max=st.integers(30, 60),  # every class then holds four admissible samples
+    ),
+    "strazzanti": _corpus_grid,
+    "ap3-symmetric": _ak_grid,
+    "ap3-even-d": _ak_grid,
+    "ap3-odd-a": _ak_grid,
+    "full-ap": _ak_grid,
+    "full-ap-dk": _ak_grid,
+    "root-identity": dict(d_max=st.integers(2, 80)),
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(data=st.data())
+def test_every_sweep_is_clean_on_random_grids(theorem, data):
+    cfg = SweepConfig(theorem=theorem, **data.draw(st.fixed_dictionaries(RANDOM_GRIDS[theorem])))
+    resolved = cfg.resolved()
+    cases = build_cases(resolved)
+    assume(cases)
+    records = run_sweep(cfg)
+    assert {record["status"] for record in records} <= {MATCH, SKIPPED}
+    stamped = [
+        record
+        for case in cases
+        for record in check_case(theorem, case, resolved.tolerance, False)
+    ]
+    assert records == stamped
+    assert all(record["theorem"] == theorem for record in records)
