@@ -11,6 +11,7 @@ sorted keys reproduces the bytes exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -192,6 +193,18 @@ def _flat(value) -> str:
     return str(value)
 
 
+# gap-mask positions rendered per write of a report's gap list
+GAP_BLOCK = 4096
+
+# per format: a report's opening, the text between two fields, a field's
+# key, the renderer of its value and the report's close
+_REPORT_FORMS = {
+    "json": ("{", ", ", lambda key: _dump(key) + ": ", _dump, "}\n"),
+    "table": ("", "\n", "{}: ".format, _flat, "\n"),
+    "csv": ("key,value\n", "\n", "{},".format, _cell, "\n"),
+}
+
+
 def _silence(stream) -> None:
     """Point a stream whose reader has gone at the null device, so that
     what it still buffers, later writes and the interpreter's flush at
@@ -214,9 +227,13 @@ class _Output:
     a command does any work, so a bad --out path fails at once.  Each line
     and note is written as it is produced, and the stream's own buffer
     batches them, so a sweep that fails part-way leaves the records it
-    finished.  A stream whose reader has gone away (``numsgps ... | head``)
-    is not an error: output to it stops quietly and the command's exit
-    code stands.
+    finished.  A report is written field by field in sorted-key order,
+    each value by the renderer of its format, and a ``bytes`` value, which
+    is always a gap mask, as the list of its set positions, one block of
+    ``GAP_BLOCK`` positions per write: no list of the gaps and no whole
+    report is ever built.  A stream whose reader has gone away
+    (``numsgps ... | head``) is not an error: output to it stops quietly
+    and the command's exit code stands.
     """
 
     def __init__(self, args):
@@ -253,15 +270,26 @@ class _Output:
 
     def report(self, report: dict) -> None:
         self.header()
-        if self.format == "json":
-            self.line(_dump(report))
-        elif self.format == "csv":
-            self.line("key,value")
-            for key in sorted(report):
-                self.line(f"{key},{_cell(report[key])}")
-        else:
-            for key in sorted(report):
-                self.line(f"{key}: {_flat(report[key])}")
+        text, between, head, render, end = _REPORT_FORMS[self.format]
+        for n, key in enumerate(sorted(report)):
+            text += (between if n else "") + head(key)
+            value = report[key]
+            if isinstance(value, bytes) and value.count(1) > 1:
+                # the list's opening, separator and close, as the renderer writes [0, 0]
+                first, sep, last = render([0, 0]).split("0")
+                text += first
+                for lo in range(0, len(value), GAP_BLOCK):
+                    positions = range(lo, lo + GAP_BLOCK)
+                    block = sep.join(map(str, itertools.compress(positions, value[lo : lo + GAP_BLOCK])))
+                    if block:
+                        self._write(text + block, self.handle)
+                        text = sep
+                text = last
+                continue
+            if isinstance(value, bytes):  # no separator, so csv does not quote the list
+                value = list(itertools.compress(itertools.count(), value))
+            text += render(value)
+        self._write(text + end, self.handle)
 
     def records(self, records: Iterable[dict]) -> None:
         self.header()
@@ -290,7 +318,7 @@ def cmd_invariants(args, out: _Output) -> int:
         "frobenius": S.frobenius,
         "genus": S.genus,
         "conductor": S.conductor,
-        "gaps": S.gaps,
+        "gaps": S._gap_mask,
         "apery_at_multiplicity": list(S.apery),
         "symmetric": is_d_symmetric(S, 1),
         "d_symmetric": {str(d): is_d_symmetric(S, d) for d in range(2, 11)},
@@ -300,6 +328,10 @@ def cmd_invariants(args, out: _Output) -> int:
 
 
 def cmd_quotient(args, out: _Output) -> int:
+    """Report S/d with every closed form that applies next to its brute-force
+    side; the gaps go out as the quotient's gap mask, which the report
+    writer turns into their list.  Exit 1 after the whole report if any
+    formula disagrees."""
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     if not tolerance > 0:  # also refuses nan, as verify does
         raise PreconditionError(f"tolerance must be > 0, got {tolerance}")
@@ -317,7 +349,7 @@ def cmd_quotient(args, out: _Output) -> int:
         "generators": list(Q.minimal_generators),
         "frobenius": Q.frobenius,
         "genus": Q.genus,
-        "gaps": Q.gaps,
+        "gaps": Q._gap_mask,
         "formulas": formulas,
     }
     out.report(report)

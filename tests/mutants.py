@@ -153,6 +153,18 @@ MUTANTS = (
         "cfg.max_value - 2",
         "the d2-constant grid drops the modulus max - 1, whose classes can hold two pairs",
     ),
+    (
+        "src/numsgps/cli.py",
+        "                        text = sep\n",
+        '                        text = ""\n',
+        "a report's gap list runs the last gap of one block into the first of the next",
+    ),
+    (
+        "src/numsgps/cli.py",
+        "value[lo : lo + GAP_BLOCK]",
+        "value[lo : lo + GAP_BLOCK - 1]",
+        "a report's gap list drops a gap on the last position of each mask block",
+    ),
 )
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -463,6 +464,81 @@ def test_verify_output_reaches_a_buffered_stream_in_buffer_sized_writes(monkeypa
         assert raw.writes <= -(-raw.size // 8192) + 2, (argv, raw.writes)
 
 
+def _whole_rendering(report: dict, fmt: str) -> str:
+    """A report rendered in one piece, each value whole."""
+    if fmt == "json":
+        return cli._dump(report) + "\n"
+    if fmt == "csv":
+        return "key,value\n" + "".join(f"{key},{cli._cell(report[key])}\n" for key in sorted(report))
+    return "".join(f"{key}: {cli._flat(report[key])}\n" for key in sorted(report))
+
+
+def test_reports_write_gap_lists_as_the_whole_list_would_render(tmp_path, capsys, monkeypatch):
+    reports = []
+    write_report = cli._Output.report
+
+    def keeping_report(out, report):
+        reports.append(report)
+        write_report(out, report)
+
+    monkeypatch.setattr(cli._Output, "report", keeping_report)
+    block = cli.GAP_BLOCK
+    target = tmp_path / "report"
+    # 0, 1 and 2 gaps; gap lists that end on the last position of one block
+    # and of two, one whose last block starts with a member; and S/2 of
+    # 195,058 gaps next to S of 390,116
+    for gens, d in (
+        ("3,5", 8), ("1", 1), ("2,3", 1), ("2,5", 1), (f"2,{block + 1}", 1),
+        (f"2,{2 * block + 1}", 1), (f"2,{block + 3}", 1), ("3001,4007,5003", 2),
+    ):
+        S = from_generators(map(int, gens.split(",")))
+        for command, options, gaps in (
+            ("quotient", ["--d", str(d)], quotient(S, d).gaps),
+            ("invariants", [], S.gaps),
+        ):
+            for fmt in ("json", "table", "csv"):
+                argv = [command, "--gens", gens, *options, "--format", fmt]
+                for out in ([], ["--out", str(target)]):
+                    reports.clear()
+                    code, stdout, _ = run_cli(capsys, *argv, *out)
+                    assert code == 0
+                    (report,) = reports
+                    assert isinstance(report["gaps"], bytes)
+                    expected = _whole_rendering({**report, "gaps": list(gaps)}, fmt)
+                    if out:
+                        assert (stdout, target.read_text()) == ("", expected), argv
+                    else:
+                        header = "# seed 0\n" if fmt == "table" else ""
+                        assert stdout == header + expected, argv
+
+
+def test_a_report_holds_little_more_than_its_gap_masks(tmp_path, capsys):
+    # the gap mask of <3001, 4007, 5003> is 772 KB, that of its S/2 386 KB
+    target = tmp_path / "report"
+    for argv, bound_mib, gaps in (
+        (["quotient", "--gens", "3001,4007,5003", "--d", "2"], 4, 195_058),
+        (["invariants", "--gens", "3001,4007,5003"], 5, 390_116),
+    ):
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--format", "json", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound_mib * 2**20, (argv, peak)
+        assert len(json.loads(target.read_text())["gaps"]) == gaps
+
+
+def test_a_report_reaches_an_unbuffered_stream_a_block_at_a_time(monkeypatch):
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert cli.main(["quotient", "--gens", "3001,4007,5003", "--d", "2", "--format", "json"]) == 0
+    mask = quotient(from_generators((3001, 4007, 5003)), 2)._gap_mask
+    assert raw.size > 1_400_000
+    assert raw.writes <= -(-len(mask) // cli.GAP_BLOCK) + 1
+
+
 def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatch):
     argv = ("verify", "sylvester", "--max", "5")  # 10 cases: chunks of 1 at --parallel 2
     clean = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "table")}
@@ -640,3 +716,16 @@ def test_unbuffered_stdout_writes_the_same_bytes():
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[1]).hexdigest() == GOLDEN_SHA256["sylvester"]
+
+
+def test_a_reader_that_stops_inside_a_report_ends_it_quietly():
+    # the 1.46 MB report is written in many pieces, all but the first few
+    # into a pipe whose reader has gone
+    for env in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = _cli_process("quotient", "--gens", "3001,4007,5003", "--d", "2", "--format", "json", env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, env
+        assert head.startswith(b'{"base_generators": [3001, 4007, 5003], "d": 2, '), env
+        assert b"error" not in err and b"Broken pipe" not in err, env
