@@ -1,6 +1,6 @@
 """Wall time, CPU and peak RSS of numsgps commands, each in a fresh process.
 
-    python3 bench.py [--out BENCH.json] [--src SRC] [--repeat N] [--baseline OLD.json]
+    python3 bench.py [--out BENCH.json] [--src SRC] [--baseline OLD.json]
     python3 bench.py --compare OLD.json NEW.json
 
 Each line of the result is one command: `python -c pass`, `import
@@ -8,14 +8,13 @@ numsgps.cli`, every `verify <id>` at its default grid with `--parallel` 1
 and 2, and the json `quotient` and `invariants` reports of <3001, 4007,
 5003> at d = 2.  Each run is started through perfbench/launch.py, so its
 CPU and peak RSS are its own and not the high-water mark of this process
-or of another child.  The rounds run every line once, in order; a line's
-figures are the medians over the rounds.  Bytecode is compiled before
-the first round, so no run pays for compiling the sources.
+or of another child.  Each of the REPEAT rounds runs every line once, in
+order; a line's figures are the medians over the rounds.  Bytecode is
+compiled before the first round, so no run pays for compiling the sources.
 
-With --baseline, the result also keeps, under "before", the baseline's
-figures for every line where a figure moved by more than 10%.  --compare
-names every line of NEW that is more than 10% worse than in OLD and exits
-1 if there is one.
+With --baseline, the result also keeps the baseline's lines, whole, under
+"before".  --compare names every line of NEW that is more than 10% worse
+than in OLD and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 LAUNCH = ROOT / "perfbench" / "launch.py"
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+REPEAT = 5
 WORSE = 1.10
 ENTRY = "from numsgps.cli import entry; entry()"
 REPORT_GENS = "3001,4007,5003"
@@ -77,19 +77,19 @@ def run_once(command: list[str], env) -> dict[str, float]:
     }
 
 
-def measure(src: Path, repeat: int) -> dict:
+def measure(src: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     env.update(PYTHONPATH=str(src), PYTHONHASHSEED="0")
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)], env=env, check=True)
     lines = command_lines(env)
     runs = {name: [] for name in lines}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         for name, command in lines.items():
             runs[name].append(run_once(command, env))
     return {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "repeat": repeat,
+        "repeat": REPEAT,
         "lines": {
             name: {m: round(statistics.median(r[m] for r in rs), 4) for m in METRICS}
             for name, rs in runs.items()
@@ -108,22 +108,11 @@ def worse(old: dict, new: dict) -> list[str]:
     return found
 
 
-def moved(old: dict, new: dict) -> dict:
-    """The old figures of every line where one moved by more than 10%."""
-    return {
-        name: before
-        for name, before in old["lines"].items()
-        if name in new["lines"]
-        and any(not before[m] / WORSE <= new["lines"][name][m] <= before[m] * WORSE for m in METRICS)
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=None, help="write the result here as well as to stdout")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the sources to run (default: ./src)")
-    parser.add_argument("--repeat", type=int, default=5, help="rounds over every line (default: 5)")
-    parser.add_argument("--baseline", type=Path, default=None, help="a result to keep moved lines of")
+    parser.add_argument("--baseline", type=Path, default=None, help="a result to keep the lines of")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -131,11 +120,9 @@ def main(argv=None) -> int:
         found = worse(old, new)
         print("\n".join(found) if found else "no line is more than 10% worse")
         return 1 if found else 0
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    result = measure(args.src.resolve(), args.repeat)
+    result = measure(args.src.resolve())
     if args.baseline:
-        result["before"] = moved(json.loads(args.baseline.read_text()), result)
+        result["before"] = json.loads(args.baseline.read_text())["lines"]
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.out:
         args.out.write_text(text)
