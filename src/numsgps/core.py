@@ -1,10 +1,11 @@
 """Exact arithmetic of numerical semigroups.
 
 A numerical semigroup is a cofinite subset of the nonnegative integers
-that contains 0 and is closed under addition.  Its canonical form is the
-per-residue table of least elements modulo the multiplicity m (the Apery
-set Ap(S, m)): membership is one comparison against it, F(S) is
-max(Ap(S, m)) - m, and g(S) = (1/m) * sum(Ap(S, m)) - (m - 1)/2.  Gaps
+that contains 0 and is closed under addition.  It is built from its
+canonical form alone, the per-residue table of least elements modulo the
+multiplicity m (the Apery set Ap(S, m)), which fixes m = len(Ap(S, m)),
+F(S) = max(Ap(S, m)) - m and g(S) = (1/m) * sum(Ap(S, m)) - (m - 1)/2,
+read off once; membership is one comparison against it.  Gaps
 and the coefficients of P_S are derived from the table on demand, through
 a byte mask of the gaps up to F(S) that is built at most once per
 semigroup and kept (immutable) for every later reader: the gap list, P_S,
@@ -80,18 +81,19 @@ def _require_positive(name: str, value: int, least: int = 1) -> None:
 
 
 class NumericalSemigroup:
-    """Canonical form of a numerical semigroup.
+    """Canonical form of a numerical semigroup, built from its table alone.
 
-    Instances are immutable and fully determined by ``apery``, where
-    ``apery[r]`` is the least member congruent to r mod ``multiplicity``;
-    equality and hashing read only it, as m = len(apery) and F = max(apery) - m.  Use
-    :func:`from_generators` to construct one.
+    ``apery[r]`` is the least member congruent to r mod the multiplicity
+    m = len(apery); the table fixes ``frobenius`` and ``genus``, read off it
+    once by :func:`invariants_from_apery`, and equality and hashing read
+    only it.  Build one with :func:`from_generators` or from an Apery table.
     ``frobenius`` is -1 when the semigroup is all of the nonnegative
     integers (empty complement).
     """
 
-    def __init__(self, multiplicity: int, frobenius: int, apery: tuple[int, ...]):
-        self.__dict__.update(multiplicity=multiplicity, frobenius=frobenius, apery=apery)
+    def __init__(self, apery: tuple[int, ...]):
+        frobenius, genus = invariants_from_apery(apery)
+        self.__dict__.update(multiplicity=len(apery), frobenius=frobenius, genus=genus, apery=apery)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: NumericalSemigroup is immutable")
@@ -117,12 +119,6 @@ class NumericalSemigroup:
         else:
             kept = _round_robin(values)[1]
         return (m, *kept)
-
-    @property
-    def genus(self) -> int:
-        # Class r holds the gaps r, r + m, ..., apery[r] - m.
-        m = self.multiplicity
-        return (sum(self.apery) - m * (m - 1) // 2) // m
 
     @property
     def embedding_dimension(self) -> int:
@@ -273,7 +269,7 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
             )
         if fall_back:
             apery, kept = _round_robin(values)
-            return NumericalSemigroup(mult, max(apery) - mult, apery), kept
+            return NumericalSemigroup(apery), kept
         spent += cost
         built = _sieve(values, nbits)
         if built is not None:
@@ -359,7 +355,7 @@ def _apery_from_mask(mask: bytes, n: int) -> tuple[int, ...]:
 def _from_gap_mask(mask: bytes) -> NumericalSemigroup:
     """The candidate semigroup whose gaps are the set bytes of ``mask``
     (mask[x] = 1 exactly when x is a gap, last byte set; empty for N),
-    unchecked, keeping ``mask`` as its own gap mask.
+    with no closure check, keeping ``mask`` as its own gap mask.
 
     The multiplicity m is the first unset byte after 0.  When the
     complement is a semigroup (a quotient, or the members a sieve pass
@@ -368,7 +364,7 @@ def _from_gap_mask(mask: bytes) -> NumericalSemigroup:
     mult = mask.find(0, 1)
     if mult < 0:  # 1, ..., F are all gaps, or the mask is empty (N)
         mult = len(mask) or 1
-    S = NumericalSemigroup(mult, len(mask) - 1, _apery_from_mask(mask, mult))
+    S = NumericalSemigroup(_apery_from_mask(mask, mult))
     S.__dict__["_gap_mask"] = mask
     return S
 

@@ -564,6 +564,10 @@ IDENTITIES: dict[str, Identity] = {
         _theorem_main_sides, {"genus-via-roots": ()},
         defaults={"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
         cases=_corpus_cases, case_of=_any_case, generators=_corpus_gens, params=_corpus_params,
+        # per semigroup, its construction and its d_max - 1 quotients at 350
+        # steps each (fitted to time at max_gen 60), and at most d(d - 1)
+        # Horner steps for the roots of each S/d, summed over d <= d_max
+        cost=lambda cfg: cfg.cases * (350 * cfg.d_max + (cfg.d_max**3 - cfg.d_max) // 3),
     ),
     "ed2-closed-form": _about_quotient(
         _ed2_sides, {"ed2-genus": ()},
@@ -589,6 +593,7 @@ IDENTITIES: dict[str, Identity] = {
         defaults={"cases": 500, "max_gen": 60, "d_max": 10}, cases=_corpus_cases,
         case_of=_dsymmetric_case, generators=_corpus_gens, params=_corpus_params,
         recognised_only=True,
+        cost=lambda cfg: cfg.cases * 180 * cfg.d_max,  # theorem-main's, at 180 steps, no roots
     ),
     "ap3-symmetric": Identity(
         _AK_GRID,

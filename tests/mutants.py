@@ -165,6 +165,30 @@ MUTANTS = (
         "value[lo : lo + GAP_BLOCK - 1]",
         "a report's gap list drops a gap on the last position of each mask block",
     ),
+    (
+        "src/numsgps/core.py",
+        "frobenius=frobenius",
+        "frobenius=max(apery)",
+        "a semigroup stores max(Ap) as its Frobenius number, without taking off m",
+    ),
+    (
+        "src/numsgps/core.py",
+        "n * (n - 1)",
+        "n * (n + 1)",
+        "the genus read off a table takes off (n + 1)/2 where it should take off (n - 1)/2",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "350 * cfg.d_max",
+        "350 * (cfg.d_max - 1)",
+        "the theorem-main cost leaves out the construction of each semigroup",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "180 * cfg.d_max",
+        "180 * (cfg.d_max - 1)",
+        "the strazzanti cost leaves out the construction of each semigroup",
+    ),
 )
 
 

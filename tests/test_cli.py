@@ -239,6 +239,15 @@ def test_verify_huge_d_max_exits_two_promptly(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_verify_corpus_sweeps_with_huge_cases_exit_two_promptly(capsys):
+    for theorem in ("theorem-main", "strazzanti"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", theorem, "--cases", "10000000")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the {theorem} grid takes ")
+        assert time.perf_counter() - start < 1
+
+
 def test_verify_d2_constant_huge_d_max_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify", "d2-constant", "--d-max", "1000000")
     assert (code, out) == (2, "")

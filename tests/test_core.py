@@ -13,6 +13,7 @@ from numsgps.core import (
     NumericalSemigroup,
     PreconditionError,
     ResourceLimitError,
+    TheoremViolationError,
     apery_set,
     contains,
     from_generators,
@@ -38,6 +39,22 @@ def test_naturals_from_single_generator():
     assert N.conductor == 0
     assert N.minimal_generators == (1,)
     assert N.multiplicity == 1
+
+
+def test_a_semigroup_is_built_from_its_table_alone():
+    # m, F and g of N, <2, 3> and <m, ..., 2m - 1>, read off their tables
+    for apery, invariants in (((0,), (1, -1, 0)), ((0, 3), (2, 1, 1))):
+        S = NumericalSemigroup(apery)
+        assert (S.multiplicity, S.frobenius, S.genus) == invariants
+    for m in range(2, 40):
+        S = NumericalSemigroup((0, *range(m + 1, 2 * m)))
+        assert (S.multiplicity, S.frobenius, S.genus) == (m, m - 1, m - 1)
+        assert S == from_generators(range(m, 2 * m))
+    with pytest.raises(AttributeError):
+        S.genus = 0
+    # 2 * 8 - 3 * 2 = 10 is not a multiple of 2 * 3: no semigroup has this table
+    with pytest.raises(TheoremViolationError):
+        NumericalSemigroup((0, 5, 3))
 
 
 def test_three_five_frozen_values():
@@ -235,7 +252,7 @@ def test_failed_sieve_passes_cost_less_than_the_round_robin(table_builds, monkey
         spent = sum(core._sieve_cost(gens, nbits) for nbits in lengths)
         budget = 6 * 600 * (e - 4)
         assert spent < budget <= spent + core._sieve_cost(gens, 2 * lengths[-1]), e
-        assert S == NumericalSemigroup(600, S.frobenius, core._round_robin(gens)[0])
+        assert S == NumericalSemigroup(core._round_robin(gens)[0])
 
 
 def test_apery_of_two_generators_is_multiples():
@@ -435,8 +452,7 @@ def test_a_sieve_built_semigroup_keeps_the_gap_mask_of_its_table(table_builds):
         if paths[-1] == "round robin":
             assert "_gap_mask" not in S.__dict__, gens  # built when first read
             continue
-        m, apery = S.multiplicity, core._round_robin(gens)[0]
-        built_from_table = NumericalSemigroup(m, max(apery) - m, apery)
+        built_from_table = NumericalSemigroup(core._round_robin(gens)[0])
         assert S == built_from_table, gens
         assert S.__dict__["_gap_mask"] == built_from_table._gap_mask, gens
         for d in range(1, 13):

@@ -114,7 +114,7 @@ def test_quotient_is_the_semigroup_of_its_brute_force_gaps(gens, d):
 def test_quotient_keeps_the_gap_mask_its_table_gives(gens, d):
     S = from_generators(gens)
     Q = quotient(S, d)
-    rebuilt = NumericalSemigroup(Q.multiplicity, Q.frobenius, Q.apery)
+    rebuilt = NumericalSemigroup(Q.apery)
     assert Q is S if d == 1 else "_gap_mask" in vars(Q)
     assert Q._gap_mask == rebuilt._gap_mask
     assert Q.minimal_generators == rebuilt.minimal_generators

@@ -67,9 +67,25 @@ def test_minimal_generators_cost_one_round_robin_when_first_read(table_builds):
     assert calls == [("sieve", 1)]
 
 
+def test_the_benchmark_quotients_keep_their_minimal_generator_pass(table_builds):
+    # <3001, 4007, 5003>/2 (m = 3001, F = 384,636) runs the round robin, about
+    # ten times faster there than the sieve, which _sieve_cost prices at 48,512
+    # word operations against 6m = 18,006; <120 + 7i : i < 120>/2 (m = 60)
+    # runs the sieve.  A refit of _sieve_cost alone would move the first.
+    for gens, build, frobenius in (
+        ([3001, 4007, 5003], ("round robin", 3001), 384_636),
+        ([120 + 7 * i for i in range(120)], ("sieve", 60), 413),
+    ):
+        Q = quotient(from_generators(gens), 2)
+        assert Q.frobenius == frobenius
+        table_builds.clear()
+        assert Q.minimal_generators[0] == Q.multiplicity
+        assert table_builds == [build], gens
+
+
 def _expected_mask(Q: NumericalSemigroup) -> bytes:
     # a fresh semigroup with the same table builds its mask from the table
-    return NumericalSemigroup(Q.multiplicity, Q.frobenius, Q.apery)._gap_mask
+    return NumericalSemigroup(Q.apery)._gap_mask
 
 
 def test_quotient_keeps_the_gap_mask_its_table_gives():

@@ -213,6 +213,31 @@ def test_d2_constant_work_is_bounded():
     assert SweepConfig(theorem="d2-constant", d_max=4, max_value=40, samples=3).resolved()
 
 
+def test_corpus_work_is_bounded_before_the_corpus_is_drawn(monkeypatch):
+    # per semigroup, its construction and its d_max - 1 quotients at 350
+    # steps each, and d(d - 1) Horner steps for each d <= d_max; strazzanti
+    # evaluates no root and is charged 180 steps for each
+    charges = {"theorem-main": (12, 350 * 12 + (12**3 - 12) // 3), "strazzanti": (10, 180 * 10)}
+    largest = {theorem: MAX_ROOT_WORK // charge for theorem, (_, charge) in charges.items()}
+    assert largest == {"theorem-main": 10_477, "strazzanti": 27_777}
+
+    def drawn(*args):
+        raise AssertionError("random_corpus was called for a refused grid")
+
+    monkeypatch.setattr(verify, "random_corpus", drawn)
+    for theorem, (d_max, _) in charges.items():
+        cfg = SweepConfig(theorem=theorem, cases=largest[theorem], d_max=d_max)
+        assert cfg.resolved()
+        for grid in (dict(cases=largest[theorem] + 1), dict(cases=10**7), dict(d_max=10**4)):
+            with pytest.raises(ResourceLimitError):
+                sweep(cfg._replace(**grid))
+        # the default grid and the ones the benchmark passes stay accepted:
+        # 1,000 cases at --parallel 2, and its short grids of 20 and 60 cases
+        for grid in (dict(), dict(cases=1000), dict(cases=20, max_gen=20, d_max=5),
+                     dict(cases=60, max_gen=20, d_max=5)):
+            assert SweepConfig(theorem=theorem, **grid).resolved()
+
+
 @pytest.mark.parametrize(
     "max_value, d_max", [(10, 60), (10, 9), (12, 5), (30, 60), (30, 29), (3, 8), (2, 8), (40, 61)]
 )
