@@ -40,17 +40,13 @@ from typing import Iterable
 # Desk-scale guard: refuse instances whose gap list would thrash memory,
 # instead of dying slowly.
 MAX_FROBENIUS = 5_000_000
-# Desk-scale guard on the steps one command may take: the d - 1 roots
-# each take min(d, F(S) + 2) Horner steps over the folded P_S, and a
-# quasipolynomial fit counts gaps in O(a) steps per sample a.  Every verify
-# sweep whose grid drives such work is refused above it too.
+# Desk-scale guard on the steps one command may take, each about 0.1 us
+# (CPython 3.11, x86-64): the d - 1 roots each take min(d, F(S) + 2) Horner
+# steps over the folded P_S, a quasipolynomial fit counts gaps in O(a) steps
+# per sample a, and construction takes m*e round-robin steps or the
+# estimated steps of its sieve passes.  Every verify sweep whose grid drives
+# such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
-# The same guard on construction from generators, in the estimated word
-# operations of its sieve passes and round robin (6 per round-robin step):
-# under 1 s of sieve passes, or 2.5e7 round-robin steps in about 3 s
-# (CPython 3.11, x86-64).  It admits <m, ..., 2m - 1> up to m = 29,162, and refuses 2,000
-# generators from 10^6, whose first sieve pass alone is estimated at 1.9e8.
-MAX_BUILD_WORK = 3 * MAX_ROOT_WORK
 
 
 class PreconditionError(ValueError):
@@ -71,6 +67,14 @@ class PrecisionLossError(ArithmeticError):
 
 class ResourceLimitError(RuntimeError):
     """Instance exceeds the desk-scale size guards."""
+
+
+def _require_work(work: float, what: str, *args) -> None:
+    """Refuse ``what.format(*args)`` when its estimated ``work`` passes
+    MAX_ROOT_WORK steps; the message is formatted only then."""
+    if work > MAX_ROOT_WORK:
+        what = what.format(*args)
+        raise ResourceLimitError(f"{what} takes {round(work)} steps, more than {MAX_ROOT_WORK}")
 
 
 def _require_positive(name: str, value: int, least: int = 1) -> None:
@@ -108,13 +112,13 @@ class NumericalSemigroup:
     def minimal_generators(self) -> tuple[int, ...]:
         # Every minimal generator other than m is the least member of its
         # class, so either pass over the table's entries keeps exactly them.
-        # Per kept generator the round robin costs about 6m word operations,
-        # and a sieve of F + m + 1 bits (every x > F is a member) at most
-        # the shifts of m; the table is known, so the sieve skips its read.
+        # Per kept generator the round robin takes about m steps, and a
+        # sieve of F + m + 1 bits (every x > F is a member) at most the
+        # shifts of m; the table is known, so the sieve skips its read.
         m = self.multiplicity
         values = [m, *sorted(self.apery[1:])]
         nbits = self.frobenius + m + 1
-        if _sieve_cost([m], nbits) < 6 * m:
+        if _sieve_cost([m], nbits) < m:
             kept = _sieve(values, nbits)[1]
         else:
             kept = _round_robin(values)[1]
@@ -224,15 +228,15 @@ def _sieve(values: list[int], nbits: int) -> tuple[int, list[int]] | None:
     return members, kept
 
 
-def _sieve_cost(values: list[int], nbits: int) -> int:
-    """Estimated word operations of a sieve pass of ``nbits`` bits.
+def _sieve_cost(values: list[int], nbits: int) -> float:
+    """Estimated steps of a sieve pass of ``nbits`` bits.
 
-    Each shift by g, 2g, ... below nbits costs nbits/64 plus a fixed 8,
-    against 6 for one round-robin step (measured with CPython 3.11 on
-    x86-64).
+    Each shift by g, 2g, ... below nbits costs as much as nbits/64 + 8
+    64-bit words, and one round-robin step as much as 6 (measured with
+    CPython 3.11 on x86-64).
     """
     shifts = sum(((nbits - 1) // g).bit_length() for g in values)
-    return shifts * (nbits // 64 + 8)
+    return shifts * (nbits // 64 + 8) / 6
 
 
 def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, list[int]]:
@@ -241,7 +245,7 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
 
     The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
     F <= 2 max(values) or F = ``lower``, and doubles while the passes so
-    far and the next one cost less than 6m(e - 4), the round robin's m*e
+    far and the next one cost less than m(e - 4), the round robin's m*e
     steps less 4 per class, so that failed passes never cost more than the
     round robin they fall back to; the -4 keeps every input of at most four
     generators on the round robin.  Its last length is
@@ -249,24 +253,19 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
     with a gap in the top m bits, shows F > MAX_FROBENIUS: it ends the
     construction either way, so only its own cost is compared.  A pass
     that builds the table is read as a gap mask, which the semigroup keeps.
-    Before each pass, and before the round robin (6m*e), the estimated
-    word operations of the passes run so far and of that step are held to
-    MAX_BUILD_WORK.
+    Before each pass, and before the round robin, the estimated steps of
+    the passes run so far and of that step are held to MAX_ROOT_WORK.
     """
     mult = values[0]
-    budget = 6 * mult * (len(values) - 4)
+    budget = mult * (len(values) - 4)
     nbits = max(2 * values[-1], lower + 1) + mult
     spent = 0
     while True:
         cost = _sieve_cost(values, nbits)
         last = nbits > MAX_FROBENIUS + mult
         fall_back = (cost if last else spent + cost) >= budget
-        work = spent + (6 * mult * len(values) if fall_back else cost)
-        if work > MAX_BUILD_WORK:
-            raise ResourceLimitError(
-                f"building <{mult}, ...> from {len(values)} generators takes an estimated "
-                f"{work} word operations, more than {MAX_BUILD_WORK}"
-            )
+        work = spent + (mult * len(values) if fall_back else cost)
+        _require_work(work, "building <{}, ...> from {} generators", mult, len(values))
         if fall_back:
             apery, kept = _round_robin(values)
             return NumericalSemigroup(apery), kept
@@ -292,12 +291,16 @@ def _frobenius_lower_bound(values: list[int]) -> int:
     m, each at least g2 = values[1], and at most C(n + j, j) multisets have
     j terms or fewer.  So some element has at least j* terms, the least j
     with C(n + j, j) >= m, and F >= j* g2 - m; for n = 1, j* = m - 1.
+    Since 1, ..., m - 1 are gaps, F >= m - 1 too: when that alone is above
+    MAX_FROBENIUS it is returned at once, without the j* loop.
     """
     mult, n = values[0], len(values) - 1
     if mult == 1:  # all of N
         return -1
     if n == 1:
         terms = mult - 1
+    elif mult - 1 > MAX_FROBENIUS:
+        return mult - 1
     else:
         terms, count = 0, 1  # count = C(n + terms, terms)
         while count < mult:
@@ -323,12 +326,6 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
             f"gcd{tuple(values)} > 1: the complement is infinite, "
             "so this is not a numerical semigroup"
         )
-    mult = values[0]
-    if mult - 1 > MAX_FROBENIUS:  # 1, ..., m - 1 are gaps: refused before any construction
-        raise ResourceLimitError(
-            f"multiplicity {mult} makes the Frobenius number at least {mult - 1}, "
-            f"more than {MAX_FROBENIUS}"
-        )
     lower = _frobenius_lower_bound(values)
     if lower > MAX_FROBENIUS:
         at_least = "" if len(values) == 2 else "at least "  # exact for two generators
@@ -337,7 +334,7 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
     if S.frobenius > MAX_FROBENIUS:
         raise ResourceLimitError(f"Frobenius number {S.frobenius} exceeds {MAX_FROBENIUS}")
     # the minimal generators this pass found, so that reading them does not run it again
-    S.__dict__["minimal_generators"] = (mult, *kept)
+    S.__dict__["minimal_generators"] = (values[0], *kept)
     return S
 
 

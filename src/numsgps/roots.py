@@ -34,13 +34,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
-    MAX_ROOT_WORK,
     NumericalSemigroup,
     PrecisionLossError,
     PreconditionError,
-    ResourceLimitError,
     TheoremViolationError,
     _require_positive,
+    _require_work,
     gap_residue_counts,
 )
 
@@ -103,11 +102,7 @@ def genus_quotient_via_roots(
 def _genus_via_roots_residual(S: NumericalSemigroup, d: int) -> tuple[int, float]:
     """(rounded genus, distance of the complex value from that integer)."""
     _require_positive("d", d)
-    work = min(d, S.frobenius + 2) * (d - 1)
-    if work > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"min(d, F + 2)(d - 1) = {work} for {S} at d = {d} exceeds {MAX_ROOT_WORK}"
-        )
+    _require_work(min(d, S.frobenius + 2) * (d - 1), "evaluating {} at the roots of order {}", S, d)
     folded = _fold_mod(S, d)[::-1]  # Horner reads the highest coefficient first
     # the member series diverges on the unit circle, so H_S(zeta^i) is read as
     # P_S(zeta^i)/(1 - zeta^i), for i = 1..d - 1 from one fold
@@ -316,11 +311,7 @@ def fit_quasipolynomial(
     a_min, a_max = a_range
     if a_min < 1 or a_max < a_min:
         raise PreconditionError(f"empty or invalid range {a_range}")
-    work = _fit_work(a_min, a_max)
-    if work > MAX_ROOT_WORK:
-        raise ResourceLimitError(
-            f"a fit over {a_min}..{a_max} takes {work} steps, more than {MAX_ROOT_WORK}"
-        )
+    _require_work(_fit_work(a_min, a_max), "a fit over {}..{}", a_min, a_max)
     per_class: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     constants: dict[tuple[int, int], Fraction] = {}
     for r in range(d):

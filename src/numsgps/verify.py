@@ -33,11 +33,10 @@ from functools import lru_cache, partial
 from typing import Iterator
 
 from .core import (
-    MAX_ROOT_WORK,
     NumericalSemigroup,
     PreconditionError,
-    ResourceLimitError,
     TheoremViolationError,
+    _require_work,
     from_generators,
     is_d_symmetric,
 )
@@ -107,11 +106,7 @@ class SweepConfig(namedtuple(
             not cfg.k_list or any(k < 1 for k in cfg.k_list)
         ):
             raise PreconditionError(f"k_list must hold positive integers, got {cfg.k_list}")
-        work = identity.cost(cfg) if identity.cost else 0
-        if work > MAX_ROOT_WORK:
-            raise ResourceLimitError(
-                f"the {cfg.theorem} grid takes {work} steps, more than {MAX_ROOT_WORK}"
-            )
+        _require_work(identity.cost(cfg), "the {} grid", cfg.theorem)
         return cfg
 
 
@@ -423,10 +418,13 @@ def _no_case(S: NumericalSemigroup, d: int) -> None:
 
 
 class Identity(namedtuple(
-    "Identity", "defaults cases check case_of entries cost", defaults=(_no_case, None, None)
+    "Identity", "defaults cases check cost case_of entries", defaults=(_no_case, None)
 )):
     """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
-    the grid, and ``check(case, tolerance, inject)`` returns its records.
+    the grid, ``check(case, tolerance, inject)`` returns its records, and
+    ``cost(cfg)`` bounds in steps the work of the grid, its case list
+    included; a grid that costs more than ``MAX_ROOT_WORK`` is refused
+    before any case is built.
 
     For an identity about S/d, ``case_of(S, d)`` is the case that S and d
     are, or None when the hypotheses fail, and ``entries(case, S, Q,
@@ -434,10 +432,6 @@ class Identity(namedtuple(
     off the brute-force quotient Q, and whether they match.  Both
     ``check`` and ``entries`` are derived from one function of the
     identity, ``sides(case, S, Q)``; see ``_about_quotient``.
-
-    ``cost(cfg)``, where the grid alone can drive unbounded work, bounds
-    that work in steps; a grid that costs more than ``MAX_ROOT_WORK`` is
-    refused before any case is built.
     """
 
     __slots__ = ()
@@ -463,8 +457,8 @@ def _shown(side, keys: tuple[str, ...]):
 
 
 def _about_quotient(
-    sides, shown, *, defaults, cases, case_of, generators, params,
-    skip=None, recognised_only=False, cost=None,
+    sides, shown, *, defaults, cases, cost, case_of, generators, params,
+    skip=None, recognised_only=False,
 ) -> Identity:
     """An identity about S/d whose sweep records and report entries both
     come from ``sides(case, S, Q)``.
@@ -511,7 +505,7 @@ def _about_quotient(
             report[name] = entry
         return report
 
-    return Identity(defaults, cases, check, case_of, entries, cost)
+    return Identity(defaults, cases, check, cost, case_of, entries)
 
 
 def _corpus_gens(case: tuple) -> tuple[int, ...]:
@@ -523,6 +517,15 @@ def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
 
 
 _AK_GRID = {"a_max": 120, "k_max": 20}
+
+
+def _progression_cost(cfg: SweepConfig) -> int:
+    """80 steps for each d of the max(a, k) divisor scan that the grid runs
+    for every pair, fitted to the time of the costliest id, full-ap (3.7 s
+    at (a_max, k_max) = (120, 80) on CPython 3.11, x86-64); the cap admits
+    (249, 20), (120, 76) and (1117, 1)."""
+    lo, hi = sorted((cfg.a_max, cfg.k_max))  # max(a, k) over the lo x lo square, then the rest
+    return 80 * (lo * (lo + 1) * (4 * lo - 1) // 6 + lo * (hi * (hi + 1) - lo * (lo + 1)) // 2)
 
 
 def _progression(family, applies, sides, shown, skip=None) -> Identity:
@@ -552,7 +555,7 @@ def _progression(family, applies, sides, shown, skip=None) -> Identity:
         return a, k, d
 
     return _about_quotient(
-        sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
+        sides, shown, defaults=_AK_GRID, cases=cases, cost=_progression_cost, case_of=case_of,
         generators=lambda case: family(case[0], case[1]),
         params=lambda a, k, d: {"a": a, "k": k, "d": d},
         skip=skip,
@@ -565,9 +568,12 @@ IDENTITIES: dict[str, Identity] = {
         defaults={"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
         cases=_corpus_cases, case_of=_any_case, generators=_corpus_gens, params=_corpus_params,
         # per semigroup, its construction and its d_max - 1 quotients at 350
-        # steps each (fitted to time at max_gen 60), and at most d(d - 1)
+        # steps each, plus max_gen^2 / 300 for their O(F) mask reads (fitted
+        # to time at max_gen 60, 300, 1000 and 2000), and at most d(d - 1)
         # Horner steps for the roots of each S/d, summed over d <= d_max
-        cost=lambda cfg: cfg.cases * (350 * cfg.d_max + (cfg.d_max**3 - cfg.d_max) // 3),
+        cost=lambda cfg: cfg.cases * (
+            350 * cfg.d_max + cfg.max_gen**2 // 300 * cfg.d_max + (cfg.d_max**3 - cfg.d_max) // 3
+        ),
     ),
     "ed2-closed-form": _about_quotient(
         _ed2_sides, {"ed2-genus": ()},
@@ -593,12 +599,18 @@ IDENTITIES: dict[str, Identity] = {
         defaults={"cases": 500, "max_gen": 60, "d_max": 10}, cases=_corpus_cases,
         case_of=_dsymmetric_case, generators=_corpus_gens, params=_corpus_params,
         recognised_only=True,
-        cost=lambda cfg: cfg.cases * 180 * cfg.d_max,  # theorem-main's, at 180 steps, no roots
+        # theorem-main's, at 180 steps, with no roots
+        cost=lambda cfg: cfg.cases * (180 * cfg.d_max + cfg.max_gen**2 // 300 * cfg.d_max),
     ),
     "ap3-symmetric": Identity(
         _AK_GRID,
         lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
         _check_ap3_symmetric,
+        # per pair, 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20 for
+        # the gap mask its symmetry test reads, fitted to time up to 2,000 in a or k
+        lambda cfg: cfg.k_max * cfg.a_max * (cfg.a_max + 1) * (
+            2 * cfg.a_max + 3 * cfg.k_max + 484
+        ) // 120,
     ),
     "ap3-even-d": _progression(
         _ap3,

@@ -189,6 +189,48 @@ MUTANTS = (
         "180 * (cfg.d_max - 1)",
         "the strazzanti cost leaves out the construction of each semigroup",
     ),
+    (
+        "src/numsgps/verify.py",
+        "350 * cfg.d_max + cfg.max_gen**2",
+        "350 * cfg.d_max + cfg.max_gen",
+        "the theorem-main cost holds the mask reads at their size for max_gen 60",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "180 * cfg.d_max + cfg.max_gen**2",
+        "180 * cfg.d_max + cfg.max_gen",
+        "the strazzanti cost holds the mask reads at their size for max_gen 60",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "lo * (lo + 1) * (4 * lo - 1) // 6",
+        "lo * (lo + 1) * (4 * lo + 1) // 6",
+        "the progression charge counts the diagonal a = k of the divisor scan twice",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "2 * cfg.a_max + 3 * cfg.k_max + 484",
+        "2 * cfg.a_max + 484",
+        "the ap3-symmetric charge leaves out the ak bytes of each gap mask",
+    ),
+    (
+        "src/numsgps/core.py",
+        "nbits // 64 + 8) / 6",
+        "nbits // 64 + 8) / 3",
+        "a sieve pass is priced at twice its steps, so the round robin takes its inputs",
+    ),
+    (
+        "src/numsgps/core.py",
+        "elif mult - 1 > MAX_FROBENIUS:",
+        "elif mult > 2 * MAX_FROBENIUS:",
+        "the lower bound on F runs its j* loop for a multiplicity that alone refuses it",
+    ),
+    (
+        "src/numsgps/core.py",
+        "    if work > MAX_ROOT_WORK:\n",
+        "    if work > 2 * MAX_ROOT_WORK:\n",
+        "every work guard admits twice the steps of the cap",
+    ),
 )
 
 

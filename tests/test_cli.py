@@ -187,15 +187,16 @@ def test_quotient_huge_divisor_exits_two_promptly(capsys):
 
 
 def test_many_generators_exit_two_before_any_construction(capsys, table_builds):
-    # 2,000 generators from 10^6: the first sieve pass, of about 3e6 bits,
-    # is estimated at 1.9e8 word operations (about 1 s) and the round robin
-    # at 1.2e10
-    gens = ",".join(map(str, range(10**6, 10**6 + 2000)))
+    # 4,000 generators from 10^6: the first sieve pass, of about 3e6 bits,
+    # is estimated at 6.3e7 steps and the round robin at 4e9
+    gens = ",".join(map(str, range(10**6, 10**6 + 4000)))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "invariants", "--gens", gens)
     assert (code, out) == (2, "")
-    assert err.startswith("error: building <1000000, ...> from 2000 generators")
-    assert err.endswith("word operations, more than 150000000\n")
+    assert err == (
+        "error: building <1000000, ...> from 4000 generators takes 62676000 steps, "
+        "more than 50000000\n"
+    )
     assert time.perf_counter() - start < 1
     assert table_builds == []
 
@@ -243,6 +244,20 @@ def test_verify_corpus_sweeps_with_huge_cases_exit_two_promptly(capsys):
     for theorem in ("theorem-main", "strazzanti"):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", theorem, "--cases", "10000000")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the {theorem} grid takes ")
+        assert time.perf_counter() - start < 1
+
+
+def test_verify_grids_priced_above_the_cap_exit_two_promptly(capsys):
+    # each ran past 8 s, writing records, before its grid was priced
+    for theorem, flags in (
+        ("full-ap", ["--a-max", "5000"]),
+        ("ap3-symmetric", ["--a-max", "100000", "--k-max", "100000"]),
+        ("theorem-main", ["--max-gen", "1000", "--cases", "10477"]),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", theorem, *flags)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: the {theorem} grid takes ")
         assert time.perf_counter() - start < 1

@@ -69,8 +69,8 @@ def test_minimal_generators_cost_one_round_robin_when_first_read(table_builds):
 
 def test_the_benchmark_quotients_keep_their_minimal_generator_pass(table_builds):
     # <3001, 4007, 5003>/2 (m = 3001, F = 384,636) runs the round robin, about
-    # ten times faster there than the sieve, which _sieve_cost prices at 48,512
-    # word operations against 6m = 18,006; <120 + 7i : i < 120>/2 (m = 60)
+    # ten times faster there than the sieve, which _sieve_cost prices at 8,085
+    # steps against m = 3,001; <120 + 7i : i < 120>/2 (m = 60)
     # runs the sieve.  A refit of _sieve_cost alone would move the first.
     for gens, build, frobenius in (
         ([3001, 4007, 5003], ("round robin", 3001), 384_636),

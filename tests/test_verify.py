@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -215,27 +216,106 @@ def test_d2_constant_work_is_bounded():
 
 def test_corpus_work_is_bounded_before_the_corpus_is_drawn(monkeypatch):
     # per semigroup, its construction and its d_max - 1 quotients at 350
-    # steps each, and d(d - 1) Horner steps for each d <= d_max; strazzanti
-    # evaluates no root and is charged 180 steps for each
-    charges = {"theorem-main": (12, 350 * 12 + (12**3 - 12) // 3), "strazzanti": (10, 180 * 10)}
-    largest = {theorem: MAX_ROOT_WORK // charge for theorem, (_, charge) in charges.items()}
-    assert largest == {"theorem-main": 10_477, "strazzanti": 27_777}
+    # steps each plus max_gen^2 / 300 for their mask reads, and d(d - 1)
+    # Horner steps for each d <= d_max; strazzanti evaluates no root and is
+    # charged 180 steps, plus the same mask term, for each
+    def charge(theorem, max_gen, d_max):
+        if theorem == "theorem-main":
+            return (350 + max_gen**2 // 300) * d_max + (d_max**3 - d_max) // 3
+        return (180 + max_gen**2 // 300) * d_max
+
+    d_maxes = {"theorem-main": 12, "strazzanti": 10}
+    largest = {
+        (theorem, max_gen): MAX_ROOT_WORK // charge(theorem, max_gen, d_max)
+        for theorem, d_max in d_maxes.items()
+        for max_gen in (60, 1000)
+    }
+    assert largest == {
+        ("theorem-main", 60): 10_170, ("theorem-main", 1000): 1_116,
+        ("strazzanti", 60): 26_041, ("strazzanti", 1000): 1_423,
+    }
 
     def drawn(*args):
         raise AssertionError("random_corpus was called for a refused grid")
 
     monkeypatch.setattr(verify, "random_corpus", drawn)
-    for theorem, (d_max, _) in charges.items():
-        cfg = SweepConfig(theorem=theorem, cases=largest[theorem], d_max=d_max)
+    for (theorem, max_gen), cases in largest.items():
+        cfg = SweepConfig(theorem=theorem, cases=cases, max_gen=max_gen, d_max=d_maxes[theorem])
         assert cfg.resolved()
-        for grid in (dict(cases=largest[theorem] + 1), dict(cases=10**7), dict(d_max=10**4)):
+        for grid in (dict(cases=cases + 1), dict(cases=10**7), dict(d_max=10**4),
+                     dict(max_gen=10**4)):
             with pytest.raises(ResourceLimitError):
                 sweep(cfg._replace(**grid))
+    for theorem in d_maxes:
         # the default grid and the ones the benchmark passes stay accepted:
-        # 1,000 cases at --parallel 2, and its short grids of 20 and 60 cases
+        # 1,000 cases at --parallel 2, its short grids of 20 and 60 cases, and
+        # the one-case pool probe of its traced run
         for grid in (dict(), dict(cases=1000), dict(cases=20, max_gen=20, d_max=5),
-                     dict(cases=60, max_gen=20, d_max=5)):
+                     dict(cases=60, max_gen=20, d_max=5), dict(cases=1, max_gen=9, d_max=3)):
             assert SweepConfig(theorem=theorem, **grid).resolved()
+
+
+def test_progression_grids_are_bounded_before_any_pair_is_listed(monkeypatch):
+    # the four progression ids charge 80 steps for each d of the max(a, k)
+    # divisor scan their grid runs for every pair; ap3-symmetric runs no scan
+    # and charges 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20
+    # for the gap mask its symmetry test reads
+    def charge(theorem, a_max, k_max):
+        pairs = [(a, k) for a in range(1, a_max + 1) for k in range(1, k_max + 1)]
+        if theorem == "ap3-symmetric":
+            return sum(160 * a + a * a + 2 * a * k for a, k in pairs) // 20
+        return 80 * sum(max(a, k) for a, k in pairs)
+
+    def listed(*args):
+        raise AssertionError("_coprime_pairs was called for a refused grid")
+
+    monkeypatch.setattr(verify, "_coprime_pairs", listed)
+    # the largest a_max at k_max 1 and 20, and the largest k_max at a_max 120
+    largest = {"ap3-symmetric": (1365, 454, 269)}
+    largest.update((theorem, (1117, 249, 76))
+                   for theorem in ("ap3-even-d", "ap3-odd-a", "full-ap", "full-ap-dk"))
+    for theorem, (a_1, a_20, k_120) in largest.items():
+        for a_max, k_max, grown in (
+            (a_1, 1, dict(a_max=a_1 + 1)),
+            (a_20, 20, dict(a_max=a_20 + 1)),
+            (120, k_120, dict(k_max=k_120 + 1)),
+        ):
+            cfg = SweepConfig(theorem=theorem, a_max=a_max, k_max=k_max)
+            assert IDENTITIES[theorem].cost(cfg) == charge(theorem, a_max, k_max) <= MAX_ROOT_WORK
+            assert cfg.resolved()
+            with pytest.raises(ResourceLimitError):
+                sweep(cfg._replace(**grown))
+            assert charge(theorem, **{"a_max": a_max, "k_max": k_max, **grown}) > MAX_ROOT_WORK
+        # the default grid, the benchmark's short grids and (240, 20) stay accepted
+        for a_max, k_max in ((120, 20), (24, 4), (16, 4), (240, 20)):
+            assert SweepConfig(theorem=theorem, a_max=a_max, k_max=k_max).resolved()
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_every_grid_field_scaled_up_is_refused_before_any_case(theorem, monkeypatch, capsys):
+    def built(*args):
+        raise AssertionError("a refused grid built a case")
+
+    monkeypatch.setattr(verify, "random_corpus", built)
+    monkeypatch.setattr(verify, "_coprime_pairs", built)
+    defaults = IDENTITIES[theorem].defaults
+    # every int field but one whose size drives no work: d2-constant takes the
+    # first ``samples`` pairs of each class, by least a + b, whatever max_value is
+    fields = [
+        name for name, value in defaults.items()
+        if type(value) is int and (theorem, name) != ("d2-constant", "max_value")
+    ]
+    assert fields
+    for name in fields:
+        scaled = {name: defaults[name] * 10**4}
+        with pytest.raises(ResourceLimitError, match=f"^the {theorem} grid takes "):
+            SweepConfig(theorem=theorem, **scaled).resolved()
+        flag = "--max" if name == "max_value" else "--" + name.replace("_", "-")
+        start = time.perf_counter()
+        assert cli.main(["verify", theorem, flag, str(scaled[name])]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: the {theorem} grid takes "), name
 
 
 @pytest.mark.parametrize(
