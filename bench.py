@@ -9,18 +9,23 @@ and 2, and the json `quotient` and `invariants` reports of <3001, 4007,
 5003> at d = 2.  Each run is started through perfbench/launch.py, so its
 CPU and peak RSS are its own and not the high-water mark of this process
 or of another child.  Each of the REPEAT rounds runs every line once, in
-order; a line's figures are the medians over the rounds.  Bytecode is
+order; a line's figures are the medians over the rounds, each with its
+first and third quartile (``wall_s_q1``, ``wall_s_q3``, ...).  Bytecode is
 compiled before the first round, so no run pays for compiling the sources.
 
 With --baseline, the result also keeps the baseline's lines, whole, under
-"before".  --compare names every line of NEW that is more than 10% worse
-than in OLD and exits 1 if there is one.
+"before".  --compare names every figure of NEW whose median is more than
+10% worse than in OLD and whose first quartile is above OLD's third, so
+that host noise within the spread of either run is not named; a file
+without quartiles is compared by medians alone.  It exits 1 if it names
+one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -90,21 +95,31 @@ def measure(src: Path) -> dict:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "repeat": REPEAT,
-        "lines": {
-            name: {m: round(statistics.median(r[m] for r in rs), 4) for m in METRICS}
-            for name, rs in runs.items()
-        },
+        "lines": {name: summary(rs) for name, rs in runs.items()},
     }
 
 
+def summary(rounds: list[dict[str, float]]) -> dict[str, float]:
+    """Each metric's median over the rounds, with its quartiles."""
+    figures = {}
+    for m in METRICS:
+        q1, median, q3 = statistics.quantiles([r[m] for r in rounds], n=4)
+        figures.update({m: round(median, 4), f"{m}_q1": round(q1, 4), f"{m}_q3": round(q3, 4)})
+    return figures
+
+
 def worse(old: dict, new: dict) -> list[str]:
-    """Every figure of a line in both results that is more than 10% worse in new."""
+    """Every figure of a line in both results whose median is more than 10%
+    worse in new, less those whose new q1 is not above old's q3."""
     found = []
     for name, figures in new["lines"].items():
         before = old["lines"].get(name)
         for m in METRICS:
-            if before and figures[m] > before[m] * WORSE:
-                found.append(f"{name}: {m} {before[m]} -> {figures[m]} (+{figures[m] / before[m] - 1:.0%})")
+            if not before or figures[m] <= before[m] * WORSE:
+                continue
+            if figures.get(f"{m}_q1", math.inf) <= before.get(f"{m}_q3", -math.inf):
+                continue  # the two runs' spreads overlap: noise, not change
+            found.append(f"{name}: {m} {before[m]} -> {figures[m]} (+{figures[m] / before[m] - 1:.0%})")
     return found
 
 

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=_positive_int,
         default=1,
-        help="worker processes for sweeps (default: 1)",
+        help="worker processes for sweeps, at most one per CPU (default: 1)",
     )
     common.add_argument(
         "--out", default=None, metavar="PATH", help="write records to a file"

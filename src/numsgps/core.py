@@ -408,11 +408,13 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     """True when every gap divisible by d reflects into the semigroup.
 
     S is d-symmetric when F(S) - n is a member for every gap n that is a
-    positive multiple of d.  d = 1 is ordinary symmetry (2g = F + 1).
-    The gap mask read at d, 2d, ... and at F - d, F - 2d, ... pairs each
+    positive multiple of d: at d = 1, exactly when 2g = F + 1.  For d >= 2
+    the gap mask read at d, 2d, ... and at F - d, F - 2d, ... pairs each
     n with F - n, so one AND of the two strides finds any pair of gaps.
     """
     _require_positive("d", d)
+    if d == 1:
+        return 2 * S.genus == S.frobenius + 1
     mask, F = S._gap_mask, S.frobenius  # for d > F, mask[d::d] is empty: d-symmetric
     return not int.from_bytes(mask[d::d], "big") & int.from_bytes(mask[F - d :: -d], "big")
 

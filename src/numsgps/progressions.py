@@ -4,7 +4,8 @@ Two families, always with gcd(a, k) = 1.  The three-term family
 <a, a+k, a+2k> has fully explicit quotients by divisors d of a: writing
 a = s*d and t = floor(d/2) (so d = 2t or 2t + 1),
 
-    d odd,  a even:  S/d = <s, s + k + ts, s + 2k + 2ts>, symmetric;
+    d odd,  a even:  S/d = <s, s + k + ts, s + 2k + 2ts>, symmetric,
+                     and <2, 2 + k + 2t> at s = 2;
     d even:          S/d = <s, k + st>, symmetric;
     a odd (d odd):   F and g have closed forms and 2g - F = (s + 1)/2.
 
@@ -84,23 +85,23 @@ def ap3_symmetric_iff_even(a: int, k: int) -> bool:
     return a % 2 == 0
 
 
-def ap3_quotient_generators(spec: Ap3Spec) -> NumericalSemigroup:
-    """Predicted generators of <a, a+k, a+2k>/d for d >= 3 dividing a.
+def ap3_quotient_generators(spec: Ap3Spec) -> tuple[int, ...]:
+    """Minimal generators of <a, a+k, a+2k>/d for d >= 3 dividing a.
 
     Odd d needs a even (the progression result covers even multiples of
-    odd divisors); even d has no extra constraint.  The returned semigroup
-    is canonical, so redundant predicted generators are dropped.
+    odd divisors).  With delta = k + ts, odd d gives (s, s + delta,
+    s + 2 delta), less s + 2 delta = 2(1 + delta), a multiple of s, at s = 2;
+    even d gives (s, k + st), less k + st at s = 1, where d = a gives N.
     """
     if spec.d < 3:
         raise PreconditionError(f"d must be >= 3, got {spec.d}")
     s, t, k = spec.s, spec.t, spec.k
     if spec.d % 2:
         if spec.a % 2:
-            raise PreconditionError(
-                f"odd divisor d = {spec.d} requires even a, got a = {spec.a}"
-            )
-        return from_generators([s, s + k + t * s, s + 2 * k + 2 * t * s])
-    return from_generators([s, k + s * t])
+            raise PreconditionError(f"odd divisor d = {spec.d} requires even a, got a = {spec.a}")
+        delta = k + t * s
+        return (s, s + delta) if s == 2 else (s, s + delta, s + 2 * delta)
+    return (1,) if s == 1 else (s, k + s * t)
 
 
 def ap3_even_d_invariants(spec: Ap3Spec) -> tuple[int, int]:

@@ -26,6 +26,7 @@ the genus, or the lone value, is the number that moves.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -357,8 +358,7 @@ def _invariants(Q: NumericalSemigroup) -> dict:
 
 def _ap3_even_d_sides(case, S, Q):
     spec = Ap3Spec(*case)
-    predicted = ap3_quotient_generators(spec)
-    formula = {"generators": list(predicted.minimal_generators), "symmetric": True}
+    formula = {"generators": list(ap3_quotient_generators(spec)), "symmetric": True}
     oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
     if spec.d % 2 == 0 and spec.d >= 4:
         f, g = ap3_even_d_invariants(spec)
@@ -606,8 +606,8 @@ IDENTITIES: dict[str, Identity] = {
         _AK_GRID,
         lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
         _check_ap3_symmetric,
-        # per pair, 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20 for
-        # the gap mask its symmetry test reads, fitted to time up to 2,000 in a or k
+        # per pair, 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20 more, which
+        # over-charges now that symmetry is read off the table; fitted up to 2,000 in a or k
         lambda cfg: cfg.k_max * cfg.a_max * (cfg.a_max + 1) * (
             2 * cfg.a_max + 3 * cfg.k_max + 484
         ) // 120,
@@ -705,9 +705,10 @@ def _records(cfg: SweepConfig, cases: list[tuple]) -> Iterator[dict]:
     # imported here, so that a serial run never loads multiprocessing
     from multiprocessing import Pool
 
+    # chunks follow --parallel, so every host splits the grid alike; workers stop at the CPUs
     chunk = max(1, len(cases) // (4 * cfg.parallel))
     caught = partial(_check_case_caught, cfg.theorem, cfg.tolerance, cfg.inject_offby1)
-    with Pool(cfg.parallel) as pool:
+    with Pool(min(cfg.parallel, os.cpu_count() or 1)) as pool:
         for batch in pool.imap(caught, cases, chunksize=chunk):
             if isinstance(batch, Exception):
                 raise batch

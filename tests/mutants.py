@@ -6,9 +6,10 @@ on every run.  Run the checks with
 
     python tests/mutants.py
 
-Each row is applied to a fresh copy of ``src/``, ``tests/`` and
-``perfbench/`` (whose imports one test reads) in a temporary directory,
-where ``pytest -x -q`` must report a failing test.  ``test_mutants.py``
+Each row is applied to a fresh copy of ``src/``, ``tests/``,
+``perfbench/`` (whose imports one test reads) and ``bench.py`` (whose
+comparison one test runs) in a temporary directory, where
+``pytest -x -q`` must report a failing test.  ``test_mutants.py``
 is left out there: in the copy it reads the mutated file, where the old
 text no longer occurs, so it would fail for every row.  The unmutated
 copy must pass first, so that a failure is the row's doing.  The rows
@@ -215,6 +216,36 @@ MUTANTS = (
     ),
     (
         "src/numsgps/core.py",
+        "return 2 * S.genus == S.frobenius + 1",
+        "return 2 * S.genus >= S.frobenius + 1",
+        "symmetry at d = 1 holds for every semigroup, as 2g >= F + 1 always does",
+    ),
+    (
+        "src/numsgps/progressions.py",
+        "(s, s + delta) if s == 2 else",
+        "(s, s + delta) if s == 0 else",
+        "an odd divisor at s = 2 keeps s + 2 delta, a multiple of s",
+    ),
+    (
+        "src/numsgps/progressions.py",
+        "return (1,) if s == 1 else (s, k + s * t)",
+        "return (s, k + s * t)",
+        "an even divisor at s = 1 keeps k + st, although S/d is N = <1>",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "Pool(min(cfg.parallel, os.cpu_count() or 1))",
+        "Pool(cfg.parallel)",
+        "a pool starts --parallel workers however few CPUs the host has",
+    ),
+    (
+        "bench.py",
+        'if figures.get(f"{m}_q1", math.inf) <= before.get(f"{m}_q3", -math.inf):',
+        "if False:",
+        "bench.py --compare names a slower median even inside the old run's spread",
+    ),
+    (
+        "src/numsgps/core.py",
         "nbits // 64 + 8) / 6",
         "nbits // 64 + 8) / 3",
         "a sieve pass is priced at twice its steps, so the round robin takes its inputs",
@@ -240,6 +271,7 @@ def run(row: int | None) -> tuple[str | None, float]:
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, Path(tmp) / part)
+        shutil.copy(ROOT / "bench.py", tmp)
         if row is not None:
             path, old, new, _ = MUTANTS[row]
             target = Path(tmp) / path

@@ -13,8 +13,15 @@ import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
+import pytest
+
 from numsgps import cli, verify
-from numsgps.core import NumericalSemigroup, TheoremViolationError, from_generators
+from numsgps.core import (
+    NumericalSemigroup,
+    PreconditionError,
+    TheoremViolationError,
+    from_generators,
+)
 from numsgps.quotient import quotient
 from test_golden import GOLDEN_SHA256
 
@@ -607,6 +614,40 @@ def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, mo
     serial = run_cli(capsys, *argv, "--parallel", "1")
     assert serial[0] == 1 and len(serial[1].splitlines()) == 2
     assert run_cli(capsys, *argv, "--parallel", "2") == serial
+
+
+@pytest.mark.parametrize("theorem", verify.THEOREM_IDS)
+def test_a_fault_in_any_id_keeps_the_records_before_it(theorem, capsys, monkeypatch):
+    argv = ("verify", theorem, *CLI_GRIDS[theorem].split(), "--format", "json")
+    identity = verify.IDENTITIES[theorem]
+    checked = []
+
+    def counting(case, tolerance, inject):
+        records = identity.check(case, tolerance, inject)
+        checked.append((case, len(records)))
+        return records
+
+    monkeypatch.setitem(verify.IDENTITIES, theorem, identity._replace(check=counting))
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(checked) >= 3
+    third, kept = checked[2][0], checked[0][1] + checked[1][1]
+    before = "".join(clean.splitlines(keepends=True)[:kept])
+    for error, exit_code, prefix in (
+        (TheoremViolationError, 1, "identity failure"),
+        (PreconditionError, 2, "error"),
+    ):
+
+        def failing(case, tolerance, inject):
+            if case == third:
+                raise error(f"planted failure at {case}")
+            return identity.check(case, tolerance, inject)
+
+        # a forked pool worker sees the patched registry too
+        monkeypatch.setitem(verify.IDENTITIES, theorem, identity._replace(check=failing))
+        for parallel in ("1", "2"):
+            code, out, err = run_cli(capsys, *argv, "--parallel", parallel)
+            assert (code, out) == (exit_code, before), (error, parallel)
+            assert err.splitlines()[-1] == f"{prefix}: planted failure at {third}"
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

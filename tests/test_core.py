@@ -365,7 +365,8 @@ def test_minimal_generators_against_enumeration():
 
 
 def test_symmetric_iff_genus_count():
-    """S is symmetric exactly when 2 g = F + 1."""
+    """Symmetry read off the table as 2 g = F + 1 agrees with the definition:
+    F - x is a member for every gap x, by the sieve of the oracles."""
     rng = random.Random(2718)
     seen_both = set()
     for _ in range(200):
@@ -375,8 +376,9 @@ def test_symmetric_iff_genus_count():
         S = from_generators(gens)
         if S.frobenius < 0:
             continue
+        frobenius, _, gaps = sieve_invariants(gens)
         symmetric = is_d_symmetric(S, 1)
-        assert symmetric == (2 * S.genus == S.frobenius + 1), gens
+        assert symmetric == (not set(gaps) & {frobenius - x for x in gaps}), gens
         seen_both.add(symmetric)
     assert seen_both == {True, False}
 

@@ -43,10 +43,8 @@ def test_ap3_symmetry_rule_matches_definition():
 
 def test_ap3_quotient_generators_worked_example():
     # <20, 21, 22>/5: s = 4, t = 2, generators 4, 4 + 1 + 8 = 13, 4 + 2 + 16 = 22.
-    spec = Ap3Spec(20, 1, 5)
-    Q = ap3_quotient_generators(spec)
-    assert list(Q.minimal_generators) == [4, 13, 22]
-    assert Q == quotient(from_generators([20, 21, 22]), 5)
+    Q = quotient(from_generators([20, 21, 22]), 5)
+    assert ap3_quotient_generators(Ap3Spec(20, 1, 5)) == Q.minimal_generators == (4, 13, 22)
     assert is_d_symmetric(Q, 1)
 
 
@@ -61,10 +59,31 @@ def test_ap3_odd_a_fixture():
 
 def test_ap3_quotient_generators_even_divisor():
     # <12, 13, 14>/4: even d gives the two-generator form <s, k + s t>.
-    spec = Ap3Spec(12, 1, 4)
-    Q = ap3_quotient_generators(spec)
-    assert list(Q.minimal_generators) == [3, 7]
-    assert Q == quotient(from_generators([12, 13, 14]), 4)
+    Q = quotient(from_generators([12, 13, 14]), 4)
+    assert ap3_quotient_generators(Ap3Spec(12, 1, 4)) == Q.minimal_generators == (3, 7)
+
+
+def test_ap3_quotient_generators_drop_the_generators_that_are_not_minimal():
+    # s = 1: <4, 5, 6>/4 is N, so k + st = 3 is dropped; s = 2: <6, 7, 8>/3
+    # is <2, 5>, as s + 2 delta = 2 + 2 * 3 = 8 is a multiple of s = 2
+    for gens, d, expected in (([4, 5, 6], 4, (1,)), ([6, 7, 8], 3, (2, 5))):
+        spec = Ap3Spec(gens[0], gens[1] - gens[0], d)
+        assert ap3_quotient_generators(spec) == expected, (gens, d)
+        assert quotient(from_generators(gens), d).minimal_generators == expected, (gens, d)
+
+
+def test_ap3_quotient_generators_build_no_semigroup(table_builds):
+    specs = [
+        Ap3Spec(a, k, d)
+        for a in range(3, 41)
+        for k in range(1, 8)
+        if math.gcd(a, k) == 1
+        for d in range(3, a + 1)
+        if a % d == 0 and (d % 2 == 0 or a % 2 == 0)
+    ]
+    generators = {ap3_quotient_generators(spec) for spec in specs}
+    assert len(generators) > 50 and {(1,), (2, 5)} <= generators
+    assert table_builds == []
 
 
 def test_ap3_quotient_generators_random_grid():
@@ -82,10 +101,8 @@ def test_ap3_quotient_generators_random_grid():
         if d % 2 == 1 and a % 2 == 1:
             continue  # generator theorem: odd divisor needs even a
         hits += 1
-        spec = Ap3Spec(a, k, d)
-        Q = ap3_quotient_generators(spec)
-        B = quotient(from_generators([a, a + k, a + 2 * k]), d)
-        assert Q == B, (a, k, d)
+        Q = quotient(from_generators([a, a + k, a + 2 * k]), d)
+        assert ap3_quotient_generators(Ap3Spec(a, k, d)) == Q.minimal_generators, (a, k, d)
         assert is_d_symmetric(Q, 1), (a, k, d)
     assert hits >= 40
 

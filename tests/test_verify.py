@@ -2,14 +2,22 @@
 
 import json
 import math
+import os
 import time
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from numsgps import cli, roots, verify
-from numsgps.core import MAX_ROOT_WORK, PreconditionError, ResourceLimitError, from_generators
+from numsgps.core import (
+    MAX_ROOT_WORK,
+    NumericalSemigroup,
+    PreconditionError,
+    ResourceLimitError,
+    from_generators,
+)
 from numsgps.quotient import quotient
 from numsgps.verify import (
     IDENTITIES,
@@ -99,6 +107,32 @@ def test_results_independent_of_parallelism():
         serial = run_sweep(small_config(theorem, parallel=1))
         parallel = run_sweep(small_config(theorem, parallel=3))
         assert serial == parallel, theorem
+
+
+def test_a_pool_starts_no_more_workers_than_cpus(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        """A stand-in for multiprocessing.Pool that maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    cfg = SweepConfig("sylvester", max_value=5)
+    assert run_sweep(cfg._replace(parallel=10**6)) == run_sweep(cfg)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
 
 
 def test_sweep_yields_each_record_once_its_case_is_checked(monkeypatch):
@@ -401,6 +435,34 @@ def test_full_ap_sweep_takes_the_closed_form_generators_as_they_are(table_builds
     divided = [r for r in records if r["status"] != SKIPPED and r["params"]["d"] >= 2]
     assert (len(records), len(built), len(divided)) == (196, 65, 66)
     assert len(table_builds) == len(built) + len(divided) == 131
+
+
+def test_ap3_even_d_sweep_builds_no_predicted_semigroup(table_builds):
+    """One table builds each progression and one pass finds the minimal
+    generators of each brute-force quotient; the closed form lists its
+    generators, and symmetry is read off the quotient's table."""
+    _sg.cache_clear()
+    records = run_sweep(small_config("ap3-even-d"))
+    built = {(r["params"]["a"], r["params"]["k"]) for r in records}
+    assert (len(records), len(built)) == (98, 34)
+    assert len(table_builds) == len(built) + len(records)
+
+
+def test_ap3_symmetric_sweep_builds_no_gap_mask(monkeypatch):
+    built = []
+    build = NumericalSemigroup.__dict__["_gap_mask"].func
+
+    def counting_build(S):
+        built.append(S)
+        return build(S)
+
+    counting = cached_property(counting_build)
+    counting.__set_name__(NumericalSemigroup, "_gap_mask")
+    monkeypatch.setattr(NumericalSemigroup, "_gap_mask", counting)
+    _sg.cache_clear()
+    records = run_sweep(SweepConfig("ap3-symmetric"))
+    assert len(records) > 1000 and {r["status"] for r in records} == {MATCH}
+    assert built == []
 
 
 def test_root_identity_d_max_is_bounded():
