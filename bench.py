@@ -133,16 +133,24 @@ def main(argv=None) -> int:
     if args.compare:
         old, new = (json.loads(path.read_text()) for path in args.compare)
         found = worse(old, new)
-        print("\n".join(found) if found else "no line is more than 10% worse")
-        return 1 if found else 0
-    result = measure(args.src.resolve())
-    if args.baseline:
-        result["before"] = json.loads(args.baseline.read_text())["lines"]
-    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    sys.stdout.write(text)
-    return 0
+        code, text = (1 if found else 0), "\n".join(found or ["no line is more than 10% worse"]) + "\n"
+    else:
+        result = measure(args.src.resolve())
+        if args.baseline:
+            result["before"] = json.loads(args.baseline.read_text())["lines"]
+        code, text = 0, json.dumps(result, indent=1, sort_keys=True) + "\n"
+        if args.out:
+            args.out.write_text(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (bench.py ... | head): send what stdout still
+        # buffers, and its flush at exit, to the null device, and keep the code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

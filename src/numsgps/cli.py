@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable
 
 from .core import (
@@ -193,8 +192,9 @@ def _flat(value) -> str:
     return str(value)
 
 
-# gap-mask positions rendered per write of a report's gap list
-GAP_BLOCK = 4096
+# gap-mask positions rendered per write of a report's gap list, a whole
+# number of the 1,000-position chunks that share the text of position // 1000
+GAP_BLOCK = 8000
 
 # per format: a report's opening, the text between two fields, a field's
 # key, the renderer of its value and the report's close
@@ -230,8 +230,9 @@ class _Output:
     finished.  A report is written field by field in sorted-key order,
     each value by the renderer of its format, and a ``bytes`` value, which
     is always a gap mask, as the list of its set positions, one block of
-    ``GAP_BLOCK`` positions per write: no list of the gaps and no whole
-    report is ever built.  A stream whose reader has gone away
+    ``GAP_BLOCK`` positions per write, each 1,000 positions joined from a
+    table of the text of 0..999: no list of the gaps and no whole report
+    is ever built.  A stream whose reader has gone away
     (``numsgps ... | head``) is not an error: output to it stops quietly
     and the command's exit code stands.
     """
@@ -278,11 +279,20 @@ class _Output:
                 # the list's opening, separator and close, as the renderer writes [0, 0]
                 first, sep, last = render([0, 0]).split("0")
                 text += first
+                # the text of i < 1000, alone and zero-padded after a lead of 1000x + i
+                plain = [str(i) for i in range(1000)]
+                padded = [f"{i:03d}" for i in range(1000)]
                 for lo in range(0, len(value), GAP_BLOCK):
-                    positions = range(lo, lo + GAP_BLOCK)
-                    block = sep.join(map(str, itertools.compress(positions, value[lo : lo + GAP_BLOCK])))
-                    if block:
-                        self._write(text + block, self.handle)
+                    block = value[lo : lo + GAP_BLOCK]
+                    chunks = []
+                    for at in range(0, len(block), 1000):
+                        chunk = block[at : at + 1000]
+                        if 1 in chunk:
+                            lead = str((lo + at) // 1000) if lo + at else ""
+                            table = padded if lead else plain
+                            chunks.append(lead + (sep + lead).join(itertools.compress(table, chunk)))
+                    if chunks:
+                        self._write(text + sep.join(chunks), self.handle)
                         text = sep
                 text = last
                 continue
@@ -396,6 +406,8 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def cmd_fit(args, out: _Output) -> int:
+    from fractions import Fraction  # here, so that only the fits load fractions and decimal
+
     fit = fit_quasipolynomial(args.k, args.d, args.a)
     classes = {}
     for residue in sorted(fit.per_class):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .core import (
     NumericalSemigroup,
@@ -253,6 +252,8 @@ def _class_constant(
     """C = g - (a-1)(b-1)/(2d) from witnesses (a, b, g) of one class:
     2d C = 2d g - (a-1)(b-1) must be one integer for all of them, else a
     :class:`TheoremViolationError` names the first and a disagreeing one."""
+    from fractions import Fraction  # here, so that only the fits load fractions and decimal
+
     (a0, b0, g0), *rest = witnesses
     first = 2 * d * g0 - (a0 - 1) * (b0 - 1)
     for a, b, genus in rest:
@@ -270,6 +271,8 @@ def _lagrange3(
     xs: tuple[int, int, int], ys: tuple[int, int, int]
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (c2, c1, c0) of the quadratic through three points."""
+    from fractions import Fraction
+
     x0, x1, x2 = xs
     y0, y1, y2 = (Fraction(y) for y in ys)
     f01 = (y1 - y0) / (x1 - x0)
@@ -306,6 +309,8 @@ def fit_quasipolynomial(
     elsewhere the difference grows linearly in a and no single constant
     exists.
     """
+    from fractions import Fraction
+
     _require_positive("k", k)
     _require_positive("d", d)
     a_min, a_max = a_range

@@ -29,7 +29,6 @@ import math
 import os
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterator
 
@@ -314,6 +313,8 @@ def _quasipoly_cases(cfg: SweepConfig) -> list[tuple]:
 
 
 def _check_quasipoly(case, tolerance, inject):
+    from fractions import Fraction  # here, so that only the fits load fractions and decimal
+
     k, d, a_max = case
     try:
         fit = fit_quasipolynomial(k, d, (1, a_max))
@@ -519,21 +520,21 @@ def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
 _AK_GRID = {"a_max": 120, "k_max": 20}
 
 
-def _progression_cost(cfg: SweepConfig) -> int:
-    """80 steps for each d of the max(a, k) divisor scan that the grid runs
-    for every pair, fitted to the time of the costliest id, full-ap (3.7 s
-    at (a_max, k_max) = (120, 80) on CPython 3.11, x86-64); the cap admits
-    (249, 20), (120, 76) and (1117, 1)."""
+def _divisor_scan(cfg: SweepConfig) -> int:
+    """The d of the max(a, k) divisor scan that a progression grid runs,
+    summed over its pairs."""
     lo, hi = sorted((cfg.a_max, cfg.k_max))  # max(a, k) over the lo x lo square, then the rest
-    return 80 * (lo * (lo + 1) * (4 * lo - 1) // 6 + lo * (hi * (hi + 1) - lo * (lo + 1)) // 2)
+    return lo * (lo + 1) * (4 * lo - 1) // 6 + lo * (hi * (hi + 1) - lo * (lo + 1)) // 2
 
 
-def _progression(family, applies, sides, shown, skip=None) -> Identity:
+def _progression(family, applies, sides, shown, per_d, skip=None) -> Identity:
     """An identity about S = family(a, k) with gcd(a, k) = 1, divided by d.
 
     Its grid and the case read off (S, d) share the hypothesis
     ``applies(a, k, d)``; a case that ``skip`` gives a reason for is in
-    the grid (its check reports the reason) but is not recognised.
+    the grid (its check reports the reason) but is not recognised.  The
+    grid costs ``per_d`` steps for each d of its divisor scan, fitted to
+    the id's own time.
     """
 
     def cases(cfg: SweepConfig) -> list[tuple]:
@@ -555,7 +556,8 @@ def _progression(family, applies, sides, shown, skip=None) -> Identity:
         return a, k, d
 
     return _about_quotient(
-        sides, shown, defaults=_AK_GRID, cases=cases, cost=_progression_cost, case_of=case_of,
+        sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
+        cost=lambda cfg: per_d * _divisor_scan(cfg),
         generators=lambda case: family(case[0], case[1]),
         params=lambda a, k, d: {"a": a, "k": k, "d": d},
         skip=skip,
@@ -606,11 +608,9 @@ IDENTITIES: dict[str, Identity] = {
         _AK_GRID,
         lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
         _check_ap3_symmetric,
-        # per pair, 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20 more, which
-        # over-charges now that symmetry is read off the table; fitted up to 2,000 in a or k
-        lambda cfg: cfg.k_max * cfg.a_max * (cfg.a_max + 1) * (
-            2 * cfg.a_max + 3 * cfg.k_max + 484
-        ) // 120,
+        # per pair, 8a steps to build <a, a + k, a + 2k>, whose symmetry is read
+        # off its table; fitted up to 2,000 in a or k
+        lambda cfg: 4 * cfg.k_max * cfg.a_max * (cfg.a_max + 1),
     ),
     "ap3-even-d": _progression(
         _ap3,
@@ -618,19 +618,23 @@ IDENTITIES: dict[str, Identity] = {
         _ap3_even_d_sides,
         {"ap3-quotient-generators": ("generators",),
          "ap3-even-divisor-invariants": ("frobenius", "genus")},
+        per_d=24,  # k_max = 1 costs most per step: 3.4-4.3 s at (2040, 1)
     ),
     "ap3-odd-a": _progression(
         _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0,
         _ap3_odd_a_sides, {"ap3-odd-a-invariants": ("frobenius", "genus")},
+        per_d=18,  # k_max = 1 costs most per step: 3.1-4.5 s at (2356, 1)
     ),
     "full-ap": _progression(
         _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_sides,
         {"full-ap-generators": ("generators",), "full-ap-invariants": ("frobenius", "genus")},
+        per_d=80,  # 3.7 s at (120, 80) on CPython 3.11, x86-64
         skip=_full_ap_skip,
     ),
     "full-ap-dk": _progression(
         _full_ap, lambda a, k, d: a >= 2 and k % d == 0,
         _full_ap_dk_sides, {"full-ap-dk-invariants": ("frobenius", "genus")},
+        per_d=80,  # full-ap's: it builds the same semigroups
     ),
     "root-identity": Identity(
         {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},

@@ -210,9 +210,15 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        "2 * cfg.a_max + 3 * cfg.k_max + 484",
-        "2 * cfg.a_max + 484",
-        "the ap3-symmetric charge leaves out the ak bytes of each gap mask",
+        "4 * cfg.k_max * cfg.a_max",
+        "4 * cfg.a_max",
+        "the ap3-symmetric charge builds one progression per a, not one per k",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "per_d * _divisor_scan(cfg)",
+        "80 * _divisor_scan(cfg)",
+        "every progression id is charged full-ap's rate, refusing ap3 grids it runs well inside the cap",
     ),
     (
         "src/numsgps/core.py",
@@ -261,6 +267,24 @@ MUTANTS = (
         "    if work > MAX_ROOT_WORK:\n",
         "    if work > 2 * MAX_ROOT_WORK:\n",
         "every work guard admits twice the steps of the cap",
+    ),
+    (
+        "src/numsgps/core.py",
+        "hi = min(lo + step, F)",
+        "hi = min(lo + step - d, F)",
+        "the d-symmetry test ends each block one multiple short, so its last n is never read",
+    ),
+    (
+        "src/numsgps/core.py",
+        "for lo in range(d, F, step):",
+        "for lo in range(2 * d, F, step):",
+        "the d-symmetry test starts at n = 2d, so a gap pair at n = d is missed",
+    ),
+    (
+        "src/numsgps/cli.py",
+        'f"{i:03d}"',
+        "str(i)",
+        "a gap list renders 1000x + i unpadded, so 1007 comes out as 17",
     ),
 )
 

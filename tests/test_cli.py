@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in process through main()."""
 
+import argparse
 import ast
 import csv
 import hashlib
@@ -543,12 +544,40 @@ def test_reports_write_gap_lists_as_the_whole_list_would_render(tmp_path, capsys
                         assert stdout == header + expected, argv
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_gap_lists_render_across_every_change_of_digit_count_and_chunk(fmt, tmp_path):
+    block = cli.GAP_BLOCK
+    assert block % 1000 == 0
+    target = tmp_path / "report"
+    for gaps in (
+        # each side of the 1,000-position chunks where the lead gains a digit
+        [1, 2, 999, 1000, 1001, 9_999, 10_000, 99_999, 100_000],
+        [0, 7, 1_007, 10_007, 100_007, 1_000_007],  # padded entries after every lead
+        [5, 2_500],  # the chunk 1000..1999 holds no gap
+        [5, 2 * block + 7],  # neither does the whole block after the first
+        [3, 999],  # the mask ends on a chunk boundary
+        [3, 1_999], [block - 1, block], [3, block - 1],
+        list(range(1, 3 * block, 3)),
+    ):
+        mask = bytearray(gaps[-1] + 1)
+        for x in gaps:
+            mask[x] = 1
+        out = cli._Output(argparse.Namespace(format=fmt, seed=0, out=str(target)))
+        out.report({"d": 2, "gaps": bytes(mask), "genus": len(gaps)})
+        out.close()
+        expected = _whole_rendering({"d": 2, "gaps": gaps, "genus": len(gaps)}, fmt)
+        assert target.read_text() == expected, gaps[:4]
+
+
 def test_a_report_holds_little_more_than_its_gap_masks(tmp_path, capsys):
-    # the gap mask of <3001, 4007, 5003> is 772 KB, that of its S/2 386 KB
+    # the gap mask of <3001, 4007, 5003> is 772 KB, and its build holds two
+    # copies for a moment; that of its S/2 is 386 KB.  Traced peaks: 1.95 and
+    # 1.63 MiB, where a d-symmetry test that read the mask whole took 2.71 and
+    # 2.09 MiB
     target = tmp_path / "report"
     for argv, bound_mib, gaps in (
-        (["quotient", "--gens", "3001,4007,5003", "--d", "2"], 4, 195_058),
-        (["invariants", "--gens", "3001,4007,5003"], 5, 390_116),
+        (["quotient", "--gens", "3001,4007,5003", "--d", "2"], 2.25, 195_058),
+        (["invariants", "--gens", "3001,4007,5003"], 2, 390_116),
     ):
         tracemalloc.start()
         try:
@@ -670,6 +699,19 @@ def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_neither_the_import_nor_a_quotient_report_loads_fractions_or_decimal():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    loaded = "print([n for n in ('fractions', 'decimal') if n in sys.modules])"
+    report = "cli.main(['quotient', '--gens', '3001,4007,5003', '--d', '2', '--out', os.devnull])"
+    for run in ("pass", report):
+        probe = f"import os, sys; from numsgps import cli; {run}; {loaded}"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), run
 
 
 def test_verify_csv_parses(capsys):

@@ -290,24 +290,29 @@ def test_corpus_work_is_bounded_before_the_corpus_is_drawn(monkeypatch):
 
 
 def test_progression_grids_are_bounded_before_any_pair_is_listed(monkeypatch):
-    # the four progression ids charge 80 steps for each d of the max(a, k)
-    # divisor scan their grid runs for every pair; ap3-symmetric runs no scan
-    # and charges 8a steps to build <a, a + k, a + 2k> and (a^2 + 2ak) / 20
-    # for the gap mask its symmetry test reads
+    # the four progression ids charge steps, each at its own rate, for each d
+    # of the max(a, k) divisor scan their grid runs for every pair;
+    # ap3-symmetric runs no scan and charges 8a steps to build <a, a + k, a + 2k>
+    per_d = {"ap3-even-d": 24, "ap3-odd-a": 18, "full-ap": 80, "full-ap-dk": 80}
+
     def charge(theorem, a_max, k_max):
         pairs = [(a, k) for a in range(1, a_max + 1) for k in range(1, k_max + 1)]
         if theorem == "ap3-symmetric":
-            return sum(160 * a + a * a + 2 * a * k for a, k in pairs) // 20
-        return 80 * sum(max(a, k) for a, k in pairs)
+            return sum(8 * a for a, k in pairs)
+        return per_d[theorem] * sum(max(a, k) for a, k in pairs)
 
     def listed(*args):
         raise AssertionError("_coprime_pairs was called for a refused grid")
 
     monkeypatch.setattr(verify, "_coprime_pairs", listed)
     # the largest a_max at k_max 1 and 20, and the largest k_max at a_max 120
-    largest = {"ap3-symmetric": (1365, 454, 269)}
-    largest.update((theorem, (1117, 249, 76))
-                   for theorem in ("ap3-even-d", "ap3-odd-a", "full-ap", "full-ap-dk"))
+    largest = {
+        "ap3-symmetric": (3535, 790, 860),
+        "ap3-even-d": (2040, 455, 172),
+        "ap3-odd-a": (2356, 526, 203),
+        "full-ap": (1117, 249, 76),
+        "full-ap-dk": (1117, 249, 76),
+    }
     for theorem, (a_1, a_20, k_120) in largest.items():
         for a_max, k_max, grown in (
             (a_1, 1, dict(a_max=a_1 + 1)),
