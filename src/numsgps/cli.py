@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Iterable
 
 from .core import (
     PrecisionLossError,
@@ -192,6 +191,35 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _json_records(records: list[dict]) -> str:
+    return "".join([_dump(record) + "\n" for record in records])
+
+
+def _csv_records(records: list[dict]) -> str:
+    return "".join(
+        [",".join([_cell(record[column]) for column in RECORD_COLUMNS]) + "\n" for record in records]
+    )
+
+
+def _table_records(records: list[dict]) -> str:
+    return "".join(
+        [
+            f"{record['theorem']}  {_flat(record['params'])}  "
+            f"formula={_flat(record['formula'])}  oracle={_flat(record['oracle'])}  "
+            f"{record['status']}\n"
+            for record in records
+        ]
+    )
+
+
+# per format: the text before a sweep's records, and the renderer of a run
+# of them; module-level functions, so that a pool worker can render its own
+_RECORD_FORMS = {
+    "json": ("", _json_records),
+    "csv": (",".join(RECORD_COLUMNS) + "\n", _csv_records),
+    "table": ("", _table_records),
+}
+
 # gap-mask positions rendered per write of a report's gap list, a whole
 # number of the 1,000-position chunks that share the text of position // 1000
 GAP_BLOCK = 8000
@@ -224,15 +252,15 @@ class _Output:
 
     The seed header goes to stdout for tables but to stderr for json/csv
     so that machine-readable streams stay pure.  ``main`` opens it before
-    a command does any work, so a bad --out path fails at once.  Each line
-    and note is written as it is produced, and the stream's own buffer
-    batches them, so a sweep that fails part-way leaves the records it
-    finished.  A report is written field by field in sorted-key order,
-    each value by the renderer of its format, and a ``bytes`` value, which
-    is always a gap mask, as the list of its set positions, one block of
-    ``GAP_BLOCK`` positions per write, each 1,000 positions joined from a
-    table of the text of 0..999: no list of the gaps and no whole report
-    is ever built.  A stream whose reader has gone away
+    a command does any work, so a bad --out path fails at once.  Text is
+    written as it is produced: a sweep's records one write per run of
+    cases, rendered where the run was checked, so a sweep that fails
+    part-way leaves the records it finished.  A report is written field
+    by field in sorted-key order, each value by the renderer of its
+    format, and a ``bytes`` value, which is always a gap mask, as the list
+    of its set positions, one block of ``GAP_BLOCK`` positions per write,
+    each 1,000 positions joined from a table of the text of 0..999: no
+    list of the gaps and no whole report is ever built.  A stream whose reader has gone away
     (``numsgps ... | head``) is not an error: output to it stops quietly
     and the command's exit code stands.
     """
@@ -251,8 +279,8 @@ class _Output:
         except BrokenPipeError:
             _silence(stream)
 
-    def line(self, text: str) -> None:
-        self._write(text + "\n", self.handle)
+    def write(self, text: str) -> None:
+        self._write(text, self.handle)
 
     def note(self, text: str) -> None:
         self._write(text + "\n", self.notes)
@@ -300,23 +328,6 @@ class _Output:
                 value = list(itertools.compress(itertools.count(), value))
             text += render(value)
         self._write(text + end, self.handle)
-
-    def records(self, records: Iterable[dict]) -> None:
-        self.header()
-        if self.format == "json":
-            for record in records:
-                self.line(_dump(record))
-        elif self.format == "csv":
-            self.line(",".join(RECORD_COLUMNS))
-            for record in records:
-                self.line(",".join(_cell(record[column]) for column in RECORD_COLUMNS))
-        else:
-            for record in records:
-                self.line(
-                    f"{record['theorem']}  {_flat(record['params'])}  "
-                    f"formula={_flat(record['formula'])}  oracle={_flat(record['oracle'])}  "
-                    f"{record['status']}"
-                )
 
 
 def cmd_invariants(args, out: _Output) -> int:
@@ -389,15 +400,17 @@ def cmd_apery(args, out: _Output) -> int:
 def cmd_verify(args, out: _Output) -> int:
     # every field of the config has an option of the same name
     config = SweepConfig(**{name: getattr(args, name) for name in SweepConfig._fields})
-    records = sweep(config)  # a refused grid raises here, before any output
+    head, render = _RECORD_FORMS[args.format]
+    blocks = sweep(config, render)  # a refused grid raises here, before any output
+    out.header()
+    out.write(head)
     counts = Counter()
-
-    def counted():
-        for record in records:
-            counts[record["status"]] += 1
-            yield record
-
-    out.records(counted())
+    for statuses, text, fault in blocks:
+        for status in statuses:
+            counts[status] += 1
+        out.write(text)
+        if fault is not None:
+            raise fault
     out.note(
         f"{args.theorem}: {counts[MATCH]} match, {counts[MISMATCH]} mismatch, "
         f"{counts[SKIPPED]} skipped"

@@ -33,8 +33,10 @@ from functools import lru_cache, partial
 from typing import Iterator
 
 from .core import (
+    MAX_FROBENIUS,
     NumericalSemigroup,
     PreconditionError,
+    ResourceLimitError,
     TheoremViolationError,
     _require_work,
     from_generators,
@@ -107,6 +109,12 @@ class SweepConfig(namedtuple(
         ):
             raise PreconditionError(f"k_list must hold positive integers, got {cfg.k_list}")
         _require_work(identity.cost(cfg), "the {} grid", cfg.theorem)
+        largest = identity.frobenius(cfg) if identity.frobenius else 0
+        if largest > MAX_FROBENIUS:
+            raise ResourceLimitError(
+                f"the {cfg.theorem} grid reaches Frobenius number {largest}, "
+                f"which exceeds {MAX_FROBENIUS}"
+            )
         return cfg
 
 
@@ -346,6 +354,25 @@ def _strazzanti_sides(case, S, Q):
     return frobenius_quotient_dsymmetric(S, case[-1]), Q.frobenius, None
 
 
+def _ap3_frobenius(a: int, k: int) -> int:
+    """F(<a, a + k, a + 2k>) for a >= 2 and gcd(a, k) = 1, by Roberts' closed form."""
+    return ((a - 2) // 2 + 1) * a + (k - 1) * (a - 1) - 1
+
+
+def _ap3_largest_frobenius(cfg: SweepConfig) -> int:
+    """The largest F(<a, a + k, a + 2k>) over the grid's coprime pairs with
+    a >= 2.  F grows with a and with k, so each a's largest is at the
+    largest k coprime to it, and the walk down from a_max stops at the
+    first a that could not pass the largest so far even at k_max."""
+    largest = 0
+    for a in range(cfg.a_max, 1, -1):
+        if _ap3_frobenius(a, cfg.k_max) <= largest:
+            break
+        k = next(k for k in range(cfg.k_max, 0, -1) if math.gcd(a, k) == 1)
+        largest = max(largest, _ap3_frobenius(a, k))
+    return largest
+
+
 def _check_ap3_symmetric(case, tolerance, inject):
     a, k = case
     formula = ap3_symmetric_iff_even(a, k) != inject
@@ -419,13 +446,16 @@ def _no_case(S: NumericalSemigroup, d: int) -> None:
 
 
 class Identity(namedtuple(
-    "Identity", "defaults cases check cost case_of entries", defaults=(_no_case, None)
+    "Identity", "defaults cases check cost case_of entries frobenius",
+    defaults=(_no_case, None, None),
 )):
     """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
     the grid, ``check(case, tolerance, inject)`` returns its records, and
     ``cost(cfg)`` bounds in steps the work of the grid, its case list
     included; a grid that costs more than ``MAX_ROOT_WORK`` is refused
-    before any case is built.
+    before any case is built.  So is a grid whose largest Frobenius number,
+    ``frobenius(cfg)`` where the identity gives one, passes
+    ``MAX_FROBENIUS``: the cost bounds it below that cap in every other id.
 
     For an identity about S/d, ``case_of(S, d)`` is the case that S and d
     are, or None when the hypotheses fail, and ``entries(case, S, Q,
@@ -611,6 +641,7 @@ IDENTITIES: dict[str, Identity] = {
         # per pair, 8a steps to build <a, a + k, a + 2k>, whose symmetry is read
         # off its table; fitted up to 2,000 in a or k
         lambda cfg: 4 * cfg.k_max * cfg.a_max * (cfg.a_max + 1),
+        frobenius=_ap3_largest_frobenius,
     ),
     "ap3-even-d": _progression(
         _ap3,
@@ -673,50 +704,75 @@ def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool)
     return records
 
 
-def _check_case_caught(
-    theorem: str, tolerance: float | None, inject: bool, case: tuple
-) -> list[dict] | Exception:
-    """``check_case`` in a pool worker: a case that raises returns its exception,
-    so the records of the cases before it in its chunk still come back."""
+def check_run(theorem: str, tolerance: float | None, inject: bool, render, cases) -> tuple:
+    """Check a run of cases in order, in any process: the statuses of their
+    records, ``render(records)``, and the exception that stopped the run,
+    or None.  A case that raises ends the run, and the records of the
+    cases before it still come back."""
+    records, fault = [], None
     try:
-        return check_case(theorem, case, tolerance, inject)
+        for case in cases:
+            records += check_case(theorem, case, tolerance, inject)
     except Exception as exc:
-        return exc
+        fault = exc
+    return [record["status"] for record in records], render(records), fault
 
 
-def sweep(cfg: SweepConfig) -> Iterator[dict]:
-    """The records of the sweep, case by case, in deterministic case order
-    regardless of the parallelism degree.
+def _chunks(cases: list[tuple], parallel: int) -> Iterator[list[tuple]]:
+    """The runs of cases a pool checks: 1, 2, 4, ... cases, doubling up to
+    len(cases) // (4 * parallel), so the first record waits for one case.
+    The case count and ``parallel`` alone fix them, so every host splits a
+    grid alike."""
+    cap = max(1, len(cases) // (4 * parallel))
+    lo, size = 0, 1
+    while lo < len(cases):
+        yield cases[lo : lo + size]
+        lo += size
+        size = min(2 * size, cap)
+
+
+def sweep(cfg: SweepConfig, render=None) -> Iterator:
+    """The sweep in deterministic case order, whatever the parallelism degree.
 
     The config is resolved and the case list built before this returns,
     so a refused grid, or one that holds no case, raises here, before any
-    record exists.  Each record is yielded as soon as its case and every
-    earlier one are checked; an exception inside a case ends the stream at
-    that case, at any parallelism degree.
+    record exists.  With ``render``, a function from a list of records to
+    its text, the sweep yields a block (statuses, text, exception) per run
+    of cases, as ``check_run`` returns it: each case alone in this
+    process, or the runs of ``_chunks`` through a process pool whose
+    workers render their own records.  A block's exception ends the sweep
+    at its case, and its text holds the records of the cases before that
+    one.  Without ``render`` the sweep yields the records, each once
+    its case and every earlier one are checked, and raises where a case
+    raised.
     """
     cfg = cfg.resolved()
     cases = build_cases(cfg)
     if not cases:
         raise PreconditionError(f"the {cfg.theorem} grid holds no case")
-    return _records(cfg, cases)
+    blocks = _blocks(cfg, cases, render or list)
+    return blocks if render else _records(blocks)
 
 
-def _records(cfg: SweepConfig, cases: list[tuple]) -> Iterator[dict]:
+def _blocks(cfg: SweepConfig, cases: list[tuple], render) -> Iterator[tuple]:
+    run = partial(check_run, cfg.theorem, cfg.tolerance, cfg.inject_offby1, render)
     if cfg.parallel == 1 or len(cases) < 2:
         for case in cases:
-            yield from check_case(cfg.theorem, case, cfg.tolerance, cfg.inject_offby1)
+            yield run((case,))
         return
     # imported here, so that a serial run never loads multiprocessing
     from multiprocessing import Pool
 
-    # chunks follow --parallel, so every host splits the grid alike; workers stop at the CPUs
-    chunk = max(1, len(cases) // (4 * cfg.parallel))
-    caught = partial(_check_case_caught, cfg.theorem, cfg.tolerance, cfg.inject_offby1)
+    # workers stop at the CPUs
     with Pool(min(cfg.parallel, os.cpu_count() or 1)) as pool:
-        for batch in pool.imap(caught, cases, chunksize=chunk):
-            if isinstance(batch, Exception):
-                raise batch
-            yield from batch
+        yield from pool.imap(run, _chunks(cases, cfg.parallel))
+
+
+def _records(blocks: Iterator[tuple]) -> Iterator[dict]:
+    for _, records, fault in blocks:
+        yield from records
+        if fault is not None:
+            raise fault
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:

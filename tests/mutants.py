@@ -9,7 +9,10 @@ on every run.  Run the checks with
 Each row is applied to a fresh copy of ``src/``, ``tests/``,
 ``perfbench/`` (whose imports one test reads) and ``bench.py`` (whose
 comparison one test runs) in a temporary directory, where
-``pytest -x -q`` must report a failing test.  ``test_mutants.py``
+``pytest -x -q`` must report a failing test.  The test file of the
+mutated module (``tests/test_core.py`` for ``core.py``) runs first, where
+most rows are killed, and the other files after it; rows run two at a
+time where the host has two CPUs.  ``test_mutants.py``
 is left out there: in the copy it reads the mutated file, where the old
 text no longer occurs, so it would fail for every row.  The unmutated
 copy must pass first, so that a failure is the row's doing.  The rows
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -286,6 +290,30 @@ MUTANTS = (
         "str(i)",
         "a gap list renders 1000x + i unpadded, so 1007 comes out as 17",
     ),
+    (
+        "src/numsgps/verify.py",
+        "((a - 2) // 2 + 1) * a",
+        "(a - 2) // 2 * a",
+        "Roberts' form comes out a short, so the ap3-symmetric grid (3163, 1) is admitted",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "if _ap3_frobenius(a, cfg.k_max) <= largest:",
+        "if largest:",
+        "the largest F of an ap3-symmetric grid is read at a_max alone, whose k may fall short",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "lo, size = 0, 1",
+        "lo, size = 0, cap",
+        "a pool's first run holds a quarter of a worker's share, so the first record waits for it",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "        fault = exc\n",
+        "        records, fault = [], exc\n",
+        "a worker drops the text of the cases before a failing one in its run",
+    ),
 )
 
 
@@ -303,10 +331,14 @@ def run(row: int | None) -> tuple[str | None, float]:
             if text.count(old) != 1:
                 raise SystemExit(f"row {row}: old text is not unique in {path}")
             target.write_text(text.replace(old, new))
+        # the mutated module's own test file first, then the rest in name order
+        own = None if row is None else f"tests/test_{Path(MUTANTS[row][0]).stem}.py"
+        files = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py"))
+        files.remove("tests/test_mutants.py")
+        files.sort(key=lambda name: name != own)
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--ignore", "tests/test_mutants.py", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
             stdout=subprocess.PIPE,
@@ -329,12 +361,13 @@ def main() -> int:
         raise SystemExit("the unmutated suite fails; no row can be judged")
     print(f"unmutated suite passes in {seconds:.1f} s")
     survivors = []
-    for row in range(len(MUTANTS)):
-        killed, seconds = run(row)
-        verdict = f"killed by {killed}" if killed else "SURVIVED"
-        print(f"{row}: {verdict} in {seconds:.1f} s: {MUTANTS[row][3]}")
-        if not killed:
-            survivors.append(row)
+    # each row is its own pytest process, so two run at once on two CPUs
+    with ThreadPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        for row, (killed, seconds) in enumerate(pool.map(run, range(len(MUTANTS)))):
+            verdict = f"killed by {killed}" if killed else "SURVIVED"
+            print(f"{row}: {verdict} in {seconds:.1f} s: {MUTANTS[row][3]}", flush=True)
+            if not killed:
+                survivors.append(row)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; survivors: {survivors or 'none'}")
     return 1 if survivors else 0
 

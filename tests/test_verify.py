@@ -321,7 +321,12 @@ def test_progression_grids_are_bounded_before_any_pair_is_listed(monkeypatch):
         ):
             cfg = SweepConfig(theorem=theorem, a_max=a_max, k_max=k_max)
             assert IDENTITIES[theorem].cost(cfg) == charge(theorem, a_max, k_max) <= MAX_ROOT_WORK
-            assert cfg.resolved()
+            if (theorem, k_max) == ("ap3-symmetric", 1):
+                # priced within the cap, but F passes MAX_FROBENIUS from a = 3163 on
+                with pytest.raises(ResourceLimitError, match="Frobenius number 6246344,"):
+                    cfg.resolved()
+            else:
+                assert cfg.resolved()
             with pytest.raises(ResourceLimitError):
                 sweep(cfg._replace(**grown))
             assert charge(theorem, **{"a_max": a_max, "k_max": k_max, **grown}) > MAX_ROOT_WORK
@@ -468,6 +473,95 @@ def test_ap3_symmetric_sweep_builds_no_gap_mask(monkeypatch):
     records = run_sweep(SweepConfig("ap3-symmetric"))
     assert len(records) > 1000 and {r["status"] for r in records} == {MATCH}
     assert built == []
+
+
+def test_ap3_symmetric_grid_is_refused_above_the_frobenius_cap(monkeypatch, capsys):
+    # Roberts' closed form gives F(<a, a + k, a + 2k>) for every pair a grid holds
+    for a in range(2, 41):
+        for k in range(1, 13):
+            if math.gcd(a, k) == 1:
+                assert verify._ap3_frobenius(a, k) == from_generators((a, a + k, a + 2 * k)).frobenius
+    # the largest F over a grid, also where a_max has no k near k_max coprime to it
+    for a_max, k_max in ((30, 6), (12, 5), (2, 4), (7, 7), (1, 3), (40, 12)):
+        built = [
+            from_generators((a, a + k, a + 2 * k)).frobenius
+            for a in range(2, a_max + 1) for k in range(1, k_max + 1) if math.gcd(a, k) == 1
+        ]
+        cfg = SweepConfig("ap3-symmetric", a_max=a_max, k_max=k_max)
+        assert verify._ap3_largest_frobenius(cfg) == max(built, default=0), (a_max, k_max)
+
+    def listed(*args):
+        raise AssertionError("_coprime_pairs was called for a refused grid")
+
+    monkeypatch.setattr(verify, "_coprime_pairs", listed)
+    # F(<3162, 3163, 3164>) = 4,999,121 and F(<3163, 3164, 3165>) = 5,000,702
+    assert SweepConfig("ap3-symmetric", a_max=3162, k_max=1).resolved()
+    with pytest.raises(
+        ResourceLimitError,
+        match="^the ap3-symmetric grid reaches Frobenius number 5000702, which exceeds 5000000$",
+    ):
+        SweepConfig("ap3-symmetric", a_max=3163, k_max=1).resolved()
+    assert cli.main(["verify", "ap3-symmetric", "--a-max", "3535", "--k-max", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the ap3-symmetric grid reaches Frobenius number 6246344, which exceeds 5000000\n"
+    )
+    # the default grid and the command-line tests' grid stay admitted
+    for grid in (dict(), dict(a_max=12, k_max=3)):
+        assert SweepConfig("ap3-symmetric", **grid).resolved()
+
+
+@pytest.mark.parametrize(
+    "count, parallel", [(1, 2), (2, 2), (10, 2), (100, 1), (1_000, 3), (11_000, 2), (12_345, 4)]
+)
+def test_pool_chunks_grow_from_one_case_to_a_quarter_of_each_workers_share(
+    count, parallel, monkeypatch
+):
+    cases = [(i,) for i in range(count)]
+    chunks = list(verify._chunks(cases, parallel))
+    sizes = [len(chunk) for chunk in chunks]
+    cap = max(1, count // (4 * parallel))
+    # one case first, then doubling up to the cap, the last run what is left
+    assert sizes[0] == 1
+    assert sizes[:-1] == [min(2**i, cap) for i in range(len(sizes) - 1)]
+    assert 1 <= sizes[-1] <= min(2 ** (len(sizes) - 1), cap)
+    assert [case for chunk in chunks for case in chunk] == cases
+    # the case count and --parallel alone fix the runs, whatever the cases and the host
+    for cpus in (1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [len(chunk) for chunk in verify._chunks([("x",)] * count, parallel)] == sizes
+
+
+def test_a_pool_checks_the_runs_of_chunks(monkeypatch):
+    import multiprocessing
+
+    runs = []
+
+    class SerialPool:
+        """A stand-in for multiprocessing.Pool that maps in this process."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            for run in iterable:
+                runs.append(run)
+                yield func(run)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    cfg = SweepConfig("sylvester", max_value=30, parallel=2)
+    cases = build_cases(cfg.resolved())
+    blocks = list(sweep(cfg, cli._json_records))
+    assert runs == list(verify._chunks(cases, 2)) and len(runs[0]) == 1
+    assert [len(statuses) for statuses, _, _ in blocks] == [len(run) for run in runs]
+    text = "".join(block for _, block, _ in blocks)
+    assert text == cli._json_records(run_sweep(cfg._replace(parallel=1)))
+    assert all(fault is None for _, _, fault in blocks)
 
 
 def test_root_identity_d_max_is_bounded():
