@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 
 from .core import (
-    PrecisionLossError,
     PreconditionError,
     ResourceLimitError,
     TheoremViolationError,
@@ -460,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args, out)
         finally:
             out.close()
-    except (TheoremViolationError, PrecisionLossError) as exc:
+    except TheoremViolationError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1
     except (PreconditionError, ResourceLimitError, OSError) as exc:

@@ -29,6 +29,12 @@ oracle of every quotient is still the membership test of d*x, read in C;
 theorem-main's fold reads the same mask of S, while g(S) comes from the
 Apery sum, and the test suite pins the mask to an independent
 dynamic-programming sieve.
+
+One size rule, MAX_FROBENIUS, bounds what holds an entry per integer or
+per class: the gap mask (so F(S)), a sieve pass, and an Apery table (so m
+or the modulus n).  Construction is bounded by its steps alone, so what
+reads only the table (F, g, membership, symmetry at d = 1) is answered
+at any F(S).
 """
 
 from __future__ import annotations
@@ -39,8 +45,11 @@ import operator
 from functools import cached_property
 from typing import Iterable
 
-# Desk-scale guard: refuse instances whose gap list would thrash memory,
-# instead of dying slowly.
+# Desk-scale guard on what holds an entry per integer or per class: the gap
+# mask is refused above F(S) = MAX_FROBENIUS, a sieve pass runs on at most
+# MAX_FROBENIUS + m + 1 bits, and an Apery table holds at most MAX_FROBENIUS
+# entries (`apery --gens 4999999,5000000` peaks at 736 MiB RSS, CPython
+# 3.11, x86-64).  What builds nothing of size F(S) is not refused for it.
 MAX_FROBENIUS = 5_000_000
 # Desk-scale guard on the steps one command may take, each about 0.1 us
 # (CPython 3.11, x86-64): the d - 1 roots each take min(d, F(S) + 2) Horner
@@ -140,6 +149,8 @@ class NumericalSemigroup:
     def _gap_mask(self) -> bytes:
         """mask[x] = 1 exactly when 0 <= x <= F(S) is a gap; built once,
         and immutable so that no reader can change what later ones see."""
+        if self.frobenius > MAX_FROBENIUS:
+            raise ResourceLimitError(f"Frobenius number {self.frobenius} exceeds {MAX_FROBENIUS}")
         m = self.multiplicity
         mask = bytearray(self.frobenius + 1)
         for r in range(1, m):
@@ -243,36 +254,29 @@ def _sieve_cost(values: list[int], nbits: int) -> float:
     return shifts * (nbits // 64 + 8) / 6
 
 
-def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, list[int]]:
+def _apery_and_kept(values: list[int]) -> tuple[NumericalSemigroup, list[int]]:
     """<values> (ascending) and the values that ``_round_robin(values)``
     keeps, by the cheaper construction.
 
-    The sieve starts at max(2 max(values), lower + 1) + m bits, enough when
-    F <= 2 max(values) or F = ``lower``, and doubles while the passes so
-    far and the next one cost less than m(e - 4), the round robin's m*e
-    steps less 4 per class, so that failed passes never cost more than the
-    round robin they fall back to; the -4 keeps every input of at most four
-    generators on the round robin.  Its last length is
-    MAX_FROBENIUS + m + 1 bits, where a pass either builds the table or,
-    with a gap in the top m bits, shows F > MAX_FROBENIUS: it ends the
-    construction either way, so only its own cost is compared.  A pass
-    that builds the table is read as a gap mask, which the semigroup keeps.
-    Before each pass, and before the round robin, the estimated steps of
-    the passes run so far and of that step are held to MAX_ROOT_WORK.
+    The sieve starts at 2 max(values) + m bits, enough when F < 2 max(values),
+    and doubles up to MAX_FROBENIUS + m + 1 bits while the passes so far
+    and the next one cost less than m(e - 4), the round robin's m*e steps
+    less 4 per class, so that failed passes never cost more than the round
+    robin they fall back to; the -4 keeps every input of at most four
+    generators on the round robin.  A pass that builds the table is read as
+    a gap mask, which the semigroup keeps; when none does, the round robin
+    builds it.  Before each pass, and before the round robin, the estimated
+    steps of the passes run so far and of that step are held to
+    MAX_ROOT_WORK.
     """
     mult = values[0]
+    what = ("building <{}, ...> from {} generators", mult, len(values))
     budget = mult * (len(values) - 4)
-    nbits = max(2 * values[-1], lower + 1) + mult
+    longest = MAX_FROBENIUS + mult + 1
+    nbits = min(2 * values[-1] + mult, longest)
     spent = 0
-    while True:
-        cost = _sieve_cost(values, nbits)
-        last = nbits > MAX_FROBENIUS + mult
-        fall_back = (cost if last else spent + cost) >= budget
-        work = spent + (mult * len(values) if fall_back else cost)
-        _require_work(work, "building <{}, ...> from {} generators", mult, len(values))
-        if fall_back:
-            apery, kept = _round_robin(values)
-            return NumericalSemigroup(apery), kept
+    while spent + (cost := _sieve_cost(values, nbits)) < budget:
+        _require_work(spent + cost, *what)
         spent += cost
         built = _sieve(values, nbits)
         if built is not None:
@@ -280,37 +284,12 @@ def _apery_and_kept(values: list[int], lower: int) -> tuple[NumericalSemigroup, 
             # cut after the last gap, then a gap is byte 1 and a member byte 0
             mask = bits[: bits.rfind("0") + 1].encode().translate(bytes.maketrans(b"01", b"\1\0"))
             return _from_gap_mask(mask), built[1]
-        if last:
-            raise ResourceLimitError(
-                f"Frobenius number at least {nbits - mult} exceeds {MAX_FROBENIUS}"
-            )
-        nbits = min(2 * nbits, MAX_FROBENIUS + mult + 1)
-
-
-def _frobenius_lower_bound(values: list[int]) -> int:
-    """A lower bound on F(<values>) from the generators alone (ascending,
-    gcd 1), exact for two generators.
-
-    The m Apery elements are distinct sums of the n generators other than
-    m, each at least g2 = values[1], and at most C(n + j, j) multisets have
-    j terms or fewer.  So some element has at least j* terms, the least j
-    with C(n + j, j) >= m, and F >= j* g2 - m; for n = 1, j* = m - 1.
-    Since 1, ..., m - 1 are gaps, F >= m - 1 too: when that alone is above
-    MAX_FROBENIUS it is returned at once, without the j* loop.
-    """
-    mult, n = values[0], len(values) - 1
-    if mult == 1:  # all of N
-        return -1
-    if n == 1:
-        terms = mult - 1
-    elif mult - 1 > MAX_FROBENIUS:
-        return mult - 1
-    else:
-        terms, count = 0, 1  # count = C(n + terms, terms)
-        while count < mult:
-            terms += 1
-            count = count * (n + terms) // terms
-    return terms * values[1] - mult
+        if nbits == longest:
+            break
+        nbits = min(2 * nbits, longest)
+    _require_work(spent + mult * len(values), *what)
+    apery, kept = _round_robin(values)
+    return NumericalSemigroup(apery), kept
 
 
 def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
@@ -318,7 +297,8 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
 
     Duplicates are dropped; the gcd of the set must be 1, otherwise the
     complement would be infinite and a :class:`NotNumericalSemigroupError`
-    is raised.
+    is raised.  A multiplicity above MAX_FROBENIUS is refused before any
+    table is built.
     """
     values = sorted(set(generators))
     if not values:
@@ -330,13 +310,9 @@ def from_generators(generators: Iterable[int]) -> NumericalSemigroup:
             f"gcd{tuple(values)} > 1: the complement is infinite, "
             "so this is not a numerical semigroup"
         )
-    lower = _frobenius_lower_bound(values)
-    if lower > MAX_FROBENIUS:
-        at_least = "" if len(values) == 2 else "at least "  # exact for two generators
-        raise ResourceLimitError(f"Frobenius number {at_least}{lower} exceeds {MAX_FROBENIUS}")
-    S, kept = _apery_and_kept(values, lower)
-    if S.frobenius > MAX_FROBENIUS:
-        raise ResourceLimitError(f"Frobenius number {S.frobenius} exceeds {MAX_FROBENIUS}")
+    if values[0] > MAX_FROBENIUS:  # the table holds an int per class
+        raise ResourceLimitError(f"multiplicity {values[0]} exceeds {MAX_FROBENIUS}")
+    S, kept = _apery_and_kept(values)
     # the minimal generators this pass found, so that reading them does not run it again
     S.__dict__["minimal_generators"] = (values[0], *kept)
     return S
@@ -386,7 +362,7 @@ def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
         raise PreconditionError(f"Apery modulus {n} is not a member of {S}")
     if n == S.multiplicity:
         return S.apery
-    if n > MAX_FROBENIUS:  # the table holds an int per class, as a gap list does per gap
+    if n > MAX_FROBENIUS:  # the table holds an int per class, as the mask a byte per gap
         raise ResourceLimitError(f"Apery modulus {n} exceeds {MAX_FROBENIUS}")
     return _apery_from_mask(S._gap_mask, n)
 

@@ -33,10 +33,8 @@ from functools import lru_cache, partial
 from typing import Iterator
 
 from .core import (
-    MAX_FROBENIUS,
     NumericalSemigroup,
     PreconditionError,
-    ResourceLimitError,
     TheoremViolationError,
     _require_work,
     from_generators,
@@ -109,12 +107,6 @@ class SweepConfig(namedtuple(
         ):
             raise PreconditionError(f"k_list must hold positive integers, got {cfg.k_list}")
         _require_work(identity.cost(cfg), "the {} grid", cfg.theorem)
-        largest = identity.frobenius(cfg) if identity.frobenius else 0
-        if largest > MAX_FROBENIUS:
-            raise ResourceLimitError(
-                f"the {cfg.theorem} grid reaches Frobenius number {largest}, "
-                f"which exceeds {MAX_FROBENIUS}"
-            )
         return cfg
 
 
@@ -354,25 +346,6 @@ def _strazzanti_sides(case, S, Q):
     return frobenius_quotient_dsymmetric(S, case[-1]), Q.frobenius, None
 
 
-def _ap3_frobenius(a: int, k: int) -> int:
-    """F(<a, a + k, a + 2k>) for a >= 2 and gcd(a, k) = 1, by Roberts' closed form."""
-    return ((a - 2) // 2 + 1) * a + (k - 1) * (a - 1) - 1
-
-
-def _ap3_largest_frobenius(cfg: SweepConfig) -> int:
-    """The largest F(<a, a + k, a + 2k>) over the grid's coprime pairs with
-    a >= 2.  F grows with a and with k, so each a's largest is at the
-    largest k coprime to it, and the walk down from a_max stops at the
-    first a that could not pass the largest so far even at k_max."""
-    largest = 0
-    for a in range(cfg.a_max, 1, -1):
-        if _ap3_frobenius(a, cfg.k_max) <= largest:
-            break
-        k = next(k for k in range(cfg.k_max, 0, -1) if math.gcd(a, k) == 1)
-        largest = max(largest, _ap3_frobenius(a, k))
-    return largest
-
-
 def _check_ap3_symmetric(case, tolerance, inject):
     a, k = case
     formula = ap3_symmetric_iff_even(a, k) != inject
@@ -416,7 +389,7 @@ def _full_ap_sides(case, S, Q):
         "frobenius": f,
         "genus": g,
         "generators": list(full_ap_quotient_generators(spec, d)),
-        "two_genus": Q.frobenius + a // d - 1,
+        "two_genus": f + a // d - 1,
     }
     oracle = {
         **_invariants(Q),
@@ -429,7 +402,7 @@ def _full_ap_sides(case, S, Q):
 def _full_ap_dk_sides(case, S, Q):
     a, k, d = case
     f, g = full_ap_d_divides_k(FullApSpec(a, k), d)
-    formula = {"frobenius": f, "genus": g, "two_genus": Q.frobenius + a - 1}
+    formula = {"frobenius": f, "genus": g, "two_genus": f + a - 1}
     oracle = {**_invariants(Q), "two_genus": 2 * Q.genus}
     return formula, oracle, None
 
@@ -446,16 +419,14 @@ def _no_case(S: NumericalSemigroup, d: int) -> None:
 
 
 class Identity(namedtuple(
-    "Identity", "defaults cases check cost case_of entries frobenius",
-    defaults=(_no_case, None, None),
+    "Identity", "defaults cases check cost case_of entries",
+    defaults=(_no_case, None),
 )):
     """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
     the grid, ``check(case, tolerance, inject)`` returns its records, and
     ``cost(cfg)`` bounds in steps the work of the grid, its case list
     included; a grid that costs more than ``MAX_ROOT_WORK`` is refused
-    before any case is built.  So is a grid whose largest Frobenius number,
-    ``frobenius(cfg)`` where the identity gives one, passes
-    ``MAX_FROBENIUS``: the cost bounds it below that cap in every other id.
+    before any case is built.
 
     For an identity about S/d, ``case_of(S, d)`` is the case that S and d
     are, or None when the hypotheses fail, and ``entries(case, S, Q,
@@ -641,7 +612,6 @@ IDENTITIES: dict[str, Identity] = {
         # per pair, 8a steps to build <a, a + k, a + 2k>, whose symmetry is read
         # off its table; fitted up to 2,000 in a or k
         lambda cfg: 4 * cfg.k_max * cfg.a_max * (cfg.a_max + 1),
-        frobenius=_ap3_largest_frobenius,
     ),
     "ap3-even-d": _progression(
         _ap3,

@@ -262,9 +262,21 @@ MUTANTS = (
     ),
     (
         "src/numsgps/core.py",
-        "elif mult - 1 > MAX_FROBENIUS:",
-        "elif mult > 2 * MAX_FROBENIUS:",
-        "the lower bound on F runs its j* loop for a multiplicity that alone refuses it",
+        "if self.frobenius > MAX_FROBENIUS:",
+        "if self.frobenius > MAX_FROBENIUS + 1:",
+        "a gap mask of MAX_FROBENIUS + 2 bytes, for F = MAX_FROBENIUS + 1, is built",
+    ),
+    (
+        "src/numsgps/core.py",
+        "if values[0] > MAX_FROBENIUS:",
+        "if values[0] > MAX_FROBENIUS + 1:",
+        "an Apery table of MAX_FROBENIUS + 1 classes is built from the generators",
+    ),
+    (
+        "src/numsgps/core.py",
+        "longest = MAX_FROBENIUS + mult + 1",
+        "longest = 2 * MAX_FROBENIUS + mult + 1",
+        "a sieve pass runs on up to 2 MAX_FROBENIUS + m + 1 bits",
     ),
     (
         "src/numsgps/core.py",
@@ -289,18 +301,6 @@ MUTANTS = (
         'f"{i:03d}"',
         "str(i)",
         "a gap list renders 1000x + i unpadded, so 1007 comes out as 17",
-    ),
-    (
-        "src/numsgps/verify.py",
-        "((a - 2) // 2 + 1) * a",
-        "(a - 2) // 2 * a",
-        "Roberts' form comes out a short, so the ap3-symmetric grid (3163, 1) is admitted",
-    ),
-    (
-        "src/numsgps/verify.py",
-        "if _ap3_frobenius(a, cfg.k_max) <= largest:",
-        "if largest:",
-        "the largest F of an ap3-symmetric grid is read at a_max alone, whose k may fall short",
     ),
     (
         "src/numsgps/verify.py",

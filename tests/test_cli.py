@@ -60,9 +60,26 @@ def test_invariants_rejects_bad_generators(capsys):
     assert "error" in err.lower()
     code, _, _ = run_cli(capsys, "invariants", "--gens", "nonsense")
     assert code == 2
-    code, out, err = run_cli(capsys, "invariants", "--gens", "2500001,2500003,2500005")
+    code, out, err = run_cli(capsys, "invariants", "--gens", "5000001,5000003,5000005")
     assert (code, out) == (2, "")
-    assert err == "error: Frobenius number at least 5585006704 exceeds 5000000\n"
+    assert err == "error: multiplicity 5000001 exceeds 5000000\n"
+
+
+def test_a_large_frobenius_is_answered_off_the_table_and_refused_at_the_gap_mask(capsys):
+    # the Apery table of <9001, 10007> has 9,001 entries, its gap mask F + 1 = 90,054,000
+    code, out, _ = run_cli(capsys, "apery", "--gens", "9001,10007", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["frobenius"], report["genus"]) == (90_053_999, 45_027_000)
+    assert sorted(report["apery"]) == [10007 * j for j in range(9001)]
+    # a report that reads the mask, of S or of S/d, is refused before any output
+    for argv, frobenius in (
+        (("quotient", "--gens", "9001,10007", "--d", "7"), 90_053_999),
+        (("invariants", "--gens", "5000,5001,5002"), 12_499_999),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: Frobenius number {frobenius} exceeds 5000000\n", argv
 
 
 def test_quotient_reports_formulas(capsys):
@@ -629,7 +646,8 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
 
 
 def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, monkeypatch):
-    argv = ("verify", "sylvester", "--max", "30", "--format", "json")  # chunks of 34 at 2
+    # at --parallel 2, runs of 1, 2, 4, ..., 32 cases, then 34
+    argv = ("verify", "sylvester", "--max", "30", "--format", "json")
     identity = verify.IDENTITIES["sylvester"]
     cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
     assert len(cases) // (4 * 2) == 34

@@ -147,64 +147,77 @@ def test_apery_set_above_the_frobenius_number_slices_at_most_f_plus_one_strides(
         assert ap == head + tuple(range(F + 1, n)), n
 
 
-def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds):
-    # 1, ..., m - 1 are gaps, so m = MAX_FROBENIUS + 2 forces F > MAX_FROBENIUS:
-    # the lower bound on F says so, exactly for two generators and, for more,
-    # as m - 1 without its j* loop
-    with pytest.raises(ResourceLimitError, match="^Frobenius number 25000015000001 exceeds"):
-        from_generators([5_000_002, 5_000_003])
-    with pytest.raises(ResourceLimitError, match="^Frobenius number at least 5000001 exceeds"):
-        from_generators([5_000_002, 5_000_003, 5_000_004])
-    assert core._frobenius_lower_bound([10**12, 10**12 + 1, 10**12 + 3]) == 10**12 - 1
-    assert table_builds == []
-
-
-def test_two_generators_are_refused_by_their_frobenius_before_the_round_robin(
-    table_builds,
-):
-    # F(<a, b>) = ab - a - b = 6,250,004,999,999, far above MAX_FROBENIUS
-    with pytest.raises(ResourceLimitError, match="Frobenius number 6250004999999 exceeds"):
-        from_generators([2_500_001, 2_500_003])
-    with pytest.raises(ResourceLimitError):
-        from_generators([2, MAX_FROBENIUS + 3])  # F = MAX_FROBENIUS + 1
-    assert table_builds == []
-    assert from_generators([2, MAX_FROBENIUS + 1]).frobenius == MAX_FROBENIUS - 1
-
-
-def test_three_generators_are_refused_by_a_frobenius_lower_bound_before_any_table(
-    table_builds,
-):
-    # Some Apery element at m = 2,500,001 is a sum of j* = 2235 generators
-    # >= 2,500,003, the least j with C(2 + j, j) >= m, so F >= 5,585,006,704.
-    with pytest.raises(ResourceLimitError, match="Frobenius number at least 5585006704 exceeds"):
-        from_generators([2_500_001, 2_500_003, 2_500_005])
-    assert table_builds == []
-
-
-def test_the_round_robin_refuses_a_frobenius_its_lower_bound_let_through(table_builds):
-    # the lower bound for <5000, 5001, 5002> is 490,099, so the table is
-    # built, and its F = 12,499,999 is refused after the round robin
-    with pytest.raises(ResourceLimitError) as err:
-        from_generators([5000, 5001, 5002])
-    assert str(err.value) == "Frobenius number 12499999 exceeds 5000000"
-    assert table_builds == [("round robin", 5000)]
-
-
-def test_the_sieve_refuses_a_large_frobenius_at_its_length_bound(table_builds):
-    # Twelve consecutive generators from 200,000: F is about 3.6e9, but the
-    # lower bound (1,800,010) lets it through, and the sieve is cheaper at
-    # every length up to MAX_FROBENIUS + m + 1 bits, where it stops.
-    gens = list(range(200_000, 200_012))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="at least 5000001 exceeds 5000000"):
+def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds, monkeypatch):
+    # the Apery table holds an int per class, so m above MAX_FROBENIUS is
+    # refused from the generators alone, however few they are
+    for gens in ([5_000_001, 5_000_003], [5_000_001, 5_000_003, 5_000_005], [10**12, 10**12 + 1]):
+        with pytest.raises(ResourceLimitError, match=f"^multiplicity {gens[0]} exceeds 5000000$"):
             from_generators(gens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table_builds and set(table_builds) == {("sieve", None)}
-    # a few masks of MAX_FROBENIUS + m bits, (MAX_FROBENIUS + m) / 8 bytes each
-    assert peak < MAX_FROBENIUS + gens[0]
+    assert table_builds == []
+    # the boundary, with the cap at 100: m = 100 is built, m = 101 is not
+    monkeypatch.setattr(core, "MAX_FROBENIUS", 100)
+    assert from_generators([100, 101]).apery == tuple(101 * r for r in range(100))
+    with pytest.raises(ResourceLimitError, match="^multiplicity 101 exceeds 100$"):
+        from_generators([101, 102])
+    assert table_builds == [("round robin", 100)]
+
+
+def test_a_frobenius_above_the_cap_is_refused_at_the_first_mask_read(table_builds, monkeypatch):
+    # <5000, 5001, 5002> and <9001, 10007> are built by the round robin alone,
+    # and F, g, membership and symmetry are read off the table at any F;
+    # every reader of the gap mask refuses F > MAX_FROBENIUS, each time
+    for gens, frobenius, genus in (
+        ((5000, 5001, 5002), 12_499_999, 6_250_000),
+        ((9001, 10007), 90_053_999, 45_027_000),  # F = ab - a - b, g = (F + 1)/2
+    ):
+        table_builds.clear()
+        S = from_generators(gens)
+        assert table_builds == [("round robin", gens[0])]
+        assert (S.minimal_generators, S.frobenius, S.genus) == (gens, frobenius, genus)
+        assert not contains(S, frobenius) and contains(S, frobenius + 1)
+        assert is_d_symmetric(S, 1)
+        readers = (
+            lambda: S._gap_mask, lambda: S.gaps, lambda: quotient(S, 2),
+            lambda: is_d_symmetric(S, 2), lambda: apery_set(S, gens[1]),
+        )
+        for read in readers:
+            with pytest.raises(ResourceLimitError, match=f"^Frobenius number {frobenius} exceeds 5000000$"):
+                read()
+    # the boundary: F(<2, 101>) = 99 is read with the cap at 99, not at 98
+    monkeypatch.setattr(core, "MAX_FROBENIUS", 99)
+    assert from_generators([2, 101])._gap_mask == b"\0\1" * 50
+    monkeypatch.setattr(core, "MAX_FROBENIUS", 98)
+    with pytest.raises(ResourceLimitError, match="^Frobenius number 99 exceeds 98$"):
+        from_generators([2, 101]).gaps
+
+
+def test_the_sieve_stops_at_its_length_bound_and_falls_back_to_the_round_robin(
+    table_builds, monkeypatch
+):
+    # Eight consecutive generators from m = 300,000: F = ceil((m - 1)/7) m - 1,
+    # about 1.3e10, and the sieve is cheaper than the round robin at every
+    # length up to MAX_FROBENIUS + m + 1 bits, its longest pass.  That one
+    # fails too, so the round robin builds the table.
+    gens = list(range(300_000, 300_008))
+    lengths, peaks = [], []
+    sieve = core._sieve
+
+    def measured_sieve(values, nbits):
+        lengths.append(nbits)
+        tracemalloc.start()
+        try:
+            return sieve(values, nbits)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(core, "_sieve", measured_sieve)
+    S = from_generators(gens)
+    assert lengths == [900_014, 1_800_028, 3_600_056, MAX_FROBENIUS + gens[0] + 1]
+    assert table_builds == [("sieve", None)] * 4 + [("round robin", 300_000)]
+    assert S.frobenius == 42_857 * 300_000 - 1
+    # a few ints of at most MAX_FROBENIUS + m bits, (MAX_FROBENIUS + m) / 8 bytes each
+    assert max(peaks) < MAX_FROBENIUS + gens[0]
 
 
 def test_large_ordinary_semigroups_build_up_to_the_construction_cap(table_builds):
@@ -240,9 +253,9 @@ def test_many_generators_on_a_short_range_match_the_oracles(table_builds):
 
 
 def test_failed_sieve_passes_cost_less_than_the_round_robin(table_builds, monkeypatch):
-    # <600 + 7i : i < e> has F near 600 * 599 / (e - 1), far above both 2 max
-    # and the lower bound, so the first passes fail; they are charged
-    # against the round robin's m (e - 4) steps before the next one runs.
+    # <600 + 7i : i < e> has F near 600 * 599 / (e - 1), far above 2 max, so
+    # the passes from 2 max + m bits fail; they are charged against the
+    # round robin's m (e - 4) steps before the next one runs.
     lengths = []
     sieve = core._sieve
 
@@ -251,12 +264,13 @@ def test_failed_sieve_passes_cost_less_than_the_round_robin(table_builds, monkey
         return sieve(values, nbits)
 
     monkeypatch.setattr(core, "_sieve", measured_sieve)
-    for e, failed in ((12, 3), (16, 4)):
+    for e in (12, 16):
         gens = [600 + 7 * i for i in range(e)]
         lengths.clear()
         table_builds.clear()
         S = from_generators(gens)
-        assert table_builds == [("sieve", None)] * failed + [("round robin", 600)], e
+        assert table_builds == [("sieve", None)] * 4 + [("round robin", 600)], e
+        assert lengths[0] == 2 * gens[-1] + 600, e
         spent = sum(core._sieve_cost(gens, nbits) for nbits in lengths)
         budget = 600 * (e - 4)
         assert spent < budget <= spent + core._sieve_cost(gens, 2 * lengths[-1]), e
@@ -459,7 +473,7 @@ def test_construction_passes_are_pinned(table_builds):
     pinned = {
         tuple(120 + 7 * i for i in range(120)): [("sieve", 120)],
         tuple(range(1000, 1100)): [("sieve", None)] * 2 + [("sieve", 1000)],
-        tuple(600 + 7 * i for i in range(12)): [("sieve", None)] * 3 + [("round robin", 600)],
+        tuple(600 + 7 * i for i in range(12)): [("sieve", None)] * 4 + [("round robin", 600)],
         tuple(600 + 7 * i for i in range(16)): [("sieve", None)] * 4 + [("round robin", 600)],
         (3001, 4007, 5003): [("round robin", 3001)],
         (1001, 1237, 1999, 2503): [("round robin", 1001)],

@@ -11,7 +11,6 @@ from numsgps import core
 from numsgps.core import (
     NumericalSemigroup,
     _apery_and_kept,
-    _frobenius_lower_bound,
     _round_robin,
     _sieve,
     from_generators,
@@ -52,8 +51,6 @@ def test_sieve_and_round_robin_build_the_same_table(gens):
     m = values[0]
     apery, kept = _round_robin(values)
     frobenius = max(apery) - m
-    lower = _frobenius_lower_bound(values)
-    assert lower <= frobenius
     failed = []
 
     def sieve(values, nbits):
@@ -67,7 +64,7 @@ def test_sieve_and_round_robin_build_the_same_table(gens):
     with mock.patch.object(core, "_sieve_cost", return_value=-math.inf), mock.patch.object(
         core, "_sieve", sieve
     ):
-        S, sieve_kept = _apery_and_kept(values, lower)
+        S, sieve_kept = _apery_and_kept(values)
     assert all(nbits <= frobenius + m for nbits in failed)  # a gap among the top m bits
     assert "_gap_mask" in S.__dict__
     assert (S.apery, S.frobenius, sieve_kept) == (apery, frobenius, kept)

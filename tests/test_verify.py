@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from numsgps import cli, roots, verify
 from numsgps.core import (
+    MAX_FROBENIUS,
     MAX_ROOT_WORK,
     NumericalSemigroup,
     PreconditionError,
@@ -321,12 +322,7 @@ def test_progression_grids_are_bounded_before_any_pair_is_listed(monkeypatch):
         ):
             cfg = SweepConfig(theorem=theorem, a_max=a_max, k_max=k_max)
             assert IDENTITIES[theorem].cost(cfg) == charge(theorem, a_max, k_max) <= MAX_ROOT_WORK
-            if (theorem, k_max) == ("ap3-symmetric", 1):
-                # priced within the cap, but F passes MAX_FROBENIUS from a = 3163 on
-                with pytest.raises(ResourceLimitError, match="Frobenius number 6246344,"):
-                    cfg.resolved()
-            else:
-                assert cfg.resolved()
+            assert cfg.resolved()
             with pytest.raises(ResourceLimitError):
                 sweep(cfg._replace(**grown))
             assert charge(theorem, **{"a_max": a_max, "k_max": k_max, **grown}) > MAX_ROOT_WORK
@@ -426,6 +422,18 @@ def test_a_pair_count_off_by_one_is_an_error_record(
     assert printed == records
 
 
+def test_full_ap_formula_sides_read_no_invariant_off_the_quotient():
+    # two_genus on the formula side comes from the closed form's own F, so
+    # a Q with the wrong F (here <2, 3>, F = 1) moves the oracle side alone
+    wrong = from_generators((2, 3))
+    for sides, case in ((verify._full_ap_sides, (6, 5, 3)), (verify._full_ap_dk_sides, (7, 6, 3))):
+        a, k, d = case
+        S = from_generators(a + i * k for i in range(a))
+        formula, oracle, _ = sides(case, S, quotient(S, d))
+        assert formula == oracle, case
+        assert sides(case, S, wrong)[0] == formula, case
+
+
 def test_full_ap_dk_sweep_builds_each_semigroup_once(table_builds):
     """The quotients of a sweep build no table; only the construction of
     each progression does, by either path."""
@@ -475,39 +483,15 @@ def test_ap3_symmetric_sweep_builds_no_gap_mask(monkeypatch):
     assert built == []
 
 
-def test_ap3_symmetric_grid_is_refused_above_the_frobenius_cap(monkeypatch, capsys):
-    # Roberts' closed form gives F(<a, a + k, a + 2k>) for every pair a grid holds
-    for a in range(2, 41):
-        for k in range(1, 13):
-            if math.gcd(a, k) == 1:
-                assert verify._ap3_frobenius(a, k) == from_generators((a, a + k, a + 2 * k)).frobenius
-    # the largest F over a grid, also where a_max has no k near k_max coprime to it
-    for a_max, k_max in ((30, 6), (12, 5), (2, 4), (7, 7), (1, 3), (40, 12)):
-        built = [
-            from_generators((a, a + k, a + 2 * k)).frobenius
-            for a in range(2, a_max + 1) for k in range(1, k_max + 1) if math.gcd(a, k) == 1
-        ]
-        cfg = SweepConfig("ap3-symmetric", a_max=a_max, k_max=k_max)
-        assert verify._ap3_largest_frobenius(cfg) == max(built, default=0), (a_max, k_max)
-
-    def listed(*args):
-        raise AssertionError("_coprime_pairs was called for a refused grid")
-
-    monkeypatch.setattr(verify, "_coprime_pairs", listed)
-    # F(<3162, 3163, 3164>) = 4,999,121 and F(<3163, 3164, 3165>) = 5,000,702
-    assert SweepConfig("ap3-symmetric", a_max=3162, k_max=1).resolved()
-    with pytest.raises(
-        ResourceLimitError,
-        match="^the ap3-symmetric grid reaches Frobenius number 5000702, which exceeds 5000000$",
-    ):
-        SweepConfig("ap3-symmetric", a_max=3163, k_max=1).resolved()
-    assert cli.main(["verify", "ap3-symmetric", "--a-max", "3535", "--k-max", "1"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: the ap3-symmetric grid reaches Frobenius number 6246344, which exceeds 5000000\n"
-    )
-    # the default grid and the command-line tests' grid stay admitted
-    for grid in (dict(), dict(a_max=12, k_max=3)):
-        assert SweepConfig("ap3-symmetric", **grid).resolved()
+def test_ap3_symmetric_grid_is_admitted_above_the_frobenius_cap(capsys):
+    # symmetry is read off the Apery table, so the largest grid at k_max 1
+    # is checked, though F(<a, a + 1, a + 2>) passes MAX_FROBENIUS from a = 3163 on
+    assert from_generators((3534, 3535, 3536)).frobenius == 6_244_577 > MAX_FROBENIUS
+    argv = ["verify", "ap3-symmetric", "--a-max", "3535", "--k-max", "1", "--format", "json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3534
+    assert err.splitlines()[-1] == "ap3-symmetric: 3534 match, 0 mismatch, 0 skipped"
 
 
 @pytest.mark.parametrize(
