@@ -149,8 +149,8 @@ def test_apery_set_above_the_frobenius_number_slices_at_most_f_plus_one_strides(
 
 def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds, monkeypatch):
     # the Apery table holds an int per class, so m above MAX_FROBENIUS is
-    # refused from the generators alone, however few they are
-    for gens in ([5_000_001, 5_000_003], [5_000_001, 5_000_003, 5_000_005], [10**12, 10**12 + 1]):
+    # refused from the generators alone
+    for gens in ([5_000_001, 5_000_003], [10**12, 10**12 + 1]):
         with pytest.raises(ResourceLimitError, match=f"^multiplicity {gens[0]} exceeds 5000000$"):
             from_generators(gens)
     assert table_builds == []
@@ -162,33 +162,55 @@ def test_a_huge_multiplicity_is_refused_before_the_round_robin(table_builds, mon
     assert table_builds == [("round robin", 100)]
 
 
-def test_a_frobenius_above_the_cap_is_refused_at_the_first_mask_read(table_builds, monkeypatch):
-    # <5000, 5001, 5002> and <9001, 10007> are built by the round robin alone,
-    # and F, g, membership and symmetry are read off the table at any F;
-    # every reader of the gap mask refuses F > MAX_FROBENIUS, each time
-    for gens, frobenius, genus in (
-        ((5000, 5001, 5002), 12_499_999, 6_250_000),
-        ((9001, 10007), 90_053_999, 45_027_000),  # F = ab - a - b, g = (F + 1)/2
-    ):
-        table_builds.clear()
-        S = from_generators(gens)
-        assert table_builds == [("round robin", gens[0])]
-        assert (S.minimal_generators, S.frobenius, S.genus) == (gens, frobenius, genus)
-        assert not contains(S, frobenius) and contains(S, frobenius + 1)
-        assert is_d_symmetric(S, 1)
-        readers = (
-            lambda: S._gap_mask, lambda: S.gaps, lambda: quotient(S, 2),
-            lambda: is_d_symmetric(S, 2), lambda: apery_set(S, gens[1]),
-        )
-        for read in readers:
-            with pytest.raises(ResourceLimitError, match=f"^Frobenius number {frobenius} exceeds 5000000$"):
-                read()
+def test_three_generators_are_refused_by_their_multiplicity_before_any_table(
+    table_builds, monkeypatch
+):
+    # however many generators there are, the multiplicity alone refuses them
+    for gens in ([5_000_001, 5_000_003, 5_000_005], [10**12, 10**12 + 1, 10**12 + 3]):
+        with pytest.raises(ResourceLimitError, match=f"^multiplicity {gens[0]} exceeds 5000000$"):
+            from_generators(gens)
+    assert table_builds == []
+    monkeypatch.setattr(core, "MAX_FROBENIUS", 100)
+    with pytest.raises(ResourceLimitError, match="^multiplicity 101 exceeds 100$"):
+        from_generators([101, 102, 103])
+    assert table_builds == []
+    assert from_generators([100, 101, 102]).frobenius == 4999  # ceil(99 / 2) 100 - 1
+
+
+def _built_above_the_cap(table_builds, gens, frobenius, genus):
+    # built by the round robin alone, with F, g, membership and symmetry read
+    # off the table at any F; every reader of the gap mask refuses F >
+    # MAX_FROBENIUS, each time
+    S = from_generators(gens)
+    assert table_builds == [("round robin", gens[0])]
+    assert (S.minimal_generators, S.frobenius, S.genus) == (gens, frobenius, genus)
+    assert not contains(S, frobenius) and contains(S, frobenius + 1)
+    assert is_d_symmetric(S, 1)  # 2g = F + 1 for both inputs below
+    readers = (
+        lambda: S._gap_mask, lambda: S.gaps, lambda: quotient(S, 2),
+        lambda: is_d_symmetric(S, 2), lambda: apery_set(S, gens[1]),
+    )
+    for read in readers:
+        with pytest.raises(ResourceLimitError, match=f"^Frobenius number {frobenius} exceeds 5000000$"):
+            read()
+
+
+def test_two_generators_are_built_at_any_frobenius_and_refused_at_the_mask(
+    table_builds, monkeypatch
+):
+    # F = ab - a - b and g = (F + 1)/2
+    _built_above_the_cap(table_builds, (9001, 10007), 90_053_999, 45_027_000)
     # the boundary: F(<2, 101>) = 99 is read with the cap at 99, not at 98
     monkeypatch.setattr(core, "MAX_FROBENIUS", 99)
     assert from_generators([2, 101])._gap_mask == b"\0\1" * 50
     monkeypatch.setattr(core, "MAX_FROBENIUS", 98)
     with pytest.raises(ResourceLimitError, match="^Frobenius number 99 exceeds 98$"):
         from_generators([2, 101]).gaps
+
+
+def test_the_round_robin_builds_a_table_whose_frobenius_is_above_the_cap(table_builds):
+    # <5000, 5001, 5002>: F = 2500 * 5000 - 1 and g = (F + 1)/2
+    _built_above_the_cap(table_builds, (5000, 5001, 5002), 12_499_999, 6_250_000)
 
 
 def test_the_sieve_stops_at_its_length_bound_and_falls_back_to_the_round_robin(
