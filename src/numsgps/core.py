@@ -9,9 +9,7 @@ read off once; membership is one comparison against it.  Gaps
 and the coefficients of P_S are derived from the table on demand, through
 a byte mask of the gaps up to F(S) that is built at most once per
 semigroup and kept (immutable) for every later reader: the gap list, P_S,
-the d-symmetry test and the per-class gap counts of the root layer.  The
-d-symmetry test reads it a block at a time, so beside the mask it holds
-O(SYMMETRY_BLOCK) bytes, not O(F(S)/d).
+the d-symmetry test and the per-class gap counts of the root layer.
 
 The table comes from the round robin of Boecker and Liptak (m*e steps)
 or from a shift-or sieve on one Python int, whichever is estimated to
@@ -58,8 +56,6 @@ MAX_FROBENIUS = 5_000_000
 # estimated steps of its sieve passes.  Every verify sweep whose grid drives
 # such work is refused above it too.
 MAX_ROOT_WORK = 50_000_000
-# multiples of d that the d-symmetry test reads per block of the gap mask
-SYMMETRY_BLOCK = 65_536
 
 
 class PreconditionError(ValueError):
@@ -388,23 +384,18 @@ def is_d_symmetric(S: NumericalSemigroup, d: int) -> bool:
     """True when every gap divisible by d reflects into the semigroup.
 
     S is d-symmetric when F(S) - n is a member for every gap n that is a
-    positive multiple of d: at d = 1, exactly when 2g = F + 1.  For d >= 2
-    the gap mask read at n = d, 2d, ... and at F - n pairs each n with
-    F - n, so an AND of the two strides finds any pair of gaps.  They are
-    read SYMMETRY_BLOCK multiples of d at a time, and the test stops at the
-    first block that holds a pair, so it holds no F/d-byte copy of either.
-    n = F is left out: F - F = 0 is a member.
+    positive multiple of d: at d = 1, exactly when 2g = F + 1.  For d >= 2,
+    exactly when G_0 + G_{F mod d} = floor(F/d) + 1, with G_j the number of
+    gaps congruent to j mod d (two C-level counts over the gap mask): for
+    each of the floor(F/d) + 1 multiples y of d in [0, F] the sum counts the
+    gaps among y and F - y, at least one since F is not a member, so it
+    reaches floor(F/d) + 1 exactly when no such pair is two gaps.
     """
     _require_positive("d", d)
     if d == 1:
         return 2 * S.genus == S.frobenius + 1
-    mask, F = S._gap_mask, S.frobenius  # for d >= F, no block: d-symmetric
-    step = SYMMETRY_BLOCK * d
-    for lo in range(d, F, step):
-        hi = min(lo + step, F)  # so F - hi >= 0 stops the reversed stride
-        if int.from_bytes(mask[lo:hi:d], "big") & int.from_bytes(mask[F - lo : F - hi : -d], "big"):
-            return False
-    return True
+    mask, F = S._gap_mask, S.frobenius
+    return mask[::d].count(1) + mask[F % d :: d].count(1) == F // d + 1
 
 
 def gap_residue_counts(S: NumericalSemigroup, d: int) -> list[int]:

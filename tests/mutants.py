@@ -286,15 +286,15 @@ MUTANTS = (
     ),
     (
         "src/numsgps/core.py",
-        "hi = min(lo + step, F)",
-        "hi = min(lo + step - d, F)",
-        "the d-symmetry test ends each block one multiple short, so its last n is never read",
+        "F // d + 1",
+        "F // d",
+        "the d-symmetry test miscounts the multiples of d in [0, F], so no S is d-symmetric",
     ),
     (
         "src/numsgps/core.py",
-        "for lo in range(d, F, step):",
-        "for lo in range(2 * d, F, step):",
-        "the d-symmetry test starts at n = 2d, so a gap pair at n = d is missed",
+        "mask[F % d :: d]",
+        "mask[(F + 1) % d :: d]",
+        "the d-symmetry test counts the gaps of class F + 1 mod d, not those of F - n",
     ),
     (
         "src/numsgps/cli.py",

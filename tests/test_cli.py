@@ -588,9 +588,9 @@ def test_gap_lists_render_across_every_change_of_digit_count_and_chunk(fmt, tmp_
 
 def test_a_report_holds_little_more_than_its_gap_masks(tmp_path, capsys):
     # the gap mask of <3001, 4007, 5003> is 772 KB, and its build holds two
-    # copies for a moment; that of its S/2 is 386 KB.  Traced peaks: 1.95 and
-    # 1.63 MiB, where a d-symmetry test that read the mask whole took 2.71 and
-    # 2.09 MiB
+    # copies for a moment; that of its S/2 is 386 KB, and the d-symmetry
+    # test holds one slice of that size at a time.  Traced peaks: 1.96 and
+    # 1.62 MiB
     target = tmp_path / "report"
     for argv, bound_mib, gaps in (
         (["quotient", "--gens", "3001,4007,5003", "--d", "2"], 2.25, 195_058),

@@ -429,13 +429,15 @@ def test_d_symmetric_examples():
     assert not is_d_symmetric(T, 3)  # 3 is a gap and 6 - 3 = 3 still a gap
     assert is_d_symmetric(T, 2)  # gaps 2 and 6 reflect to members 4 and 0
     assert is_d_symmetric(T, 4)  # no positive multiple of 4 is a gap
+    assert is_d_symmetric(T, 6)  # d = F: the one gap 6 reflects to 0
+    # d > F: no positive multiple of d is at most F
+    assert all(is_d_symmetric(T, d) for d in range(7, 12))
+    N = from_generators([1])  # no gaps: both counts and floor(-1/d) + 1 are 0
+    assert all(is_d_symmetric(N, d) for d in range(2, 9))
 
 
-def test_d_symmetry_read_a_block_at_a_time_is_the_definition(monkeypatch):
-    # every block size puts each gap pair (n, F - n) at every place in a
-    # block: a lone pair in the last of three or more blocks, and one on the
-    # last multiple of a block that is not the last, must both be found
-    lone_in_last_block = lone_on_block_edge = 0
+def test_d_symmetry_is_the_definition():
+    seen = set()
     for gens in itertools.combinations(range(5, 14), 3):
         if math.gcd(*gens) != 1:
             continue
@@ -444,17 +446,10 @@ def test_d_symmetry_read_a_block_at_a_time_is_the_definition(monkeypatch):
         gaps = set(gap_list)
         for d in range(2, 6):
             # the definition: no gap n, a positive multiple of d, has F - n a gap
-            pairs = [n // d for n in range(d, frobenius + 1, d) if {n, frobenius - n} <= gaps]
-            multiples = (frobenius - 1) // d  # those below F; F - F = 0 is a member
-            for block in range(1, multiples + 2):
-                monkeypatch.setattr(core, "SYMMETRY_BLOCK", block)
-                assert is_d_symmetric(S, d) == (not pairs), (gens, d, block)
-                blocks = -(-multiples // block)
-                if len(pairs) == 1 and blocks >= 3:
-                    (j,) = pairs  # n = jd sits in block (j - 1) // block
-                    lone_in_last_block += (j - 1) // block == blocks - 1
-                    lone_on_block_edge += j % block == 0 and j < multiples
-    assert lone_in_last_block and lone_on_block_edge
+            expected = not any({n, frobenius - n} <= gaps for n in range(d, frobenius + 1, d))
+            assert is_d_symmetric(S, d) == expected, (gens, d)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_d_symmetric_validation():

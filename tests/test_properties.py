@@ -92,6 +92,21 @@ def test_d_symmetry_matches_definition(gens):
 
 
 @fixed
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6).filter(
+        lambda gens: math.gcd(*gens) == 1
+    ),
+    st.integers(min_value=1, max_value=24),
+)
+def test_d_symmetry_matches_definition_at_any_d(gens, d):
+    # generators may include 1 (S = N), and d may pass F
+    frobenius, _, gap_list = sieve_invariants(gens)
+    gaps = set(gap_list)
+    expected = not any({n, frobenius - n} <= gaps for n in range(d, frobenius + 1, d))
+    assert is_d_symmetric(from_generators(gens), d) == expected
+
+
+@fixed
 @given(generator_sets, st.integers(min_value=1, max_value=15))
 def test_quotient_gaps_match_definition(gens, d):
     assert list(quotient(from_generators(gens), d).gaps) == quotient_gaps(gens, d)
