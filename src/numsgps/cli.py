@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections import Counter
+from typing import Iterator
 
 from .core import (
     PreconditionError,
@@ -219,8 +220,9 @@ _RECORD_FORMS = {
     "table": ("", _table_records),
 }
 
-# gap-mask positions rendered per write of a report's gap list, a whole
-# number of the 1,000-position chunks that share the text of position // 1000
+# gap-mask positions, or values of a list of ints, rendered per write of a
+# report entry; for a mask, a whole number of the 1,000-position chunks that
+# share the text of position // 1000
 GAP_BLOCK = 8000
 
 # per format: a report's opening, the text between two fields, a field's
@@ -256,10 +258,11 @@ class _Output:
     cases, rendered where the run was checked, so a sweep that fails
     part-way leaves the records it finished.  A report is written field
     by field in sorted-key order, each value by the renderer of its
-    format, and a ``bytes`` value, which is always a gap mask, as the list
-    of its set positions, one block of ``GAP_BLOCK`` positions per write,
-    each 1,000 positions joined from a table of the text of 0..999: no
-    list of the gaps and no whole report is ever built.  A stream whose reader has gone away
+    format.  A ``bytes`` value, which is always a gap mask, goes out as the
+    list of its set positions, one block of ``GAP_BLOCK`` positions per
+    write (see ``_gap_blocks``), and a list of ints, such as an Apery
+    table, one block of ``GAP_BLOCK`` values per write: no list of the
+    gaps and no whole report or list text is ever built.  A stream whose reader has gone away
     (``numsgps ... | head``) is not an error: output to it stops quietly
     and the command's exit code stands.
     """
@@ -299,34 +302,52 @@ class _Output:
     def report(self, report: dict) -> None:
         self.header()
         text, between, head, render, end = _REPORT_FORMS[self.format]
+        # a list's opening, separator and close, as the renderer writes [0, 0]
+        first, sep, last = render([0, 0]).split("0")
         for n, key in enumerate(sorted(report)):
             text += (between if n else "") + head(key)
             value = report[key]
             if isinstance(value, bytes) and value.count(1) > 1:
-                # the list's opening, separator and close, as the renderer writes [0, 0]
-                first, sep, last = render([0, 0]).split("0")
-                text += first
-                # the text of i < 1000, alone and zero-padded after a lead of 1000x + i
-                plain = [str(i) for i in range(1000)]
-                padded = [f"{i:03d}" for i in range(1000)]
-                for lo in range(0, len(value), GAP_BLOCK):
-                    block = value[lo : lo + GAP_BLOCK]
-                    chunks = []
-                    for at in range(0, len(block), 1000):
-                        chunk = block[at : at + 1000]
-                        if 1 in chunk:
-                            lead = str((lo + at) // 1000) if lo + at else ""
-                            table = padded if lead else plain
-                            chunks.append(lead + (sep + lead).join(itertools.compress(table, chunk)))
-                    if chunks:
-                        self._write(text + sep.join(chunks), self.handle)
-                        text = sep
-                text = last
+                blocks = _gap_blocks(value, sep)
+            elif isinstance(value, (list, tuple)) and len(value) > 1 and set(map(type, value)) == {int}:
+                blocks = (
+                    sep.join(map(str, value[at : at + GAP_BLOCK]))
+                    for at in range(0, len(value), GAP_BLOCK)
+                )
+            else:
+                if isinstance(value, bytes):  # no separator, so csv does not quote the list
+                    value = list(itertools.compress(itertools.count(), value))
+                text += render(value)
                 continue
-            if isinstance(value, bytes):  # no separator, so csv does not quote the list
-                value = list(itertools.compress(itertools.count(), value))
-            text += render(value)
+            # each block goes out with the text before it, the last with what follows
+            text += first
+            for i, block in enumerate(blocks):
+                if i:
+                    self._write(text, self.handle)
+                    text = sep
+                text += block
+            text += last
         self._write(text + end, self.handle)
+
+
+def _gap_blocks(value: bytes, sep: str) -> Iterator[str]:
+    """The set positions of a gap mask ``value`` as text joined by ``sep``,
+    one block per ``GAP_BLOCK`` positions that holds a gap, each 1,000
+    positions joined from a table of the text of 0..999."""
+    # the text of i < 1000, alone and zero-padded after a lead of 1000x + i
+    plain = [str(i) for i in range(1000)]
+    padded = [f"{i:03d}" for i in range(1000)]
+    for lo in range(0, len(value), GAP_BLOCK):
+        block = value[lo : lo + GAP_BLOCK]
+        chunks = []
+        for at in range(0, len(block), 1000):
+            chunk = block[at : at + 1000]
+            if 1 in chunk:
+                lead = str((lo + at) // 1000) if lo + at else ""
+                table = padded if lead else plain
+                chunks.append(lead + (sep + lead).join(itertools.compress(table, chunk)))
+        if chunks:
+            yield sep.join(chunks)
 
 
 def cmd_invariants(args, out: _Output) -> int:

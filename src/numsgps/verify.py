@@ -688,17 +688,20 @@ def check_run(theorem: str, tolerance: float | None, inject: bool, render, cases
     return [record["status"] for record in records], render(records), fault
 
 
-def _chunks(cases: list[tuple], parallel: int) -> Iterator[list[tuple]]:
-    """The runs of cases a pool checks: 1, 2, 4, ... cases, doubling up to
-    len(cases) // (4 * parallel), so the first record waits for one case.
-    The case count and ``parallel`` alone fix them, so every host splits a
-    grid alike."""
-    cap = max(1, len(cases) // (4 * parallel))
+# the most cases in one run: a long grid pays one check_run, render and
+# write, and on forked workers one pickle, per RUN cases
+RUN = 64
+
+
+def _chunks(cases: list[tuple]) -> Iterator[list[tuple]]:
+    """The runs of cases a sweep checks: 1, 2, 4, ... cases, doubling up to
+    ``RUN``, so the first record waits for one case.  The case list alone
+    fixes them, so every ``--parallel`` and every host splits a grid alike."""
     lo, size = 0, 1
     while lo < len(cases):
         yield cases[lo : lo + size]
         lo += size
-        size = min(2 * size, cap)
+        size = min(2 * size, RUN)
 
 
 def sweep(cfg: SweepConfig, render=None) -> Iterator:
@@ -708,13 +711,12 @@ def sweep(cfg: SweepConfig, render=None) -> Iterator:
     so a refused grid, or one that holds no case, raises here, before any
     record exists.  With ``render``, a function from a list of records to
     its text, the sweep yields a block (statuses, text, exception) per run
-    of cases, as ``check_run`` returns it: each case alone in this
-    process, or the runs of ``_chunks`` through a process pool whose
-    workers render their own records.  A block's exception ends the sweep
-    at its case, and its text holds the records of the cases before that
-    one.  Without ``render`` the sweep yields the records, each once
-    its case and every earlier one are checked, and raises where a case
-    raised.
+    of cases of ``_chunks``, as ``check_run`` returns it, checked and
+    rendered in this process or in a forked worker (see ``_blocks``).  A
+    block's exception ends the sweep at its case, and its text holds the
+    records of the cases before that one.  Without ``render`` the sweep
+    yields the records, each once its case and every earlier one are
+    checked, and raises where a case raised.
     """
     cfg = cfg.resolved()
     cases = build_cases(cfg)
@@ -725,17 +727,63 @@ def sweep(cfg: SweepConfig, render=None) -> Iterator:
 
 
 def _blocks(cfg: SweepConfig, cases: list[tuple], render) -> Iterator[tuple]:
-    run = partial(check_run, cfg.theorem, cfg.tolerance, cfg.inject_offby1, render)
-    if cfg.parallel == 1 or len(cases) < 2:
-        for case in cases:
-            yield run((case,))
-        return
-    # imported here, so that a serial run never loads multiprocessing
-    from multiprocessing import Pool
+    """The blocks of the runs of ``cases``, in run order.
 
-    # workers stop at the CPUs
-    with Pool(min(cfg.parallel, os.cpu_count() or 1)) as pool:
-        yield from pool.imap(run, _chunks(cases, cfg.parallel))
+    With one worker (``--parallel 1``, one CPU, one run, or no ``os.fork``)
+    this process checks and renders each run.  Otherwise worker w is forked
+    with the case list; it checks runs w, w + workers, ... and pickles each
+    block into its own pipe, and block j is read from worker j mod
+    workers.  A worker lost before it sends a block raises
+    ``ChildProcessError`` there.  Once the sweep is exhausted, reaches a
+    block's exception (before yielding it), raises or is closed, its pipes
+    are closed and every worker is sent SIGTERM and reaped.
+    """
+    run = partial(check_run, cfg.theorem, cfg.tolerance, cfg.inject_offby1, render)
+    runs = list(_chunks(cases))
+    workers = min(cfg.parallel, os.cpu_count() or 1, len(runs)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        yield from map(run, runs)
+        return
+    # imported here, so that a serial sweep never loads them
+    import pickle
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for pipe in pipes:  # its own read end and those of earlier workers
+                            os.close(pipe.fileno())
+                        for block in map(run, runs[w::workers]):
+                            pickle.dump(block, sink)
+                            sink.flush()
+                    finally:
+                        os._exit(0)  # never back into the caller, nor a flush of inherited stdio
+            pids.append(pid)
+        for j in range(len(runs)):
+            try:
+                block = pickle.load(pipes[j % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"sweep worker {pids[j % workers]} ended before sending run {j + 1} of {len(runs)}"
+                ) from None
+            if block[2] is not None:
+                break  # the sweep ends at this block: stop the workers before handing it on
+            yield block
+        else:
+            return
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+    yield block
 
 
 def _records(blocks: Iterator[tuple]) -> Iterator[dict]:

@@ -160,8 +160,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/cli.py",
-        "                        text = sep\n",
-        '                        text = ""\n',
+        "                    text = sep\n",
+        '                    text = ""\n',
         "a report's gap list runs the last gap of one block into the first of the next",
     ),
     (
@@ -244,9 +244,21 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        "Pool(min(cfg.parallel, os.cpu_count() or 1))",
-        "Pool(cfg.parallel)",
-        "a pool starts --parallel workers however few CPUs the host has",
+        "min(cfg.parallel, os.cpu_count() or 1, len(runs))",
+        "min(cfg.parallel, len(runs))",
+        "a sweep forks --parallel workers however few CPUs the host has",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "size = min(2 * size, RUN)",
+        "size = 2 * size",
+        "runs double without a cap, so a long grid's last runs hold most of its cases",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "            os.waitpid(pid, 0)\n",
+        "",
+        "a finished sweep leaves its workers unreaped, as zombies",
     ),
     (
         "bench.py",
@@ -305,8 +317,8 @@ MUTANTS = (
     (
         "src/numsgps/verify.py",
         "lo, size = 0, 1",
-        "lo, size = 0, cap",
-        "a pool's first run holds a quarter of a worker's share, so the first record waits for it",
+        "lo, size = 0, RUN",
+        "the first run holds RUN cases, so the first record waits for them",
     ),
     (
         "src/numsgps/verify.py",

@@ -491,6 +491,7 @@ class CountingRaw(io.RawIOBase):
     def __init__(self):
         self.writes = 0
         self.size = 0
+        self.largest = 0
 
     def writable(self):
         return True
@@ -498,19 +499,37 @@ class CountingRaw(io.RawIOBase):
     def write(self, data):
         self.writes += 1
         self.size += len(data)
+        self.largest = max(self.largest, len(data))
         return len(data)
 
 
+def _sylvester_runs(max_value: int) -> int:
+    cases = verify.build_cases(verify.SweepConfig("sylvester", max_value=max_value).resolved())
+    return len(list(verify._chunks(cases)))
+
+
 def test_verify_output_reaches_a_buffered_stream_in_buffer_sized_writes(monkeypatch):
-    for argv in (
-        ["verify", "sylvester", "--max", "100"],  # table: header and summary on stdout
-        ["verify", "sylvester", "--max", "60", "--format", "csv"],
+    # a run's text, up to RUN records, can outgrow the 8 KiB buffer and pass
+    # straight through, so the writes are bounded per run, not per buffer
+    for argv, max_value in (
+        (["verify", "sylvester", "--max", "100"], 100),  # table: header and summary on stdout
+        (["verify", "sylvester", "--max", "60", "--format", "csv"], 60),
     ):
         raw = CountingRaw()
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw, 8192)))
         assert cli.main(argv) == 0
         assert raw.size > 4 * 8192, argv
-        assert raw.writes <= -(-raw.size // 8192) + 2, (argv, raw.writes)
+        assert raw.writes <= _sylvester_runs(max_value) + 2, (argv, raw.writes)
+
+
+def test_verify_output_reaches_an_unbuffered_stream_in_one_write_per_run(monkeypatch):
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    for parallel in ("1", "2"):
+        raw.writes = 0
+        assert cli.main(["verify", "sylvester", "--max", "100", "--parallel", parallel]) == 0
+        # the seed header, the empty head of a table and the summary line
+        assert raw.writes <= _sylvester_runs(100) + 3, (parallel, raw.writes)
 
 
 def _whole_rendering(report: dict, fmt: str) -> str:
@@ -559,6 +578,24 @@ def test_reports_write_gap_lists_as_the_whole_list_would_render(tmp_path, capsys
                     else:
                         header = "# seed 0\n" if fmt == "table" else ""
                         assert stdout == header + expected, argv
+    # lists of ints are written a block of GAP_BLOCK values at a time: Apery
+    # tables of one block, of one value more and of two blocks and one
+    # more; a tuple, two ints, one int and a list of bools
+    for fmt in ("json", "table", "csv"):
+        for n in (block, block + 1, 2 * block + 1):
+            argv = ["apery", "--gens", "2,3", "--n", str(n), "--format", fmt]
+            reports.clear()
+            code, stdout, _ = run_cli(capsys, *argv, "--out", str(target))
+            (report,) = reports
+            assert (code, len(report["apery"])) == (0, n)
+            assert target.read_text() == _whole_rendering(report, fmt), argv
+        report = {
+            "a": tuple(range(block + 5)), "b": [7, 10**20], "c": [5], "d": [True, False], "e": 3,
+        }
+        out = cli._Output(argparse.Namespace(format=fmt, seed=0, out=str(target)))
+        out.report(report)
+        out.close()
+        assert target.read_text() == _whole_rendering(report, fmt), fmt
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
@@ -614,10 +651,16 @@ def test_a_report_reaches_an_unbuffered_stream_a_block_at_a_time(monkeypatch):
     mask = quotient(from_generators((3001, 4007, 5003)), 2)._gap_mask
     assert raw.size > 1_400_000
     assert raw.writes <= -(-len(mask) // cli.GAP_BLOCK) + 1
+    # and so does an Apery table: 40,001 values, 233 KB, in writes of at most
+    # GAP_BLOCK values
+    raw.writes = raw.size = raw.largest = 0
+    assert cli.main(["apery", "--gens", "2,3", "--n", "40001", "--format", "json"]) == 0
+    assert raw.size > 200_000 and raw.largest < 2**16
+    assert raw.writes <= -(-40_001 // cli.GAP_BLOCK) + 1
 
 
 def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatch):
-    argv = ("verify", "sylvester", "--max", "5")  # 10 cases: chunks of 1 at --parallel 2
+    argv = ("verify", "sylvester", "--max", "5")  # 10 cases: runs of 1, 2, 4 and 3
     clean = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "table")}
     identity = verify.IDENTITIES["sylvester"]
     third = identity.cases(verify.SweepConfig("sylvester", max_value=5).resolved())[2]
@@ -627,7 +670,7 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
             raise TheoremViolationError(f"planted failure at {case}")
         return identity.check(case, tolerance, inject)
 
-    # a forked pool worker sees the patched registry too
+    # a forked worker sees the patched registry too
     monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
     failure = f"identity failure: planted failure at {third}"
     for parallel in ("1", "2"):
@@ -646,11 +689,12 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
 
 
 def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, monkeypatch):
-    # at --parallel 2, runs of 1, 2, 4, ..., 32 cases, then 34
+    # runs of 1, 2, 4, ..., 64 cases, at every --parallel: the fault is the
+    # second case of the second run, which the second worker checks
     argv = ("verify", "sylvester", "--max", "30", "--format", "json")
     identity = verify.IDENTITIES["sylvester"]
     cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
-    assert len(cases) // (4 * 2) == 34
+    assert list(verify._chunks(cases))[1] == cases[1:3]
 
     def failing(case, tolerance, inject):
         if case == cases[2]:
@@ -661,6 +705,67 @@ def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, mo
     serial = run_cli(capsys, *argv, "--parallel", "1")
     assert serial[0] == 1 and len(serial[1].splitlines()) == 2
     assert run_cli(capsys, *argv, "--parallel", "2") == serial
+
+
+def test_a_lost_worker_exits_two_after_the_records_before_its_run(capsys, monkeypatch):
+    argv = ("verify", "sylvester", "--max", "30", "--format", "json", "--parallel", "2")
+    identity = verify.IDENTITIES["sylvester"]
+    cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
+    runs = list(verify._chunks(cases))
+    lost = runs[2][1]  # the third run, which the first worker checks
+    parent = os.getpid()
+
+    def dying(case, tolerance, inject):
+        if case == lost and os.getpid() != parent:
+            os._exit(3)
+        return identity.check(case, tolerance, inject)
+
+    clean = run_cli(capsys, *argv)[1].splitlines(keepends=True)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=dying))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "".join(clean[:3]))  # the records of the first two runs
+    assert err.splitlines()[-1].startswith("error: sweep worker ")
+    assert err.count("error") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class OneLineReader(io.StringIO):
+    """A stdout whose reader goes away after the first line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_no_worker_outlives_a_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "sylvester", "--max", "30", "--format", "json", "--parallel", "2"]
+    assert cli.main(argv) == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert cli.main([*argv, "--inject-offby1"]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(sys, "stdout", OneLineReader())
+    assert cli.main(argv) == 0
+    assert len(sys.stdout.getvalue().splitlines()) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    identity = verify.IDENTITIES["sylvester"]
+
+    def failing(case, tolerance, inject):
+        if case == (1, 2):
+            raise TheoremViolationError(f"planted failure at {case}")
+        return identity.check(case, tolerance, inject)
+
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
+    assert cli.main(argv) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("theorem", verify.THEOREM_IDS)
@@ -689,7 +794,7 @@ def test_a_fault_in_any_id_keeps_the_records_before_it(theorem, capsys, monkeypa
                 raise error(f"planted failure at {case}")
             return identity.check(case, tolerance, inject)
 
-        # a forked pool worker sees the patched registry too
+        # a forked worker sees the patched registry too
         monkeypatch.setitem(verify.IDENTITIES, theorem, identity._replace(check=failing))
         for parallel in ("1", "2"):
             code, out, err = run_cli(capsys, *argv, "--parallel", parallel)
@@ -698,13 +803,18 @@ def test_a_fault_in_any_id_keeps_the_records_before_it(theorem, capsys, monkeypa
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # and so does a sweep on forked workers
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, numsgps.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import os, sys, numsgps.cli as cli; print('multiprocessing' in sys.modules); "
+        "cli.main(['verify', 'sylvester', '--max', '30', '--parallel', '2', '--out', os.devnull]); "
+        "print('multiprocessing' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse\n")
 
 
 def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
@@ -823,13 +933,15 @@ def _cli_process(*argv, **kwargs):
 
 def test_a_reader_that_stops_after_one_line_ends_the_sweep_quietly():
     # the records outgrow the pipe, so the sweep writes into a closed pipe
-    proc = _cli_process("verify", "sylvester", "--max", "100", "--format", "json")
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
-    assert json.loads(first)["params"] == {"a": 1, "b": 1}
-    assert b"error" not in err and b"Broken pipe" not in err
+    for parallel in ("1", "2"):
+        argv = ("verify", "sylvester", "--max", "100", "--format", "json", "--parallel", parallel)
+        proc = _cli_process(*argv)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, parallel
+        assert json.loads(first)["params"] == {"a": 1, "b": 1}
+        assert b"error" not in err and b"Broken pipe" not in err, parallel
 
 
 def test_unbuffered_stdout_writes_the_same_bytes():

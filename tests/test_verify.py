@@ -110,30 +110,30 @@ def test_results_independent_of_parallelism():
         assert serial == parallel, theorem
 
 
+def _counting_forks(monkeypatch) -> list[int]:
+    """The pids of the workers ``os.fork`` starts from here on."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 def test_a_pool_starts_no_more_workers_than_cpus(monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class SerialPool:
-        """A stand-in for multiprocessing.Pool that maps in this process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, iterable, chunksize=1):
-            return map(func, iterable)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    cfg = SweepConfig("sylvester", max_value=5)
-    assert run_sweep(cfg._replace(parallel=10**6)) == run_sweep(cfg)
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    forks = _counting_forks(monkeypatch)
+    cfg = SweepConfig("sylvester", max_value=5)  # 10 cases: runs of 1, 2, 4 and 3
+    serial = run_sweep(cfg)
+    assert forks == []
+    for cpus, workers in ((1, 0), (3, 3), (64, 4)):  # and no more than the runs
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forks.clear()
+        assert run_sweep(cfg._replace(parallel=10**6)) == serial
+        assert len(forks) == workers, cpus
 
 
 def test_sweep_yields_each_record_once_its_case_is_checked(monkeypatch):
@@ -494,56 +494,39 @@ def test_ap3_symmetric_grid_is_admitted_above_the_frobenius_cap(capsys):
     assert err.splitlines()[-1] == "ap3-symmetric: 3534 match, 0 mismatch, 0 skipped"
 
 
-@pytest.mark.parametrize(
-    "count, parallel", [(1, 2), (2, 2), (10, 2), (100, 1), (1_000, 3), (11_000, 2), (12_345, 4)]
-)
-def test_pool_chunks_grow_from_one_case_to_a_quarter_of_each_workers_share(
-    count, parallel, monkeypatch
-):
+@pytest.mark.parametrize("count", [1, 2, 10, 100, 1_000, 11_000, 12_345])
+def test_runs_grow_from_one_case_to_RUN_at_every_parallel(count, monkeypatch):
     cases = [(i,) for i in range(count)]
-    chunks = list(verify._chunks(cases, parallel))
-    sizes = [len(chunk) for chunk in chunks]
-    cap = max(1, count // (4 * parallel))
-    # one case first, then doubling up to the cap, the last run what is left
+    runs = list(verify._chunks(cases))
+    sizes = [len(run) for run in runs]
+    # one case first, then doubling up to RUN, the last run what is left
     assert sizes[0] == 1
-    assert sizes[:-1] == [min(2**i, cap) for i in range(len(sizes) - 1)]
-    assert 1 <= sizes[-1] <= min(2 ** (len(sizes) - 1), cap)
-    assert [case for chunk in chunks for case in chunk] == cases
-    # the case count and --parallel alone fix the runs, whatever the cases and the host
-    for cpus in (1, 64):
+    assert sizes[:-1] == [min(2**i, verify.RUN) for i in range(len(sizes) - 1)]
+    assert 1 <= sizes[-1] <= min(2 ** (len(sizes) - 1), verify.RUN)
+    assert [case for run in runs for case in run] == cases
+    # the case count alone fixes the runs, whatever --parallel, the cases and
+    # the host; each block hands back the run it was checked from
+    assert [len(run) for run in verify._chunks([("x",)] * count)] == sizes
+    monkeypatch.setattr(verify, "check_run", lambda *args: ([], args[-1], None))
+    for cpus in (1, 2, 64):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert [len(chunk) for chunk in verify._chunks([("x",)] * count, parallel)] == sizes
+        for parallel in (1, 2, 3, 4):
+            cfg = SweepConfig("root-identity", parallel=parallel)
+            assert [run for _, run, _ in verify._blocks(cfg, cases, list)] == runs
 
 
 def test_a_pool_checks_the_runs_of_chunks(monkeypatch):
-    import multiprocessing
-
-    runs = []
-
-    class SerialPool:
-        """A stand-in for multiprocessing.Pool that maps in this process."""
-
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, iterable, chunksize=1):
-            for run in iterable:
-                runs.append(run)
-                yield func(run)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
     cfg = SweepConfig("sylvester", max_value=30, parallel=2)
     cases = build_cases(cfg.resolved())
-    blocks = list(sweep(cfg, cli._json_records))
-    assert runs == list(verify._chunks(cases, 2)) and len(runs[0]) == 1
+    runs = list(verify._chunks(cases))
+    # each block says which process checked and rendered it
+    blocks = list(sweep(cfg, lambda records: (os.getpid(), cli._json_records(records))))
+    assert len(forks) == 2 and len(runs) > 4 and len(runs[0]) == 1
+    assert [pid for _, (pid, _), _ in blocks] == [forks[j % 2] for j in range(len(runs))]
     assert [len(statuses) for statuses, _, _ in blocks] == [len(run) for run in runs]
-    text = "".join(block for _, block, _ in blocks)
+    text = "".join(block for _, (_, block), _ in blocks)
     assert text == cli._json_records(run_sweep(cfg._replace(parallel=1)))
     assert all(fault is None for _, _, fault in blocks)
 
