@@ -33,14 +33,14 @@ from .verify import (
     IDENTITIES,
     MATCH,
     MISMATCH,
+    RECORD_COLUMNS,
     SKIPPED,
     SweepConfig,
     THEOREM_IDS,
-    _frac,
+    _rendered,
+    report_entries,
     sweep,
 )
-
-RECORD_COLUMNS = ("theorem", "params", "formula", "oracle", "status", "residual")
 
 
 def _gens_type(text: str) -> tuple[int, ...]:
@@ -213,7 +213,7 @@ def _table_records(records: list[dict]) -> str:
 
 
 # per format: the text before a sweep's records, and the renderer of a run
-# of them; module-level functions, so that a pool worker can render its own
+# of them, which a forked worker calls on the runs that it checks
 _RECORD_FORMS = {
     "json": ("", _json_records),
     "csv": (",".join(RECORD_COLUMNS) + "\n", _csv_records),
@@ -381,9 +381,9 @@ def cmd_quotient(args, out: _Output) -> int:
     Q = quotient(S, d)
     formulas: dict[str, dict] = {}
     for identity in IDENTITIES.values():
-        case = identity.case_of(S, d)
-        if case is not None:
-            formulas.update(identity.entries(case, S, Q, tolerance))
+        case = identity.shown and identity.case_of(S, d)
+        if case:
+            formulas.update(report_entries(identity, case, S, Q, tolerance))
     report = {
         "base_generators": list(S.minimal_generators),
         "d": d,
@@ -442,26 +442,19 @@ def cmd_fit(args, out: _Output) -> int:
     from fractions import Fraction  # here, so that only the fits load fractions and decimal
 
     fit = fit_quasipolynomial(args.k, args.d, args.a)
-    classes = {}
-    for residue in sorted(fit.per_class):
-        c2, c1, c0 = fit.per_class[residue]
-        classes[str(residue)] = {
-            "c2": _frac(c2),
-            "c1": _frac(c1),
-            "c0": _frac(c0),
-        }
-    constants = {
-        f"{ra},{rb}": _frac(value)
-        for (ra, rb), value in sorted(fit.cabd_constant.items())
-    }
     report = {
         "k": args.k,
         "d": args.d,
         "a_min": args.a[0],
         "a_max": args.a[1],
-        "classes": classes,
-        "genus_minus_sylvester_constants": constants,
-        "leading_coefficient": _frac(Fraction(1, 2 * args.d)),
+        "classes": {
+            str(residue): _rendered(dict(zip(("c2", "c1", "c0"), fit.per_class[residue])))
+            for residue in sorted(fit.per_class)
+        },
+        "genus_minus_sylvester_constants": _rendered({
+            f"{ra},{rb}": value for (ra, rb), value in sorted(fit.cabd_constant.items())
+        }),
+        "leading_coefficient": _rendered(Fraction(1, 2 * args.d)),
     }
     out.report(report)
     return 0

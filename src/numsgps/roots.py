@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     NumericalSemigroup,
@@ -41,6 +42,9 @@ from .core import (
     _require_work,
     gap_residue_counts,
 )
+
+if TYPE_CHECKING:  # only the fits load fractions at run time
+    from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-6
 IDENTITY_TOLERANCE = 1e-9
@@ -291,26 +295,76 @@ def _fit_work(a_min: int, a_max: int) -> int:
     return (a_max * (a_max + 1) - (a_min - 1) * a_min) // 2
 
 
+def _fit_residues(k: int, d: int) -> Iterator[int]:
+    """The residues r mod d that a fit walks, lazily: a prime of k dividing both d
+    and r divides every member of class r, so no a on it has gcd(a, k) = 1;
+    every other class holds infinitely many such a, and <a, a+k> is then a
+    numerical semigroup."""
+    return (r for r in range(d) if math.gcd(k, math.gcd(r, d)) == 1)
+
+
+def _class_samples(k: int, d: int, r: int, a_min: int, a_max: int) -> list[int]:
+    """The a in a_min..a_max on class r mod d with gcd(a, k) = 1."""
+    return [a for a in range(a_min + (r - a_min) % d, a_max + 1, d) if math.gcd(a, k) == 1]
+
+
+def _fit_class(
+    k: int, d: int, r: int, a_min: int, a_max: int
+) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction | None]:
+    """The quadratic (c2, c1, c0) of a -> g(<a, a+k>/d) on class r mod d,
+    and the class's genus-minus-Sylvester constant, or None.
+
+    The first three brute-force samples in a_min..a_max fix the quadratic
+    by exact interpolation; its leading coefficient must be 1/(2d) and it
+    must reproduce every other sample, else a :class:`TheoremViolationError`
+    is raised.  A class with fewer than four samples is refused.  The
+    constant exists only where r and r + k are prime to d, and must be the
+    same on every sample there; elsewhere the difference grows linearly in
+    a and no single constant exists.
+    """
+    from fractions import Fraction
+
+    samples = _class_samples(k, d, r, a_min, a_max)
+    if len(samples) < 4:
+        raise PreconditionError(
+            f"class {r} (mod {d}) has {len(samples)} admissible samples in "
+            f"[{a_min}, {a_max}]; at least 4 are needed (3 to fit, 1 to verify)"
+        )
+    values = {a: _pair_quotient_genus(a, a + k, d) for a in samples}
+    pts = tuple(samples[:3])
+    c2, c1, c0 = _lagrange3(pts, tuple(values[a] for a in pts))
+    if c2 != Fraction(1, 2 * d):
+        raise TheoremViolationError(
+            f"leading coefficient on class {r} (mod {d}) is {c2}, expected 1/{2 * d}"
+        )
+    # the held-out samples in integers: den * (c2 a^2 + c1 a + c0)
+    den = math.lcm(c2.denominator, c1.denominator, c0.denominator)
+    n2, n1, n0 = (c.numerator * (den // c.denominator) for c in (c2, c1, c0))
+    for a in samples[3:]:
+        if (n2 * a + n1) * a + n0 != den * values[a]:
+            predicted = c2 * a * a + c1 * a + c0
+            raise TheoremViolationError(
+                f"fit on class {r} (mod {d}) predicts {predicted} at a = {a}, "
+                f"brute force gives {values[a]}"
+            )
+    b_class = (r + k) % d
+    if math.gcd(r, d) > 1 or math.gcd(b_class, d) > 1:
+        return (c2, c1, c0), None
+    return (c2, c1, c0), _class_constant(
+        r, b_class, d, [(a, a + k, genus) for a, genus in values.items()]
+    )
+
+
 def fit_quasipolynomial(
     k: int, d: int, a_range: tuple[int, int]
 ) -> QuasipolynomialFit:
     """Fit a -> g(<a, a+k>/d) per residue class of a mod d and verify it.
 
     The classes are walked one at a time, each by steps of d through the
-    range.  On each admissible class the first three brute-force samples
-    determine a quadratic by exact rational interpolation; its leading
-    coefficient must be 1/(2d) and it must reproduce every remaining
-    sample in the range exactly, else a :class:`TheoremViolationError` is
-    raised.  At least four admissible samples per fitted class are
-    required, and a class with fewer is refused when the walk reaches it.
-
-    The genus-minus-Sylvester constant is recorded only for classes whose
-    residues are coprime to d, and must be the same on every sample there;
-    elsewhere the difference grows linearly in a and no single constant
-    exists.
+    range, and each is fitted and verified by ``_fit_class``, so a class
+    with too few samples is refused when the walk reaches it.  A class's
+    genus-minus-Sylvester constant is recorded where it exists.
     """
-    from fractions import Fraction
-
     _require_positive("k", k)
     _require_positive("d", d)
     a_min, a_max = a_range
@@ -319,41 +373,8 @@ def fit_quasipolynomial(
     _require_work(_fit_work(a_min, a_max), "a fit over {}..{}", a_min, a_max)
     per_class: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     constants: dict[tuple[int, int], Fraction] = {}
-    for r in range(d):
-        # a prime of k dividing both d and r divides every member of the
-        # class, so no a on it has gcd(a, k) = 1; every other class holds
-        # infinitely many such a, and <a, a+k> is then a numerical semigroup
-        if math.gcd(k, math.gcd(r, d)) > 1:
-            continue
-        samples = [
-            a for a in range(a_min + (r - a_min) % d, a_max + 1, d) if math.gcd(a, k) == 1
-        ]
-        if len(samples) < 4:
-            raise PreconditionError(
-                f"class {r} (mod {d}) has {len(samples)} admissible samples in "
-                f"[{a_min}, {a_max}]; at least 4 are needed (3 to fit, 1 to verify)"
-            )
-        values = {a: _pair_quotient_genus(a, a + k, d) for a in samples}
-        pts = tuple(samples[:3])
-        c2, c1, c0 = _lagrange3(pts, tuple(values[a] for a in pts))
-        if c2 != Fraction(1, 2 * d):
-            raise TheoremViolationError(
-                f"leading coefficient on class {r} (mod {d}) is {c2}, expected 1/{2 * d}"
-            )
-        # the held-out samples in integers: den * (c2 a^2 + c1 a + c0)
-        den = math.lcm(c2.denominator, c1.denominator, c0.denominator)
-        n2, n1, n0 = (c.numerator * (den // c.denominator) for c in (c2, c1, c0))
-        for a in samples[3:]:
-            if (n2 * a + n1) * a + n0 != den * values[a]:
-                predicted = c2 * a * a + c1 * a + c0
-                raise TheoremViolationError(
-                    f"fit on class {r} (mod {d}) predicts {predicted} at a = {a}, "
-                    f"brute force gives {values[a]}"
-                )
-        per_class[r] = (c2, c1, c0)
-        b_class = (r + k) % d
-        if math.gcd(r, d) == 1 and math.gcd(b_class, d) == 1:
-            constants[(r, b_class)] = _class_constant(
-                r, b_class, d, [(a, a + k, values[a]) for a in samples]
-            )
+    for r in _fit_residues(k, d):
+        per_class[r], constant = _fit_class(k, d, r, a_min, a_max)
+        if constant is not None:
+            constants[(r, (r + k) % d)] = constant
     return QuasipolynomialFit(per_class, constants)

@@ -1,16 +1,15 @@
 """The registry of identities, and the sweeps that check them against brute force.
 
-``IDENTITIES`` defines every identity once.  For each theorem id it holds
-the default grid, the case list of a grid, and the check of one case,
-which evaluates the closed form on one side and an independent
-brute-force computation on the other and returns records.  The seven
-identities about a quotient S/d also read their case off (S, d) alone
-(``case_of``, None when the hypotheses fail) and fill the formula entries
-of a ``numsgps quotient`` report (``entries``).  Each of them is written
-once, as a function ``sides(case, S, Q)`` of the semigroup and its
-brute-force quotient, from which ``_about_quotient`` derives both its
-check and its report entries; the command line loops over the registry
-and knows no identity of its own.
+``IDENTITIES`` defines every identity once, in one shape (``Identity``):
+its grid and what the grid costs, and for one case the record's params,
+an optional reason to skip it, the closed form's side (``formula``), which
+never receives the brute-force quotient, and the side computed by brute
+force (``oracle``).  An identity about a quotient S/d also reads its case
+off (S, d) alone and names the entries it fills in a ``numsgps quotient``
+report.  All else is derived once from these fields: ``check_case``
+builds a case's record, whether checked, skipped, perturbed by
+``--inject-offby1`` or made from an error, and ``report_entries`` the
+report entries; the command line knows no identity of its own.
 
 Records are plain dicts with keys ``theorem``, ``params``, ``formula``,
 ``oracle``, ``status`` and ``residual`` so they serialize directly to
@@ -18,9 +17,8 @@ JSON; rationals are rendered as ``num/den`` strings.  A sweep never stops
 at the first failure: the caller decides what to do with mismatches.
 
 The ``inject_offby1`` switch deliberately perturbs the formula side of
-every record by one (flipping booleans) so that the surrounding tooling
-can prove it would notice a wrong closed form; for an identity about S/d
-the genus, or the lone value, is the number that moves.
+every record by one (see ``_perturbed``) so that the surrounding tooling
+can prove it would notice a wrong closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ import os
 import random
 from collections import namedtuple
 from functools import lru_cache, partial
-from typing import Iterator
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     NumericalSemigroup,
@@ -55,18 +54,25 @@ from .quotient import frobenius_quotient_dsymmetric, quotient
 from .roots import (
     DEFAULT_TOLERANCE,
     IDENTITY_TOLERANCE,
+    _class_samples,
+    _fit_class,
+    _fit_residues,
     _fit_work,
     _genus_via_roots_residual,
     extract_cabd_constant,
-    fit_quasipolynomial,
     genus_quotient_ed2_closed_form,
     root_of_unity_identity_check,
     sylvester_invariants,
 )
 
+if TYPE_CHECKING:  # only the fits load fractions at run time
+    from fractions import Fraction
+
 MATCH = "match"
 MISMATCH = "mismatch"
 SKIPPED = "skipped-precondition"
+# the keys of a record, in the order of its csv row
+RECORD_COLUMNS = ("theorem", "params", "formula", "oracle", "status", "residual")
 
 
 class SweepConfig(namedtuple(
@@ -136,23 +142,6 @@ def _frac(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _record(params: dict, formula, oracle, status: str, residual: float | None = None) -> dict:
-    """A record without its ``theorem``, which ``check_case`` sets."""
-    return {
-        "theorem": None,
-        "params": params,
-        "formula": formula,
-        "oracle": oracle,
-        "status": status,
-        "residual": residual,
-    }
-
-
-def _compared(params: dict, formula, oracle) -> list[dict]:
-    status = MATCH if formula == oracle else MISMATCH
-    return [_record(params, formula, oracle, status)]
-
-
 def _corpus_cases(cfg: SweepConfig) -> list[tuple]:
     return [
         (gens, d)
@@ -177,15 +166,6 @@ def _ap3(a: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)  # a sweep reads the same progression for each d in turn
 def _full_ap(a: int, k: int) -> tuple[int, ...]:
     return tuple(a + i * k for i in range(a))
-
-
-def _any_case(S: NumericalSemigroup, d: int) -> tuple:
-    return S.minimal_generators, d
-
-
-def _theorem_main_sides(case, S, Q):
-    value, residual = _genus_via_roots_residual(S, case[-1])
-    return value, Q.genus, residual
 
 
 def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
@@ -227,10 +207,6 @@ def _ed2_case(S: NumericalSemigroup, d: int) -> tuple | None:
     return None
 
 
-def _ed2_sides(case, S, Q):
-    return genus_quotient_ed2_closed_form(*case), Q.genus, None
-
-
 def _sylvester_cases(cfg: SweepConfig) -> list[tuple]:
     return [
         (a, b)
@@ -238,14 +214,6 @@ def _sylvester_cases(cfg: SweepConfig) -> list[tuple]:
         for b in range(a, cfg.max_value + 1)
         if math.gcd(a, b) == 1
     ]
-
-
-def _check_sylvester(case, tolerance, inject):
-    a, b = case
-    bump = 1 if inject else 0
-    f, g = sylvester_invariants(a, b)
-    S = _sg((a, b))
-    return _compared({"a": a, "b": b}, [f + bump, g + bump], [S.frobenius, S.genus])
 
 
 def _d2_moduli(cfg: SweepConfig) -> range:
@@ -296,44 +264,36 @@ def _class_sample_pairs(
     return pairs
 
 
-def _check_d2_constant(case, tolerance, inject):
+def _d2_constant(case, S) -> Fraction:
     d, a_class, b_class, pairs = case
-    params = {"d": d, "a_class": a_class, "b_class": b_class, "samples": [list(p) for p in pairs]}
-    try:
-        constant = extract_cabd_constant(a_class, b_class, d, list(pairs))
-    except TheoremViolationError as exc:
-        params["error"] = str(exc)
-        return [_record(params, None, None, MISMATCH)]
-    formula = _frac(constant + (1 if inject else 0))
-    return _compared(params, formula, _frac(constant))
+    return extract_cabd_constant(a_class, b_class, d, list(pairs))
 
 
 def _quasipoly_cases(cfg: SweepConfig) -> list[tuple]:
-    return [(k, d, cfg.a_max) for k in cfg.k_list for d in range(1, cfg.d_max + 1)]
+    """The classes that the grid's fits walk, up to the first one too short
+    to fit, whose check refuses the grid.  Class 1 is too short once
+    d > (a_max - 1) / 3, so a k lists at most a_max * d_max classes."""
+    cases = []
+    for k in cfg.k_list:
+        for d in range(1, cfg.d_max + 1):
+            for residue in _fit_residues(k, d):
+                cases.append((k, d, residue, cfg.a_max))
+                if len(_class_samples(k, d, residue, 1, cfg.a_max)) < 4:
+                    return cases
+    return cases
 
 
-def _check_quasipoly(case, tolerance, inject):
+def _quasipoly_formula(case, S) -> dict:
+    """The class's fit, its constant checked where it has one."""
+    k, d, residue, a_max = case
+    c2, c1, c0 = _fit_class(k, d, residue, 1, a_max)[0]
+    return {"c2": c2, "c1": c1, "c0": c0}
+
+
+def _quasipoly_oracle(case, S, Q) -> dict:
     from fractions import Fraction  # here, so that only the fits load fractions and decimal
 
-    k, d, a_max = case
-    try:
-        fit = fit_quasipolynomial(k, d, (1, a_max))
-    except TheoremViolationError as exc:
-        return [_record({"k": k, "d": d, "error": str(exc)}, None, None, MISMATCH)]
-    expected = Fraction(1, 2 * d)
-    records = []
-    for residue in sorted(fit.per_class):
-        c2, c1, c0 = fit.per_class[residue]
-        shown = c2 + (1 if inject else 0)
-        records.append(
-            _record(
-                {"k": k, "d": d, "residue": residue},
-                {"c2": _frac(shown), "c1": _frac(c1), "c0": _frac(c0)},
-                {"c2": _frac(expected)},
-                MATCH if shown == expected else MISMATCH,
-            )
-        )
-    return records
+    return {"c2": Fraction(1, 2 * case[1])}
 
 
 def _dsymmetric_case(S: NumericalSemigroup, d: int) -> tuple | None:
@@ -342,38 +302,34 @@ def _dsymmetric_case(S: NumericalSemigroup, d: int) -> tuple | None:
     return None
 
 
-def _strazzanti_sides(case, S, Q):
-    return frobenius_quotient_dsymmetric(S, case[-1]), Q.frobenius, None
-
-
-def _check_ap3_symmetric(case, tolerance, inject):
-    a, k = case
-    formula = ap3_symmetric_iff_even(a, k) != inject
-    oracle = is_d_symmetric(_sg(_ap3(a, k)), 1)
-    return _compared({"a": a, "k": k}, formula, oracle)
-
-
 def _invariants(Q: NumericalSemigroup) -> dict:
     return {"frobenius": Q.frobenius, "genus": Q.genus}
 
 
-def _ap3_even_d_sides(case, S, Q):
+def _ap3_even_d_formula(case, S) -> dict:
     spec = Ap3Spec(*case)
     formula = {"generators": list(ap3_quotient_generators(spec)), "symmetric": True}
-    oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
-    if spec.d % 2 == 0 and spec.d >= 4:
+    if spec.d % 2 == 0:  # d >= 3 in every case, so d >= 4
         f, g = ap3_even_d_invariants(spec)
         formula.update(frobenius=f, genus=g)
+    return formula
+
+
+def _ap3_even_d_oracle(case, S, Q) -> dict:
+    oracle = {"generators": list(Q.minimal_generators), "symmetric": is_d_symmetric(Q, 1)}
+    if case[-1] % 2 == 0:
         oracle.update(_invariants(Q))
-    return formula, oracle, None
+    return oracle
 
 
-def _ap3_odd_a_sides(case, S, Q):
+def _ap3_odd_a_formula(case, S) -> dict:
     spec = Ap3Spec(*case)
     f, g = ap3_odd_a_invariants(spec)
-    formula = {"frobenius": f, "genus": g, "two_g_minus_f": (spec.s + 1) // 2}
-    oracle = {**_invariants(Q), "two_g_minus_f": 2 * Q.genus - Q.frobenius}
-    return formula, oracle, None
+    return {"frobenius": f, "genus": g, "two_g_minus_f": (spec.s + 1) // 2}
+
+
+def _ap3_odd_a_oracle(case, S, Q) -> dict:
+    return {**_invariants(Q), "two_g_minus_f": 2 * Q.genus - Q.frobenius}
 
 
 def _full_ap_skip(a: int, k: int, d: int) -> str | None:
@@ -381,141 +337,62 @@ def _full_ap_skip(a: int, k: int, d: int) -> str | None:
     return "d = a gives the quotient N; closed form needs s >= 2" if d == a else None
 
 
-def _full_ap_sides(case, S, Q):
+def _full_ap_formula(case, S) -> dict:
     a, k, d = case
     spec = FullApSpec(a, k)
     f, g = full_ap_divisor_identity(spec, d)
-    formula = {
+    return {
         "frobenius": f,
         "genus": g,
         "generators": list(full_ap_quotient_generators(spec, d)),
         "two_genus": f + a // d - 1,
     }
-    oracle = {
+
+
+def _full_ap_oracle(case, S, Q) -> dict:
+    return {
         **_invariants(Q),
         "generators": list(Q.minimal_generators),
         "two_genus": 2 * Q.genus,
     }
-    return formula, oracle, None
 
 
-def _full_ap_dk_sides(case, S, Q):
+def _full_ap_dk_formula(case, S) -> dict:
     a, k, d = case
     f, g = full_ap_d_divides_k(FullApSpec(a, k), d)
-    formula = {"frobenius": f, "genus": g, "two_genus": f + a - 1}
-    oracle = {**_invariants(Q), "two_genus": 2 * Q.genus}
-    return formula, oracle, None
+    return {"frobenius": f, "genus": g, "two_genus": f + a - 1}
 
 
-def _check_root_identity(case, tolerance, inject):
-    (d,) = case
-    deviation = root_of_unity_identity_check(d) + (1.0 if inject else 0.0)
-    status = MATCH if deviation <= tolerance else MISMATCH
-    return [_record({"d": d}, deviation, 0.0, status, deviation)]
-
-
-def _no_case(S: NumericalSemigroup, d: int) -> None:
-    return None
+def _full_ap_dk_oracle(case, S, Q) -> dict:
+    return {**_invariants(Q), "two_genus": 2 * Q.genus}
 
 
 class Identity(namedtuple(
-    "Identity", "defaults cases check cost case_of entries",
-    defaults=(_no_case, None),
+    "Identity",
+    "defaults cases cost params formula oracle generators skip case_of shown recognised_only",
+    defaults=(None,) * 4 + (False,),
 )):
-    """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)`` lists
-    the grid, ``check(case, tolerance, inject)`` returns its records, and
-    ``cost(cfg)`` bounds in steps the work of the grid, its case list
-    included; a grid that costs more than ``MAX_ROOT_WORK`` is refused
-    before any case is built.
+    """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)``
+    lists the grid, and ``cost(cfg)`` bounds in steps the work of the grid,
+    its case list included; a grid that costs more than ``MAX_ROOT_WORK``
+    is refused before any case is built.
 
-    For an identity about S/d, ``case_of(S, d)`` is the case that S and d
-    are, or None when the hypotheses fail, and ``entries(case, S, Q,
-    tolerance)`` maps report entry names to the formula, the oracle read
-    off the brute-force quotient Q, and whether they match.  Both
-    ``check`` and ``entries`` are derived from one function of the
-    identity, ``sides(case, S, Q)``; see ``_about_quotient``.
+    A case's record carries ``params(*case)``; ``skip(*case)``, if given,
+    is why the case is skipped, without any work, or None.  S is built from
+    ``generators(case)`` where the identity reads a semigroup, and Q is S
+    divided by the case's last entry d where it is about S/d; each is None
+    elsewhere.  ``formula(case, S)`` is the closed form's side, or (side,
+    residual) for a side rounded from floating point, and ``oracle(case,
+    S, Q)`` the side computed by brute force (see ``check_case``).
+
+    An identity about S/d also has ``case_of(S, d)``, the case that S and d
+    are or None when the hypotheses fail, and ``shown``, which maps its
+    ``numsgps quotient`` report entries to the keys of the sides that they
+    show (see ``report_entries``).  With ``recognised_only``, a case that
+    ``case_of`` does not recognise yields no record.
     """
 
     __slots__ = ()
-
-
-def _perturbed(formula):
-    """The formula side as ``--inject-offby1`` shows it: the lone value, or
-    the ``genus`` field, goes up by one, and every boolean flips."""
-    if not isinstance(formula, dict):
-        return formula + 1
-    return {
-        key: (not value) if isinstance(value, bool) else value + 1 if key == "genus" else value
-        for key, value in formula.items()
-    }
-
-
-def _shown(side, keys: tuple[str, ...]):
-    """What a report entry shows of one side: the lone value for no key,
-    the field for one key, the list of the fields for several."""
-    if not keys:
-        return side
-    return side[keys[0]] if len(keys) == 1 else [side[key] for key in keys]
-
-
-def _about_quotient(
-    sides, shown, *, defaults, cases, cost, case_of, generators, params,
-    skip=None, recognised_only=False,
-) -> Identity:
-    """An identity about S/d whose sweep records and report entries both
-    come from ``sides(case, S, Q)``.
-
-    ``sides`` returns the formula side, the oracle side read off the
-    brute-force quotient Q, and a float residual or None; the two sides
-    are two values, or two dicts with the same keys.  They match when
-    they are equal and the residual, if any, is within the tolerance.
-    ``shown`` maps each report entry name to the keys of the sides it
-    shows; an entry is left out when the formula lacks one of its keys.
-
-    In the sweep, S is built from ``generators(case)`` and the record
-    carries ``params(*case)``.  A case that ``skip`` gives a reason for is
-    reported as skipped without any work, and with ``recognised_only`` a
-    case that ``case_of`` does not recognise yields no record at all.
-    """
-
-    def within(residual, tolerance) -> bool:
-        return residual is None or residual <= tolerance
-
-    def check(case, tolerance, inject):
-        reason = skip(*case) if skip else None
-        if reason:
-            return [_record({**params(*case), "reason": reason}, None, None, SKIPPED)]
-        S, d = _sg(generators(case)), case[-1]
-        if recognised_only and case_of(S, d) is None:
-            return []
-        formula, oracle, residual = sides(case, S, quotient(S, d))
-        if inject:
-            formula = _perturbed(formula)
-        status = MATCH if formula == oracle and within(residual, tolerance) else MISMATCH
-        return [_record(params(*case), formula, oracle, status, residual)]
-
-    def entries(case, S, Q, tolerance) -> dict:
-        formula, oracle, residual = sides(case, S, Q)
-        report = {}
-        for name, keys in shown.items():
-            if any(key not in formula for key in keys):
-                continue
-            entry = {"formula": _shown(formula, keys), "oracle": _shown(oracle, keys)}
-            entry["match"] = entry["formula"] == entry["oracle"] and within(residual, tolerance)
-            if residual is not None:
-                entry["residual"] = residual
-            report[name] = entry
-        return report
-
-    return Identity(defaults, cases, check, cost, case_of, entries)
-
-
-def _corpus_gens(case: tuple) -> tuple[int, ...]:
-    return case[0]
-
-
-def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
-    return {"gens": list(gens), "d": d}
 
 
 _AK_GRID = {"a_max": 120, "k_max": 20}
@@ -528,12 +405,12 @@ def _divisor_scan(cfg: SweepConfig) -> int:
     return lo * (lo + 1) * (4 * lo - 1) // 6 + lo * (hi * (hi + 1) - lo * (lo + 1)) // 2
 
 
-def _progression(family, applies, sides, shown, per_d, skip=None) -> Identity:
+def _progression(family, applies, formula, oracle, shown, per_d, skip=None) -> Identity:
     """An identity about S = family(a, k) with gcd(a, k) = 1, divided by d.
 
     Its grid and the case read off (S, d) share the hypothesis
     ``applies(a, k, d)``; a case that ``skip`` gives a reason for is in
-    the grid (its check reports the reason) but is not recognised.  The
+    the grid (its record gives the reason) but is not recognised.  The
     grid costs ``per_d`` steps for each d of its divisor scan, fitted to
     the id's own time.
     """
@@ -556,92 +433,117 @@ def _progression(family, applies, sides, shown, per_d, skip=None) -> Identity:
             return None
         return a, k, d
 
-    return _about_quotient(
-        sides, shown, defaults=_AK_GRID, cases=cases, case_of=case_of,
-        cost=lambda cfg: per_d * _divisor_scan(cfg),
-        generators=lambda case: family(case[0], case[1]),
-        params=lambda a, k, d: {"a": a, "k": k, "d": d},
-        skip=skip,
+    return Identity(
+        _AK_GRID, cases, lambda cfg: per_d * _divisor_scan(cfg),
+        params=lambda a, k, d: {"a": a, "k": k, "d": d}, formula=formula, oracle=oracle,
+        generators=lambda case: family(case[0], case[1]), skip=skip, case_of=case_of, shown=shown,
     )
 
 
+def _corpus_params(gens: tuple[int, ...], d: int) -> dict:
+    return {"gens": list(gens), "d": d}
+
+
 IDENTITIES: dict[str, Identity] = {
-    "theorem-main": _about_quotient(
-        _theorem_main_sides, {"genus-via-roots": ()},
-        defaults={"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
-        cases=_corpus_cases, case_of=_any_case, generators=_corpus_gens, params=_corpus_params,
+    "theorem-main": Identity(
+        {"cases": 500, "max_gen": 60, "d_max": 12, "tolerance": DEFAULT_TOLERANCE},
+        _corpus_cases,
         # per semigroup, its construction and its d_max - 1 quotients at 350
         # steps each, plus max_gen^2 / 300 for their O(F) mask reads (fitted
         # to time at max_gen 60, 300, 1000 and 2000), and at most d(d - 1)
         # Horner steps for the roots of each S/d, summed over d <= d_max
-        cost=lambda cfg: cfg.cases * (
+        lambda cfg: cfg.cases * (
             350 * cfg.d_max + cfg.max_gen**2 // 300 * cfg.d_max + (cfg.d_max**3 - cfg.d_max) // 3
         ),
+        _corpus_params,
+        formula=lambda case, S: _genus_via_roots_residual(S, case[-1]),
+        oracle=lambda case, S, Q: Q.genus,
+        generators=itemgetter(0), case_of=lambda S, d: (S.minimal_generators, d),
+        shown={"genus-via-roots": ()},
     ),
-    "ed2-closed-form": _about_quotient(
-        _ed2_sides, {"ed2-genus": ()},
-        defaults={"max_value": 60, "d_max": 12}, cases=_ed2_cases, case_of=_ed2_case,
-        generators=lambda case: case[:2], params=lambda a, b, d: {"a": a, "b": b, "d": d},
-        skip=_ed2_skip, cost=_ed2_cost,
+    "ed2-closed-form": Identity(
+        {"max_value": 60, "d_max": 12}, _ed2_cases, _ed2_cost,
+        lambda a, b, d: {"a": a, "b": b, "d": d},
+        formula=lambda case, S: genus_quotient_ed2_closed_form(*case),
+        oracle=lambda case, S, Q: Q.genus,
+        generators=itemgetter(0, 1), skip=_ed2_skip, case_of=_ed2_case,
+        shown={"ed2-genus": ()},
     ),
     "sylvester": Identity(
-        {"max_value": 100}, _sylvester_cases, _check_sylvester,
+        {"max_value": 100}, _sylvester_cases,
         # building <a, b> takes O(a) steps, summed over a <= b <= max_value
-        cost=lambda cfg: cfg.max_value * (cfg.max_value + 1) * (cfg.max_value + 2) // 6,
+        lambda cfg: cfg.max_value * (cfg.max_value + 1) * (cfg.max_value + 2) // 6,
+        lambda a, b: {"a": a, "b": b},
+        formula=lambda case, S: list(sylvester_invariants(*case)),
+        oracle=lambda case, S, Q: [S.frobenius, S.genus],
+        generators=itemgetter(0, 1),
     ),
     "d2-constant": Identity(
-        {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _check_d2_constant,
-        cost=_d2_constant_cost,
+        {"d_max": 8, "max_value": 200, "samples": 5}, _d2_constant_cases, _d2_constant_cost,
+        lambda d, a_class, b_class, pairs: {
+            "d": d, "a_class": a_class, "b_class": b_class, "samples": [list(p) for p in pairs]
+        },
+        # the oracle is the constant computed again, not yet an independent count
+        formula=_d2_constant, oracle=lambda case, S, Q: _d2_constant(case, S),
     ),
     "quasipoly": Identity(
-        {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases, _check_quasipoly,
-        cost=lambda cfg: len(cfg.k_list) * cfg.d_max * _fit_work(1, cfg.a_max),
+        {"k_list": (1, 2, 3, 5), "d_max": 8, "a_max": 300}, _quasipoly_cases,
+        lambda cfg: len(cfg.k_list) * cfg.d_max * _fit_work(1, cfg.a_max),
+        lambda k, d, residue, a_max: {"k": k, "d": d, "residue": residue},
+        formula=_quasipoly_formula, oracle=_quasipoly_oracle,
     ),
-    "strazzanti": _about_quotient(
-        _strazzanti_sides, {"dsymmetric-frobenius": ()},
-        defaults={"cases": 500, "max_gen": 60, "d_max": 10}, cases=_corpus_cases,
-        case_of=_dsymmetric_case, generators=_corpus_gens, params=_corpus_params,
-        recognised_only=True,
+    "strazzanti": Identity(
+        {"cases": 500, "max_gen": 60, "d_max": 10}, _corpus_cases,
         # theorem-main's, at 180 steps, with no roots
-        cost=lambda cfg: cfg.cases * (180 * cfg.d_max + cfg.max_gen**2 // 300 * cfg.d_max),
+        lambda cfg: cfg.cases * (180 * cfg.d_max + cfg.max_gen**2 // 300 * cfg.d_max),
+        _corpus_params,
+        formula=lambda case, S: frobenius_quotient_dsymmetric(S, case[-1]),
+        oracle=lambda case, S, Q: Q.frobenius,
+        generators=itemgetter(0), case_of=_dsymmetric_case,
+        shown={"dsymmetric-frobenius": ()}, recognised_only=True,
     ),
     "ap3-symmetric": Identity(
         _AK_GRID,
         lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
-        _check_ap3_symmetric,
         # per pair, 8a steps to build <a, a + k, a + 2k>, whose symmetry is read
         # off its table; fitted up to 2,000 in a or k
         lambda cfg: 4 * cfg.k_max * cfg.a_max * (cfg.a_max + 1),
+        lambda a, k: {"a": a, "k": k},
+        formula=lambda case, S: ap3_symmetric_iff_even(*case),
+        oracle=lambda case, S, Q: is_d_symmetric(S, 1),
+        generators=lambda case: _ap3(*case),
     ),
     "ap3-even-d": _progression(
         _ap3,
         lambda a, k, d: a % d == 0 and d >= 3 and (d % 2 == 0 or a % 2 == 0),
-        _ap3_even_d_sides,
+        _ap3_even_d_formula, _ap3_even_d_oracle,
         {"ap3-quotient-generators": ("generators",),
          "ap3-even-divisor-invariants": ("frobenius", "genus")},
         per_d=24,  # k_max = 1 costs most per step: 3.4-4.3 s at (2040, 1)
     ),
     "ap3-odd-a": _progression(
         _ap3, lambda a, k, d: a % 2 == 1 and a % d == 0,
-        _ap3_odd_a_sides, {"ap3-odd-a-invariants": ("frobenius", "genus")},
+        _ap3_odd_a_formula, _ap3_odd_a_oracle, {"ap3-odd-a-invariants": ("frobenius", "genus")},
         per_d=18,  # k_max = 1 costs most per step: 3.1-4.5 s at (2356, 1)
     ),
     "full-ap": _progression(
-        _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_sides,
+        _full_ap, lambda a, k, d: a >= 2 and a % d == 0, _full_ap_formula, _full_ap_oracle,
         {"full-ap-generators": ("generators",), "full-ap-invariants": ("frobenius", "genus")},
         per_d=80,  # 3.7 s at (120, 80) on CPython 3.11, x86-64
         skip=_full_ap_skip,
     ),
     "full-ap-dk": _progression(
-        _full_ap, lambda a, k, d: a >= 2 and k % d == 0,
-        _full_ap_dk_sides, {"full-ap-dk-invariants": ("frobenius", "genus")},
+        _full_ap, lambda a, k, d: a >= 2 and k % d == 0, _full_ap_dk_formula, _full_ap_dk_oracle,
+        {"full-ap-dk-invariants": ("frobenius", "genus")},
         per_d=80,  # full-ap's: it builds the same semigroups
     ),
     "root-identity": Identity(
         {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
         lambda cfg: [(d,) for d in range(2, cfg.d_max + 1)],
-        _check_root_identity,
-        cost=lambda cfg: cfg.d_max * (cfg.d_max - 1) // 2,  # case d sums d - 1 roots
+        lambda cfg: cfg.d_max * (cfg.d_max - 1) // 2,  # case d sums d - 1 roots
+        lambda d: {"d": d},
+        formula=lambda case, S: root_of_unity_identity_check(*case),
+        oracle=lambda case, S, Q: 0.0,
     ),
 }
 
@@ -666,12 +568,107 @@ def build_cases(cfg: SweepConfig) -> list[tuple]:
     return _identity(cfg.theorem).cases(cfg)
 
 
+def _formula_side(identity: Identity, case: tuple, S) -> tuple:
+    """The formula side of a case and its residual, None unless the formula gives one."""
+    side = identity.formula(case, S)
+    return side if isinstance(side, tuple) else (side, None)
+
+
+def _agrees(formula, oracle, residual, tolerance) -> tuple[bool, float | None]:
+    """Whether the sides match, and the residual that decided it: a float
+    formula side is a deviation, whose distance from the oracle is its
+    residual; other sides must be equal on the oracle's keys, as wholes
+    where the oracle is no dict, with any residual within the tolerance."""
+    if isinstance(formula, float):
+        residual = abs(formula - oracle)
+        return residual <= tolerance, residual
+    if isinstance(oracle, dict) and len(oracle) < len(formula):
+        formula = {key: formula[key] for key in oracle}
+    return formula == oracle and (residual is None or residual <= tolerance), residual
+
+
+def _perturbed(side):
+    """The formula side as ``--inject-offby1`` shows it: a bool flips, a
+    number goes up by one, a list moves each of its entries, and a dict
+    its ``genus`` (or a fit's leading coefficient ``c2``) and its bools."""
+    if isinstance(side, dict):
+        return {
+            key: _perturbed(value) if key in ("genus", "c2") or isinstance(value, bool) else value
+            for key, value in side.items()
+        }
+    if isinstance(side, list):
+        return [_perturbed(value) for value in side]
+    return (not side) if isinstance(side, bool) else side + 1
+
+
+def _rendered(side):
+    """A side as its record shows it: of its values, alone or in a dict, the
+    ints, floats and lists as they are and each Fraction as ``_frac`` renders it."""
+    plain = (int, float, list)
+    if isinstance(side, dict):
+        return {k: v if isinstance(v, plain) else _frac(v) for k, v in side.items()}
+    return side if isinstance(side, plain) else _frac(side)
+
+
+def _record(theorem: str, params: dict, formula, oracle, status: str, residual) -> dict:
+    return dict(zip(RECORD_COLUMNS, (theorem, params, formula, oracle, status, residual)))
+
+
 def check_case(theorem: str, case: tuple, tolerance: float | None, inject: bool) -> list[dict]:
-    """Records for one case; pure, safe to run in any process."""
-    records = _identity(theorem).check(case, tolerance, inject)
-    for record in records:
-        record["theorem"] = theorem
-    return records
+    """The record of one case, as a list, empty where ``recognised_only``
+    drops the case; pure, safe to run in any process.
+
+    The sides match as ``_agrees`` says.  A ``TheoremViolationError`` of
+    the formula side is the case's record: a mismatch with neither side,
+    whose params carry the error.
+    """
+    identity = _identity(theorem)
+    params = identity.params(*case)
+    reason = identity.skip and identity.skip(*case)
+    if reason:
+        return [_record(theorem, {**params, "reason": reason}, None, None, SKIPPED, None)]
+    S = _sg(identity.generators(case)) if identity.generators else None
+    if identity.recognised_only and identity.case_of(S, case[-1]) is None:
+        return []
+    Q = quotient(S, case[-1]) if identity.shown else None
+    try:
+        formula, residual = _formula_side(identity, case, S)
+    except TheoremViolationError as exc:
+        return [_record(theorem, {**params, "error": str(exc)}, None, None, MISMATCH, None)]
+    if inject:
+        formula = _perturbed(formula)
+    oracle = identity.oracle(case, S, Q)
+    agrees, residual = _agrees(formula, oracle, residual, tolerance)
+    status = MATCH if agrees else MISMATCH
+    return [_record(theorem, params, _rendered(formula), _rendered(oracle), status, residual)]
+
+
+def _shown(side, keys: tuple[str, ...]):
+    """What a report entry shows of one side: the lone value for no key,
+    the field for one key, the list of the fields for several."""
+    if not keys:
+        return side
+    return side[keys[0]] if len(keys) == 1 else [side[key] for key in keys]
+
+
+def report_entries(identity: Identity, case: tuple, S, Q, tolerance: float) -> dict:
+    """The ``numsgps quotient`` report entries of an identity about S/d at
+    its case ``case_of(S, d)``, Q being S/d: for each name of ``shown``,
+    what the two sides show of its keys, whether those agree, and the
+    residual where the formula gives one.  An entry is left out when the
+    formula side lacks one of its keys."""
+    formula, residual = _formula_side(identity, case, S)
+    oracle = identity.oracle(case, S, Q)
+    report = {}
+    for name, keys in identity.shown.items():
+        if any(key not in formula for key in keys):
+            continue
+        entry = {"formula": _shown(formula, keys), "oracle": _shown(oracle, keys)}
+        entry["match"] = _agrees(entry["formula"], entry["oracle"], residual, tolerance)[0]
+        if residual is not None:
+            entry["residual"] = residual
+        report[name] = entry
+    return report
 
 
 def check_run(theorem: str, tolerance: float | None, inject: bool, render, cases) -> tuple:

@@ -118,8 +118,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/roots.py",
-        "math.gcd(k, math.gcd(r, d)) > 1",
-        "math.gcd(k, r) > 1",
+        "math.gcd(k, math.gcd(r, d)) == 1",
+        "math.gcd(k, r) == 1",
         "the fit skips a class whose residue shares a prime with k that d does not have",
     ),
     (
@@ -142,8 +142,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        'record["theorem"] = theorem',
-        'record["theorem"] = None',
+        "(theorem, params, formula, oracle, status, residual)",
+        "(None, params, formula, oracle, status, residual)",
         "check_case leaves every record without its theorem id",
     ),
     (
@@ -325,6 +325,18 @@ MUTANTS = (
         "        fault = exc\n",
         "        records, fault = [], exc\n",
         "a worker drops the text of the cases before a failing one in its run",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "(not side) if isinstance(side, bool) else side + 1",
+        "side + 1",
+        "--inject-offby1 adds one to a bool of the formula side where it should flip it",
+    ),
+    (
+        "src/numsgps/verify.py",
+        '{**params, "error": str(exc)}',
+        "params",
+        "the record of a formula side's TheoremViolationError does not carry the error",
     ),
 )
 

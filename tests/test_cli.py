@@ -665,13 +665,14 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
     identity = verify.IDENTITIES["sylvester"]
     third = identity.cases(verify.SweepConfig("sylvester", max_value=5).resolved())[2]
 
-    def failing(case, tolerance, inject):
+    def failing(case, S, Q):
         if case == third:
             raise TheoremViolationError(f"planted failure at {case}")
-        return identity.check(case, tolerance, inject)
+        return identity.oracle(case, S, Q)
 
-    # a forked worker sees the patched registry too
-    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
+    # a forked worker sees the patched registry too; the fault is planted on
+    # the oracle side, as a formula side's TheoremViolationError is a record
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(oracle=failing))
     failure = f"identity failure: planted failure at {third}"
     for parallel in ("1", "2"):
         for fmt, kept in (("json", 2), ("table", 3)):  # the table's seed header is on stdout
@@ -696,12 +697,12 @@ def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, mo
     cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
     assert list(verify._chunks(cases))[1] == cases[1:3]
 
-    def failing(case, tolerance, inject):
+    def failing(case, S, Q):
         if case == cases[2]:
             raise TheoremViolationError(f"planted failure at {case}")
-        return identity.check(case, tolerance, inject)
+        return identity.oracle(case, S, Q)
 
-    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(oracle=failing))
     serial = run_cli(capsys, *argv, "--parallel", "1")
     assert serial[0] == 1 and len(serial[1].splitlines()) == 2
     assert run_cli(capsys, *argv, "--parallel", "2") == serial
@@ -715,14 +716,14 @@ def test_a_lost_worker_exits_two_after_the_records_before_its_run(capsys, monkey
     lost = runs[2][1]  # the third run, which the first worker checks
     parent = os.getpid()
 
-    def dying(case, tolerance, inject):
+    def dying(case, S, Q):
         if case == lost and os.getpid() != parent:
             os._exit(3)
-        return identity.check(case, tolerance, inject)
+        return identity.oracle(case, S, Q)
 
     clean = run_cli(capsys, *argv)[1].splitlines(keepends=True)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=dying))
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(oracle=dying))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "".join(clean[:3]))  # the records of the first two runs
     assert err.splitlines()[-1].startswith("error: sweep worker ")
@@ -756,13 +757,13 @@ def test_no_worker_outlives_a_sweep(capsys, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
     identity = verify.IDENTITIES["sylvester"]
 
-    def failing(case, tolerance, inject):
+    def failing(case, S, Q):
         if case == (1, 2):
             raise TheoremViolationError(f"planted failure at {case}")
-        return identity.check(case, tolerance, inject)
+        return identity.oracle(case, S, Q)
 
     monkeypatch.setattr(sys, "stdout", io.StringIO())
-    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(check=failing))
+    monkeypatch.setitem(verify.IDENTITIES, "sylvester", identity._replace(oracle=failing))
     assert cli.main(argv) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -771,15 +772,15 @@ def test_no_worker_outlives_a_sweep(capsys, monkeypatch):
 @pytest.mark.parametrize("theorem", verify.THEOREM_IDS)
 def test_a_fault_in_any_id_keeps_the_records_before_it(theorem, capsys, monkeypatch):
     argv = ("verify", theorem, *CLI_GRIDS[theorem].split(), "--format", "json")
-    identity = verify.IDENTITIES[theorem]
+    check_case = verify.check_case
     checked = []
 
-    def counting(case, tolerance, inject):
-        records = identity.check(case, tolerance, inject)
+    def counting(theorem, case, tolerance, inject):
+        records = check_case(theorem, case, tolerance, inject)
         checked.append((case, len(records)))
         return records
 
-    monkeypatch.setitem(verify.IDENTITIES, theorem, identity._replace(check=counting))
+    monkeypatch.setattr(verify, "check_case", counting)
     code, clean, _ = run_cli(capsys, *argv)
     assert code == 0 and len(checked) >= 3
     third, kept = checked[2][0], checked[0][1] + checked[1][1]
@@ -789,13 +790,15 @@ def test_a_fault_in_any_id_keeps_the_records_before_it(theorem, capsys, monkeypa
         (PreconditionError, 2, "error"),
     ):
 
-        def failing(case, tolerance, inject):
+        def failing(theorem, case, tolerance, inject):
             if case == third:
                 raise error(f"planted failure at {case}")
-            return identity.check(case, tolerance, inject)
+            return check_case(theorem, case, tolerance, inject)
 
-        # a forked worker sees the patched registry too
-        monkeypatch.setitem(verify.IDENTITIES, theorem, identity._replace(check=failing))
+        # a forked worker sees the patched module too; the fault is planted
+        # outside the identity, as a formula side's TheoremViolationError
+        # is a record
+        monkeypatch.setattr(verify, "check_case", failing)
         for parallel in ("1", "2"):
             code, out, err = run_cli(capsys, *argv, "--parallel", parallel)
             assert (code, out) == (exit_code, before), (error, parallel)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from numsgps import cli, roots, verify
+from numsgps import quotient as quotient_module
 from numsgps.core import (
     MAX_FROBENIUS,
     MAX_ROOT_WORK,
@@ -206,6 +207,14 @@ def test_quasipoly_work_is_bounded():
     assert SweepConfig(theorem="quasipoly", k_list=(1,), d_max=1, a_max=9_999).resolved()
     with pytest.raises(ResourceLimitError):
         fit_quasipolynomial(1, 2, (1, 10_000))
+    # the grid has a case per class, so a d_max far past a_max could list
+    # d_max^2 / 2 of them; the list ends at the first class too short to fit,
+    # whose check refuses the grid: here class 0 (mod 8), of 8, 16 and 24
+    cfg = SweepConfig(theorem="quasipoly", k_list=(1,), a_max=30, d_max=100_000).resolved()
+    cases = build_cases(cfg)
+    assert len(cases) == sum(range(1, 8)) + 1 and cases[-1] == (1, 8, 0, 30)
+    with pytest.raises(PreconditionError, match=r"^class 0 \(mod 8\) has 3 admissible samples"):
+        run_sweep(cfg)
 
 
 def test_sylvester_and_ed2_work_is_bounded():
@@ -422,16 +431,106 @@ def test_a_pair_count_off_by_one_is_an_error_record(
     assert printed == records
 
 
+def test_the_quasipoly_sweep_checks_each_class_constant(monkeypatch):
+    # + a // d is linear on each class, so every quadratic fits, but the
+    # genus minus the Sylvester term drifts wherever the fit has a constant;
+    # each such class is an error record with the error the fit raises
+    pair_genus = roots._pair_quotient_genus
+    monkeypatch.setattr(
+        roots, "_pair_quotient_genus", lambda a, b, d: pair_genus(a, b, d) + a // d
+    )
+    records = run_sweep(small_config("quasipoly"))
+    bad = [record["params"] for record in records if record["status"] != MATCH]
+    assert [(p["k"], p["d"], p["residue"]) for p in bad] == [
+        (1, 1, 0), (1, 3, 1), (2, 1, 0), (2, 2, 1), (2, 3, 2)
+    ]
+    assert bad[1]["error"] == (
+        "constant differs on class (1, 2) mod 3: (1, 2) gives 0 but (4, 5) gives 1"
+    )
+    for params in bad:
+        with pytest.raises(verify.TheoremViolationError) as err:
+            fit_quasipolynomial(params["k"], params["d"], (1, 80))
+        assert params["error"] == str(err.value), params
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_the_oracle_side_names_every_key_it_is_checked_on(theorem):
+    # the sides are compared on the oracle's keys, so that quasipoly matches
+    # on c2 alone; every other id's dict sides must share their keys, or a
+    # formula key that the oracle lacks would go unchecked, with or without
+    # --inject-offby1
+    cfg = small_config(theorem).resolved()
+    for case in build_cases(cfg):
+        for inject in (False, True):
+            for record in check_case(theorem, case, cfg.tolerance, inject):
+                formula, oracle = record["formula"], record["oracle"]
+                if theorem == "quasipoly" and formula is not None:
+                    assert (list(formula), list(oracle)) == (["c2", "c1", "c0"], ["c2"])
+                elif isinstance(formula, dict):
+                    assert list(formula) == list(oracle), (case, inject)
+
+
 def test_full_ap_formula_sides_read_no_invariant_off_the_quotient():
-    # two_genus on the formula side comes from the closed form's own F, so
-    # a Q with the wrong F (here <2, 3>, F = 1) moves the oracle side alone
+    # two_genus on the formula side comes from the closed form's own F, and
+    # the formula side takes no Q, so a Q with the wrong F (here <2, 3>,
+    # F = 1) moves the oracle side alone
     wrong = from_generators((2, 3))
-    for sides, case in ((verify._full_ap_sides, (6, 5, 3)), (verify._full_ap_dk_sides, (7, 6, 3))):
+    for theorem, case in (("full-ap", (6, 5, 3)), ("full-ap-dk", (7, 6, 3))):
+        identity = IDENTITIES[theorem]
         a, k, d = case
         S = from_generators(a + i * k for i in range(a))
-        formula, oracle, _ = sides(case, S, quotient(S, d))
-        assert formula == oracle, case
-        assert sides(case, S, wrong)[0] == formula, case
+        formula = identity.formula(case, S)
+        assert formula == identity.oracle(case, S, quotient(S, d)), case
+        assert identity.oracle(case, S, wrong)["two_genus"] != formula["two_genus"], case
+
+
+def first_matching_record(theorem):
+    """The first case of the id's small grid whose record matches, and that record."""
+    cfg = small_config(theorem).resolved()
+    for case in build_cases(cfg):
+        records = check_case(theorem, case, cfg.tolerance, False)
+        if [record["status"] for record in records] == [MATCH]:
+            return case, records[0]
+
+
+def test_no_formula_side_computes_a_quotient(monkeypatch):
+    """One case of every id, whose record matches, gives the same formula
+    side with ``quotient`` refusing to run.  This traces calls only: the
+    theorem-main and strazzanti formula sides still read the gap mask of S
+    that the quotient is sliced from."""
+
+    def refused(S, d):
+        raise AssertionError(f"a formula side computed {S}/{d}")
+
+    for theorem in THEOREM_IDS:
+        identity = IDENTITIES[theorem]
+        case, _ = first_matching_record(theorem)
+        S = _sg(identity.generators(case)) if identity.generators else None
+        expected = identity.formula(case, S)
+        with monkeypatch.context() as patched:
+            patched.setattr(quotient_module, "quotient", refused)
+            patched.setattr(verify, "quotient", refused)
+            assert identity.formula(case, S) == expected, theorem
+            if identity.shown:  # the oracle side does compute it
+                with pytest.raises(AssertionError, match="computed"):
+                    check_case(theorem, case, 1.0, False)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_a_theorem_violation_of_any_formula_side_is_an_error_record(theorem, monkeypatch):
+    identity = IDENTITIES[theorem]
+    case, clean = first_matching_record(theorem)
+
+    def violated(case, S):
+        raise verify.TheoremViolationError(f"planted violation at {case}")
+
+    monkeypatch.setitem(IDENTITIES, theorem, identity._replace(formula=violated))
+    for inject in (False, True):
+        assert check_case(theorem, case, 1.0, inject) == [{
+            **clean,
+            "params": {**clean["params"], "error": f"planted violation at {case}"},
+            "formula": None, "oracle": None, "status": MISMATCH, "residual": None,
+        }]
 
 
 def test_full_ap_dk_sweep_builds_each_semigroup_once(table_builds):
@@ -579,7 +678,7 @@ def case_generators(theorem, case):
 
 
 def test_quotient_identities_are_the_ones_that_fill_reports():
-    assert [t for t in THEOREM_IDS if IDENTITIES[t].entries] == list(REPORT_ENTRIES)
+    assert [t for t in THEOREM_IDS if IDENTITIES[t].shown] == list(REPORT_ENTRIES)
 
 
 def test_quotient_reports_recognise_every_live_sweep_case(capsys):
@@ -603,7 +702,9 @@ def test_quotient_reports_recognise_every_live_sweep_case(capsys):
             recognised = identity.case_of(S, d)
             corpus = theorem in ("theorem-main", "strazzanti")
             assert recognised == ((S.minimal_generators, d) if corpus else case)
-            expected = identity.entries(recognised, S, quotient(S, d), DEFAULT_TOLERANCE)
+            expected = verify.report_entries(
+                identity, recognised, S, quotient(S, d), DEFAULT_TOLERANCE
+            )
             assert list(expected) == list(names(d)), (theorem, case)
             key = (S.minimal_generators, d)
             if key not in reports:
