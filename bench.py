@@ -4,14 +4,15 @@
     python3 bench.py --compare OLD.json NEW.json
 
 Each line of the result is one command: `python -c pass`, `import
-numsgps.cli`, every `verify <id>` at its default grid with `--parallel` 1
-and 2, and the json `quotient` and `invariants` reports of <3001, 4007,
-5003> at d = 2.  Each run is started through perfbench/launch.py, so its
-CPU and peak RSS are its own and not the high-water mark of this process
-or of another child.  Each of the REPEAT rounds runs every line once, in
-order; a line's figures are the medians over the rounds, each with its
-first and third quartile (``wall_s_q1``, ``wall_s_q3``, ...).  Bytecode is
-compiled before the first round, so no run pays for compiling the sources.
+numsgps.cli`, every `verify <id>` at its default grid and at each grid of
+SCALE with `--parallel` 1 and 2, and the json `quotient` and `invariants`
+reports of <3001, 4007, 5003> at d = 2.  Each run is started through
+perfbench/launch.py, so its CPU and peak RSS are its own and not the
+high-water mark of this process or of another child.  Each of the REPEAT
+rounds runs every line once, in order; a line's figures are the medians
+over the rounds, each with its first and third quartile (``wall_s_q1``,
+``wall_s_q3``, ...).  Bytecode is compiled before the first round, so no
+run pays for compiling the sources.
 
 With --baseline, the result also keeps the baseline's lines, whole, under
 "before".  --compare names every figure of NEW whose median is more than
@@ -40,6 +41,8 @@ REPEAT = 5
 WORSE = 1.10
 ENTRY = "from numsgps.cli import entry; entry()"
 REPORT_GENS = "3001,4007,5003"
+# grids of a few seconds, whose time is the engine's more than process start-up
+SCALE = {"ed2-closed-form": ("--max", "60", "--d-max", "200")}
 
 
 def command_lines(env) -> dict[str, list[str]]:
@@ -52,10 +55,11 @@ def command_lines(env) -> dict[str, list[str]]:
         "python -c pass": [sys.executable, "-c", "pass"],
         "import numsgps.cli": [sys.executable, "-c", "import numsgps.cli"],
     }
+    grids = [(theorem, ()) for theorem in ids] + list(SCALE.items())
     for parallel in (1, 2):
-        for theorem in ids:
-            lines[f"verify {theorem} --parallel {parallel}"] = [
-                sys.executable, "-c", ENTRY, "verify", theorem,
+        for theorem, grid in grids:
+            lines[" ".join(("verify", theorem, *grid, "--parallel", str(parallel)))] = [
+                sys.executable, "-c", ENTRY, "verify", theorem, *grid,
                 "--parallel", str(parallel), "--format", "json",
             ]
     for args in (["quotient", "--gens", REPORT_GENS, "--d", "2"], ["invariants", "--gens", REPORT_GENS]):

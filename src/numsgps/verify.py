@@ -28,8 +28,9 @@ import os
 import random
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import (
     NumericalSemigroup,
@@ -130,7 +131,7 @@ def random_corpus(seed: int, cases: int, max_gen: int) -> list[tuple[int, ...]]:
     return corpus
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)  # every grid lists the cases of one semigroup in a row
 def _sg(gens: tuple[int, ...]) -> NumericalSemigroup:
     return from_generators(gens)
 
@@ -142,40 +143,40 @@ def _frac(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _corpus_cases(cfg: SweepConfig) -> list[tuple]:
-    return [
+def _corpus_cases(cfg: SweepConfig) -> Iterator[tuple]:
+    return (
         (gens, d)
         for gens in random_corpus(cfg.seed, cfg.cases, cfg.max_gen)
         for d in range(2, cfg.d_max + 1)
-    ]
+    )
 
 
-def _coprime_pairs(cfg: SweepConfig) -> list[tuple[int, int]]:
-    return [
+def _coprime_pairs(cfg: SweepConfig) -> Iterator[tuple[int, int]]:
+    return (
         (a, k)
         for a in range(1, cfg.a_max + 1)
         for k in range(1, cfg.k_max + 1)
         if math.gcd(a, k) == 1
-    ]
+    )
 
 
 def _ap3(a: int, k: int) -> tuple[int, ...]:
     return (a, a + k, a + 2 * k)
 
 
-@lru_cache(maxsize=64)  # a sweep reads the same progression for each d in turn
+@lru_cache(maxsize=1)  # a sweep reads the same progression for each d in turn
 def _full_ap(a: int, k: int) -> tuple[int, ...]:
     return tuple(a + i * k for i in range(a))
 
 
-def _ed2_cases(cfg: SweepConfig) -> list[tuple]:
-    return [
+def _ed2_cases(cfg: SweepConfig) -> Iterator[tuple]:
+    return (
         (a, b, d)
         for a in range(2, cfg.max_value + 1)
         for b in range(a + 1, cfg.max_value + 1)
         if math.gcd(a, b) == 1
         for d in range(2, cfg.d_max + 1)
-    ]
+    )
 
 
 def _ed2_cost(cfg: SweepConfig) -> int:
@@ -183,9 +184,9 @@ def _ed2_cost(cfg: SweepConfig) -> int:
     scans: <a, b>/d scans fewer than ab/d values, and 1/d summed over
     2 <= d <= d_max is at most floor(log2 d_max), one per block
     [2^i, 2^(i+1)).  The closed form is an O(log d) floor sum, so its a
-    per case over-counts; it stays because it also bounds the case list,
-    which build_cases holds whole (without it, --max 60 would accept
-    --d-max 16222, 16.9 M cases)."""
+    per case over-counts, and a sweep holds no case list for it to bound;
+    it stays so that the accepted grids stay as they were (without it,
+    --max 60 would accept --d-max 16222, 16.9 M cases)."""
     m = cfg.max_value
     products = ((m * (m + 1) // 2) ** 2 - m * (m + 1) * (2 * m + 1) // 6) // 2  # ab over a < b
     sums = (m + 1) * m * (m - 1) // 6  # a over a < b <= m
@@ -207,13 +208,13 @@ def _ed2_case(S: NumericalSemigroup, d: int) -> tuple | None:
     return None
 
 
-def _sylvester_cases(cfg: SweepConfig) -> list[tuple]:
-    return [
+def _sylvester_cases(cfg: SweepConfig) -> Iterator[tuple]:
+    return (
         (a, b)
         for a in range(1, cfg.max_value + 1)
         for b in range(a, cfg.max_value + 1)
         if math.gcd(a, b) == 1
-    ]
+    )
 
 
 def _d2_moduli(cfg: SweepConfig) -> range:
@@ -222,8 +223,7 @@ def _d2_moduli(cfg: SweepConfig) -> range:
     return range(2, min(cfg.d_max, cfg.max_value - 1) + 1)
 
 
-def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
-    cases = []
+def _d2_constant_cases(cfg: SweepConfig) -> Iterator[tuple]:
     for d in _d2_moduli(cfg):
         units = [r for r in range(1, d) if math.gcd(r, d) == 1]
         for a_class in units:
@@ -232,8 +232,7 @@ def _d2_constant_cases(cfg: SweepConfig) -> list[tuple]:
                     a_class, b_class, d, cfg.samples, cfg.max_value
                 )
                 if len(pairs) >= 2:
-                    cases.append((d, a_class, b_class, tuple(pairs)))
-    return cases
+                    yield d, a_class, b_class, tuple(pairs)
 
 
 def _d2_constant_cost(cfg: SweepConfig) -> int:
@@ -269,18 +268,16 @@ def _d2_constant(case, S) -> Fraction:
     return extract_cabd_constant(a_class, b_class, d, list(pairs))
 
 
-def _quasipoly_cases(cfg: SweepConfig) -> list[tuple]:
+def _quasipoly_cases(cfg: SweepConfig) -> Iterator[tuple]:
     """The classes that the grid's fits walk, up to the first one too short
     to fit, whose check refuses the grid.  Class 1 is too short once
     d > (a_max - 1) / 3, so a k lists at most a_max * d_max classes."""
-    cases = []
     for k in cfg.k_list:
         for d in range(1, cfg.d_max + 1):
             for residue in _fit_residues(k, d):
-                cases.append((k, d, residue, cfg.a_max))
+                yield k, d, residue, cfg.a_max
                 if len(_class_samples(k, d, residue, 1, cfg.a_max)) < 4:
-                    return cases
-    return cases
+                    return
 
 
 def _quasipoly_formula(case, S) -> dict:
@@ -373,9 +370,9 @@ class Identity(namedtuple(
     defaults=(None,) * 4 + (False,),
 )):
     """One identity: ``defaults`` fill a ``SweepConfig``, ``cases(cfg)``
-    lists the grid, and ``cost(cfg)`` bounds in steps the work of the grid,
-    its case list included; a grid that costs more than ``MAX_ROOT_WORK``
-    is refused before any case is built.
+    makes the grid's cases lazily, those of one semigroup in a row, and
+    ``cost(cfg)`` bounds in steps the work of the grid; a grid that costs
+    more than ``MAX_ROOT_WORK`` is refused before any case is made.
 
     A case's record carries ``params(*case)``; ``skip(*case)``, if given,
     is why the case is skipped, without any work, or None.  S is built from
@@ -415,14 +412,14 @@ def _progression(family, applies, formula, oracle, shown, per_d, skip=None) -> I
     the id's own time.
     """
 
-    def cases(cfg: SweepConfig) -> list[tuple]:
+    def cases(cfg: SweepConfig) -> Iterator[tuple]:
         # every d that applies divides a or k, so it is at most max(a, k)
-        return [
+        return (
             (a, k, d)
             for a, k in _coprime_pairs(cfg)
             for d in range(1, max(a, k) + 1)
             if applies(a, k, d)
-        ]
+        )
 
     def case_of(S: NumericalSemigroup, d: int) -> tuple | None:
         gens = S.minimal_generators  # gcd(a, k) is their gcd, so it is 1
@@ -504,7 +501,7 @@ IDENTITIES: dict[str, Identity] = {
     ),
     "ap3-symmetric": Identity(
         _AK_GRID,
-        lambda cfg: [(a, k) for a, k in _coprime_pairs(cfg) if a >= 2],
+        lambda cfg: ((a, k) for a, k in _coprime_pairs(cfg) if a >= 2),
         # per pair, 8a steps to build <a, a + k, a + 2k>, whose symmetry is read
         # off its table; fitted up to 2,000 in a or k
         lambda cfg: 4 * cfg.k_max * cfg.a_max * (cfg.a_max + 1),
@@ -539,7 +536,7 @@ IDENTITIES: dict[str, Identity] = {
     ),
     "root-identity": Identity(
         {"d_max": 1000, "tolerance": IDENTITY_TOLERANCE},
-        lambda cfg: [(d,) for d in range(2, cfg.d_max + 1)],
+        lambda cfg: ((d,) for d in range(2, cfg.d_max + 1)),
         lambda cfg: cfg.d_max * (cfg.d_max - 1) // 2,  # case d sums d - 1 roots
         lambda d: {"d": d},
         formula=lambda case, S: root_of_unity_identity_check(*case),
@@ -558,13 +555,10 @@ def _identity(theorem: str) -> Identity:
     return IDENTITIES[theorem]
 
 
-def build_cases(cfg: SweepConfig) -> list[tuple]:
-    """The case list for a resolved config, in deterministic order.
-
-    Cases are small tuples of primitives so they travel cheaply to worker
-    processes; anything expensive (semigroup construction, quotients)
-    happens in the check.
-    """
+def build_cases(cfg: SweepConfig) -> Iterator[tuple]:
+    """The cases of a resolved config, in deterministic order, each made
+    when it is asked for: small tuples of primitives, as anything expensive
+    (semigroup construction, quotients) happens in the check."""
     return _identity(cfg.theorem).cases(cfg)
 
 
@@ -690,54 +684,60 @@ def check_run(theorem: str, tolerance: float | None, inject: bool, render, cases
 RUN = 64
 
 
-def _chunks(cases: list[tuple]) -> Iterator[list[tuple]]:
-    """The runs of cases a sweep checks: 1, 2, 4, ... cases, doubling up to
-    ``RUN``, so the first record waits for one case.  The case list alone
-    fixes them, so every ``--parallel`` and every host splits a grid alike."""
-    lo, size = 0, 1
-    while lo < len(cases):
-        yield cases[lo : lo + size]
-        lo += size
+def _chunks(cases: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """The runs of cases a sweep checks, each cut off ``cases`` when asked
+    for: 1, 2, 4, ... cases, doubling up to ``RUN``, so the first record
+    waits for one case.  The cases alone fix them, so every ``--parallel``
+    and every host splits a grid alike."""
+    cases, size = iter(cases), 1
+    while run := list(islice(cases, size)):
+        yield run
         size = min(2 * size, RUN)
 
 
 def sweep(cfg: SweepConfig, render=None) -> Iterator:
     """The sweep in deterministic case order, whatever the parallelism degree.
 
-    The config is resolved and the case list built before this returns,
-    so a refused grid, or one that holds no case, raises here, before any
-    record exists.  With ``render``, a function from a list of records to
-    its text, the sweep yields a block (statuses, text, exception) per run
-    of cases of ``_chunks``, as ``check_run`` returns it, checked and
-    rendered in this process or in a forked worker (see ``_blocks``).  A
-    block's exception ends the sweep at its case, and its text holds the
-    records of the cases before that one.  Without ``render`` the sweep
-    yields the records, each once its case and every earlier one are
-    checked, and raises where a case raised.
+    The config is resolved and the first case made before this returns, so
+    a refused grid, or one that holds no case, raises here, before any
+    record exists; each later case is made when the sweep reaches it, so
+    it holds a few runs of cases, whatever the grid.  With ``render``, a
+    function from a list of records to its text, the sweep yields a block
+    (statuses, text, exception) per run of cases of ``_chunks``, as
+    ``check_run`` returns it, checked and rendered in this process or in a
+    forked worker (see ``_blocks``).  A block's exception ends the sweep at
+    its case, and its text holds the records of the cases before that one.
+    Without ``render`` the sweep yields the records, each once its case and
+    every earlier one are checked, and raises where a case raised.
     """
     cfg = cfg.resolved()
     cases = build_cases(cfg)
-    if not cases:
+    first = list(islice(cases, 1))
+    if not first:
         raise PreconditionError(f"the {cfg.theorem} grid holds no case")
-    blocks = _blocks(cfg, cases, render or list)
+    blocks = _blocks(cfg, chain(first, cases), render or list)
     return blocks if render else _records(blocks)
 
 
-def _blocks(cfg: SweepConfig, cases: list[tuple], render) -> Iterator[tuple]:
+def _blocks(cfg: SweepConfig, cases: Iterable[tuple], render) -> Iterator[tuple]:
     """The blocks of the runs of ``cases``, in run order.
 
-    With one worker (``--parallel 1``, one CPU, one run, or no ``os.fork``)
-    this process checks and renders each run.  Otherwise worker w is forked
-    with the case list; it checks runs w, w + workers, ... and pickles each
-    block into its own pipe, and block j is read from worker j mod
-    workers.  A worker lost before it sends a block raises
-    ``ChildProcessError`` there.  Once the sweep is exhausted, reaches a
-    block's exception (before yielding it), raises or is closed, its pipes
-    are closed and every worker is sent SIGTERM and reaped.
+    The first run of each worker that ``--parallel`` and the CPUs allow is
+    cut off at once, so no worker is forked without a run.  With one worker
+    (``--parallel 1``, one CPU, one run, or no ``os.fork``) this process
+    checks and renders each run.  Otherwise worker w is forked with a copy
+    of the run stream; it checks runs w, w + workers, ... and pickles each
+    block into its own pipe, and this process walks its own copy to read
+    block j from worker j mod workers.  A worker lost before it sends a
+    block raises ``ChildProcessError`` there.  Once the sweep is exhausted,
+    reaches a block's exception (before yielding it), raises or is closed,
+    its pipes are closed and every worker is sent SIGTERM and reaped.
     """
     run = partial(check_run, cfg.theorem, cfg.tolerance, cfg.inject_offby1, render)
-    runs = list(_chunks(cases))
-    workers = min(cfg.parallel, os.cpu_count() or 1, len(runs)) if hasattr(os, "fork") else 1
+    runs = _chunks(cases)
+    cap = min(cfg.parallel, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    head = list(islice(runs, cap))
+    workers, runs = len(head), chain(head, runs)
     if workers == 1:
         yield from map(run, runs)
         return
@@ -756,18 +756,18 @@ def _blocks(cfg: SweepConfig, cases: list[tuple], render) -> Iterator[tuple]:
                     try:
                         for pipe in pipes:  # its own read end and those of earlier workers
                             os.close(pipe.fileno())
-                        for block in map(run, runs[w::workers]):
+                        for block in map(run, islice(runs, w, None, workers)):
                             pickle.dump(block, sink)
                             sink.flush()
                     finally:
                         os._exit(0)  # never back into the caller, nor a flush of inherited stdio
             pids.append(pid)
-        for j in range(len(runs)):
+        for j, _ in enumerate(runs):
             try:
                 block = pickle.load(pipes[j % workers])
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(
-                    f"sweep worker {pids[j % workers]} ended before sending run {j + 1} of {len(runs)}"
+                    f"sweep worker {pids[j % workers]} ended before sending run {j + 1}"
                 ) from None
             if block[2] is not None:
                 break  # the sweep ends at this block: stop the workers before handing it on

@@ -136,8 +136,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        "if not cases:",
-        "if cases is None:",
+        "if not first:",
+        "if first is None:",
         "a grid that holds no case sweeps nothing and exits 0",
     ),
     (
@@ -244,8 +244,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        "min(cfg.parallel, os.cpu_count() or 1, len(runs))",
-        "min(cfg.parallel, len(runs))",
+        "min(cfg.parallel, os.cpu_count() or 1)",
+        "cfg.parallel",
         "a sweep forks --parallel workers however few CPUs the host has",
     ),
     (
@@ -316,8 +316,8 @@ MUTANTS = (
     ),
     (
         "src/numsgps/verify.py",
-        "lo, size = 0, 1",
-        "lo, size = 0, RUN",
+        "cases, size = iter(cases), 1",
+        "cases, size = iter(cases), RUN",
         "the first run holds RUN cases, so the first record waits for them",
     ),
     (
@@ -337,6 +337,12 @@ MUTANTS = (
         '{**params, "error": str(exc)}',
         "params",
         "the record of a formula side's TheoremViolationError does not carry the error",
+    ),
+    (
+        "src/numsgps/verify.py",
+        "    cases = build_cases(cfg)\n",
+        "    cases = iter(list(build_cases(cfg)))\n",
+        "a sweep lists its whole grid before the first record, so its memory grows with the grid",
     ),
 )
 

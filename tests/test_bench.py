@@ -46,3 +46,13 @@ def test_compare_ends_quietly_with_its_exit_code_when_its_reader_has_gone(tmp_pa
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (code, b""), new
+
+
+def test_every_scale_grid_is_under_its_cost():
+    from numsgps import cli
+    from numsgps.verify import SweepConfig
+
+    for theorem, grid in bench.SCALE.items():
+        args = cli.build_parser().parse_args(["verify", theorem, *grid])
+        config = SweepConfig(**{name: getattr(args, name) for name in SweepConfig._fields})
+        config.resolved()  # a grid that costs more than its cap raises here

@@ -663,7 +663,7 @@ def test_a_failing_case_keeps_the_records_before_it(tmp_path, capsys, monkeypatc
     argv = ("verify", "sylvester", "--max", "5")  # 10 cases: runs of 1, 2, 4 and 3
     clean = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "table")}
     identity = verify.IDENTITIES["sylvester"]
-    third = identity.cases(verify.SweepConfig("sylvester", max_value=5).resolved())[2]
+    third = list(identity.cases(verify.SweepConfig("sylvester", max_value=5).resolved()))[2]
 
     def failing(case, S, Q):
         if case == third:
@@ -694,7 +694,7 @@ def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, mo
     # second case of the second run, which the second worker checks
     argv = ("verify", "sylvester", "--max", "30", "--format", "json")
     identity = verify.IDENTITIES["sylvester"]
-    cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
+    cases = list(identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved()))
     assert list(verify._chunks(cases))[1] == cases[1:3]
 
     def failing(case, S, Q):
@@ -711,7 +711,7 @@ def test_a_failing_case_keeps_the_records_before_it_in_its_pool_chunk(capsys, mo
 def test_a_lost_worker_exits_two_after_the_records_before_its_run(capsys, monkeypatch):
     argv = ("verify", "sylvester", "--max", "30", "--format", "json", "--parallel", "2")
     identity = verify.IDENTITIES["sylvester"]
-    cases = identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved())
+    cases = list(identity.cases(verify.SweepConfig("sylvester", max_value=30).resolved()))
     runs = list(verify._chunks(cases))
     lost = runs[2][1]  # the third run, which the first worker checks
     parent = os.getpid()
